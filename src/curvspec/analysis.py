@@ -116,15 +116,16 @@ def _grid_with_breakpoints(lo_open: float, hi: float, samples: int, breaks) -> n
     return np.unique(np.concatenate([grid, breaks]))
 
 
-def _running_mean(spectrum, params, a: float, x_grid: np.ndarray, refine: int = 8):
-    # (1/(x-a)) int_a^x sqrt(s) A(s^2) ds by composite trapezoid on an 8x finer grid
+def _running_mean(spectrum, params, a: float, x_grid: np.ndarray, sqrt_weight: bool):
+    # (1/(x-a)) int_a^x sqrt(s) A(s^2) ds (sqrt(s) dropped unless sqrt_weight)
+    # by composite trapezoid on an 8x finer grid
     xs = x_grid[x_grid > a]
     base = np.unique(np.concatenate([[a], xs]))
-    fine = [base[:1]]
-    for lo, hi in zip(base[:-1], base[1:]):
-        fine.append(np.linspace(lo, hi, refine + 1)[1:])
-    s = np.concatenate(fine)
-    integrand = np.sqrt(s) * average_error(spectrum, params, s * s)
+    fine = np.linspace(base[:-1], base[1:], 9, axis=-1)[:, 1:]
+    s = np.concatenate([base[:1], fine.ravel()])
+    integrand = average_error(spectrum, params, s * s)
+    if sqrt_weight:
+        integrand = np.sqrt(s) * integrand
     cum = np.concatenate([[0.0], np.cumsum(np.diff(s) * 0.5 * (integrand[1:] + integrand[:-1]))])
     cum_at = np.interp(xs, s, cum)
     return xs, cum_at / (xs - a)
@@ -172,21 +173,9 @@ def graph_series(
     else:
         series.graphs.append(("t14A", grid_t, grid_t**0.25 * a_vals))
         series.graphs.append(("t14At2", grid_r, grid_r**0.25 * a_sq))
-    if alt_spherical_mean and space is SpaceForm.SPHERICAL:
-        xs = grid_r[grid_r > a]
-        base = np.unique(np.concatenate([[a], xs]))
-        fine = [base[:1]]
-        for lo, hi in zip(base[:-1], base[1:]):
-            fine.append(np.linspace(lo, hi, 9)[1:])
-        s = np.concatenate(fine)
-        integrand = average_error(eigs, params, s * s)
-        cum = np.concatenate(
-            [[0.0], np.cumsum(np.diff(s) * 0.5 * (integrand[1:] + integrand[:-1]))]
-        )
-        series.graphs.append(("runmean", xs, np.interp(xs, s, cum) / (xs - a)))
-    else:
-        xs, mean = _running_mean(eigs, params, a, grid_r)
-        series.graphs.append(("runmean", xs, mean))
+    alt = alt_spherical_mean and space is SpaceForm.SPHERICAL
+    xs, mean = _running_mean(eigs, params, a, grid_r, sqrt_weight=not alt)
+    series.graphs.append(("runmean", xs, mean))
     return series
 
 

@@ -64,11 +64,7 @@ class ExtrapolatedSpectrum:
 def _residuals(problem: EigenProblem, vals, vecs) -> np.ndarray:
     kv = problem.stiffness @ vecs
     mv = problem.mass @ vecs
-    out = np.empty(len(vals))
-    for i, lam in enumerate(vals):
-        denom = np.linalg.norm(mv[:, i])
-        out[i] = np.linalg.norm(kv[:, i] - lam * mv[:, i]) / denom
-    return out
+    return np.linalg.norm(kv - mv * vals, axis=0) / np.linalg.norm(mv, axis=0)
 
 
 def solve_lowest(problem: EigenProblem, m: int, tol: float = 1e-9) -> SpectrumSlice:
@@ -147,18 +143,25 @@ def solve_lowest(problem: EigenProblem, m: int, tol: float = 1e-9) -> SpectrumSl
     return SpectrumSlice(eigenvalues=vals, level=-1, residual_norms=res)
 
 
+def _geometric_fit(x4, x5, x6) -> tuple[np.ndarray, np.ndarray]:
+    # elementwise x + c r^n fit; see extrapolate for the degenerate cases
+    x4, x5, x6 = (np.asarray(v, dtype=float) for v in (x4, x5, x6))
+    flat = x5 == x4
+    with np.errstate(all="ignore"):  # masked lanes may divide by zero
+        r = np.where(flat, 0.0, (x6 - x5) / np.where(flat, 1.0, x5 - x4))
+        degenerate = flat | (np.abs(r) >= 1.0) | (np.abs(1.0 - r) < 1e-12)
+        pred = np.where(degenerate, x6, x6 + (x6 - x5) * r / (1.0 - r))
+    return pred, r
+
+
 def extrapolate(x4: float, x5: float, x6: float) -> tuple[float, float]:
     """Fit x_n = x + c r^n to three consecutive values and return (x, r).
 
     Degenerate fits (|r| >= 1 or r ~ 1) return the finest value with the raw
     ratio; the trust decision is made downstream from the ratio.
     """
-    if x5 == x4:
-        return (x6, 0.0)
-    r = (x6 - x5) / (x5 - x4)
-    if abs(r) >= 1.0 or abs(1.0 - r) < 1e-12:
-        return (x6, r)
-    return (x6 + (x6 - x5) * r / (1.0 - r), r)
+    pred, r = _geometric_fit(x4, x5, x6)
+    return (float(pred), float(r))
 
 
 def extrapolate_spectrum(slices) -> ExtrapolatedSpectrum:
@@ -180,18 +183,10 @@ def extrapolate_spectrum(slices) -> ExtrapolatedSpectrum:
         raise SolveError(
             f"slices must be at consecutive levels, got {s4.level}, {s5.level}, {s6.level}"
         )
-    preds = np.empty(len(s6))
-    ratios = np.empty(len(s6))
-    trusted = np.empty(len(s6), dtype=bool)
-    for i in range(len(s6)):
-        pred, r = extrapolate(
-            float(s4.eigenvalues[i]), float(s5.eigenvalues[i]), float(s6.eigenvalues[i])
-        )
-        preds[i] = pred
-        ratios[i] = r
-        trusted[i] = abs(r) <= _TRUST_RATIO and abs(pred - s6.eigenvalues[i]) <= (
-            _TRUST_JUMP * (1.0 + abs(pred))
-        )
+    preds, ratios = _geometric_fit(s4.eigenvalues, s5.eigenvalues, s6.eigenvalues)
+    trusted = (np.abs(ratios) <= _TRUST_RATIO) & (
+        np.abs(preds - s6.eigenvalues) <= _TRUST_JUMP * (1.0 + np.abs(preds))
+    )
     order = np.argsort(preds, kind="stable")
     preds, ratios, trusted = preds[order], ratios[order], trusted[order]
     trust_count = int(np.argmin(trusted)) if not trusted.all() else len(trusted)

@@ -1,20 +1,18 @@
 """Exact oracle spectra for the closed-form test domains.
 
 Lattice triangles, unit discs via Bessel-function zeros, the hemisphere and
-the spherical equilateral right triangle. Bessel functions are evaluated
-in-package (ascending series for small argument, Miller backward recurrence
-otherwise); zeros are bracketed by a sign scan seeded with the McMahon
-expansion and polished with Newton steps.
+the spherical equilateral right triangle. Bessel values and zeros come from
+scipy.special (zeros: specfun JYZO, Zhang & Jin, Computation of Special
+Functions, 1996).
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 
 class OracleError(ValueError):
@@ -36,200 +34,22 @@ class OracleSpectrum:
 
 
 # ---------------------------------------------------------------------------
-# Bessel functions of the first kind
-
-_SERIES_X_MAX = 9.0
+# Bessel functions of the first kind and their zeros
 
 
-def _bessel_series(k: int, x: float) -> float:
-    # ascending series; safe for small |x| only (cancellation grows like e^x)
-    half = 0.5 * x
-    term = 1.0
-    for m in range(1, k + 1):
-        term *= half / m
-    total = term
-    m = 1
-    while True:
-        term *= -(half * half) / (m * (m + k))
-        total += term
-        if abs(term) <= 1e-18 * (abs(total) + 1e-300):
-            return total
-        m += 1
-
-
-def _bessel_array_miller(k_max: int, x: float) -> np.ndarray:
-    # J_0..J_k_max(x) by backward recurrence, normalized by J_0 + 2*sum J_{2m} = 1
-    top = max(k_max, x)
-    start = int(top + 14.0 * max(1.0, top) ** (1.0 / 3.0) + 16)
-    jp, j = 0.0, 1e-300
-    out = np.empty(start + 1)
-    out[start] = j
-    for m in range(start, 0, -1):
-        jm = (2.0 * m / x) * j - jp
-        jp, j = j, jm
-        out[m - 1] = jm
-        if abs(jm) > 1e250:
-            jp *= 1e-250
-            j *= 1e-250
-            out[: start + 1] *= 1e-250
-            out[m - 1] = j
-    norm = out[0] + 2.0 * np.sum(out[2::2])
-    return out[: k_max + 1] / norm
-
-
-def bessel_j_all(k_max: int, x: float) -> np.ndarray:
-    """J_0(x) .. J_{k_max}(x) for x > 0."""
+def _check_positive(x: float) -> None:
     if x <= 0.0:
         raise OracleError(f"Bessel evaluation needs x > 0, got {x}")
-    if x <= _SERIES_X_MAX:
-        return np.array([_bessel_series(k, x) for k in range(k_max + 1)])
-    return _bessel_array_miller(k_max, x)
-
-
-def _j_and_derivs(k: int, x: float) -> tuple[float, float, float]:
-    # J_k, J_k', J_k'' via the three-term ladder (J_{-m} = (-1)^m J_m)
-    arr = bessel_j_all(k + 2, x)
-
-    def at(m: int) -> float:
-        return arr[m] if m >= 0 else (-1.0) ** (-m) * arr[-m]
-
-    j = at(k)
-    jp = 0.5 * (at(k - 1) - at(k + 1))
-    jpp = 0.25 * (at(k - 2) - 2.0 * j + at(k + 2))
-    return j, jp, jpp
 
 
 def bessel_j(k: int, x: float) -> float:
-    return _j_and_derivs(k, x)[0]
+    _check_positive(x)
+    return float(special.jv(k, x))
 
 
 def bessel_j_prime(k: int, x: float) -> float:
-    return _j_and_derivs(k, x)[1]
-
-
-# ---------------------------------------------------------------------------
-# Zeros
-
-_MCMAHON_SAFE = 0.35  # accept the expansion when mu/(8 beta)^2 terms are this small
-
-
-def _mcmahon_zero(k: int, n: int, derivative: bool) -> float | None:
-    mu = 4.0 * k * k
-    if derivative:
-        beta = (n + 0.5 * k - 0.75) * math.pi
-        if beta <= 0.0 or (mu + 3.0) / (8.0 * beta) > _MCMAHON_SAFE:
-            return None
-        b8 = 8.0 * beta
-        return beta - (mu + 3.0) / b8 - 4.0 * (7.0 * mu * mu + 82.0 * mu - 9.0) / (
-            3.0 * b8**3
-        ) - 32.0 * (83.0 * mu**3 + 2075.0 * mu * mu - 3039.0 * mu + 3537.0) / (
-            15.0 * b8**5
-        )
-    beta = (n + 0.5 * k - 0.25) * math.pi
-    if beta <= 0.0 or (mu - 1.0) / (8.0 * beta) > _MCMAHON_SAFE:
-        return None
-    b8 = 8.0 * beta
-    return beta - (mu - 1.0) / b8 - 4.0 * (mu - 1.0) * (7.0 * mu - 31.0) / (
-        3.0 * b8**3
-    ) - 32.0 * (mu - 1.0) * (83.0 * mu * mu - 982.0 * mu + 3779.0) / (15.0 * b8**5)
-
-
-def _refine_zero(k: int, lo: float, hi: float, derivative: bool) -> float:
-    def f(x):
-        j, jp, jpp = _j_and_derivs(k, x)
-        return (jp, jpp) if derivative else (j, jp)
-
-    flo = f(lo)[0]
-    for _ in range(6):  # shrink the bracket before Newton
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)[0]
-        if flo * fm <= 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    x = 0.5 * (lo + hi)
-    for _ in range(60):
-        val, dval = f(x)
-        if dval == 0.0:
-            break
-        step = val / dval
-        x_new = x - step
-        if not lo <= x_new <= hi:
-            mid = 0.5 * (lo + hi)
-            if f(mid)[0] * flo <= 0.0:
-                hi = mid
-            else:
-                lo, flo = mid, f(mid)[0]
-            x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= 1e-13 * (1.0 + abs(x_new)):
-            return x_new
-        x = x_new
-    return x
-
-
-class _ZeroTable:
-    """Cached ascending zeros of J_k or J_k' found by a forward sign scan."""
-
-    def __init__(self, k: int, derivative: bool):
-        self.k = k
-        self.derivative = derivative
-        self.zeros: list[float] = []
-        self.direct: dict[int, float] = {}
-        # J_k (and J_k' for k >= 1) has no positive zero below sqrt(k(k+2));
-        # zeros of J_0' coincide with those of J_1
-        self._scan_x = max(1e-6, math.sqrt(k * (k + 2.0)) * 0.99) if k else 1e-6
-
-    def _f(self, x: float) -> float:
-        j, jp, _ = _j_and_derivs(self.k, x)
-        return jp if self.derivative else j
-
-    def _append_next(self) -> None:
-        n = len(self.zeros) + 1
-        seed = _mcmahon_zero(self.k, n, self.derivative)
-        if seed is not None and (not self.zeros or seed > self.zeros[-1] + 1.0):
-            lo, hi = seed - 0.45, seed + 0.45
-            if (not self.zeros or lo > self.zeros[-1]) and self._f(lo) * self._f(hi) < 0.0:
-                self.zeros.append(_refine_zero(self.k, lo, hi, self.derivative))
-                self._scan_x = self.zeros[-1] + 0.2
-                return
-        x = self._scan_x
-        fx = self._f(x)
-        step = math.pi / 4.0
-        while True:
-            x_next = x + step
-            f_next = self._f(x_next)
-            if fx == 0.0:
-                self.zeros.append(x)
-                self._scan_x = x + 0.2
-                return
-            if fx * f_next < 0.0:
-                self.zeros.append(_refine_zero(self.k, x, x_next, self.derivative))
-                self._scan_x = self.zeros[-1] + 0.2
-                return
-            x, fx = x_next, f_next
-
-    def get(self, n: int) -> float:
-        if n <= len(self.zeros):
-            return self.zeros[n - 1]
-        if n in self.direct:
-            return self.direct[n]
-        # deep in the asymptotic regime the expansion error is far below the
-        # zero spacing, so the n-th zero can be bracketed without marching
-        mu = 4.0 * self.k * self.k
-        beta = (n + 0.5 * self.k - (0.75 if self.derivative else 0.25)) * math.pi
-        if n > 60 and (mu + 3.0) / (8.0 * beta) < 0.02:
-            seed = _mcmahon_zero(self.k, n, self.derivative)
-            lo, hi = seed - 0.45, seed + 0.45
-            if self._f(lo) * self._f(hi) < 0.0:
-                self.direct[n] = _refine_zero(self.k, lo, hi, self.derivative)
-                return self.direct[n]
-        while len(self.zeros) < n:
-            self._append_next()
-        return self.zeros[n - 1]
-
-
-_zero_tables: dict[tuple[int, bool], _ZeroTable] = {}
-_zero_lock = threading.Lock()  # tables cache across calls; keep them race-free
+    _check_positive(x)
+    return float(special.jvp(k, x))
 
 
 def bessel_zero(k: int, n: int, derivative: bool = False) -> float:
@@ -242,20 +62,12 @@ def bessel_zero(k: int, n: int, derivative: bool = False) -> float:
         raise OracleError(f"Bessel order must be a nonnegative integer, got {k}")
     if n < 1 or int(n) != n:
         raise OracleError(f"zero index must be a positive integer, got {n}")
-    key = (int(k), bool(derivative))
-    with _zero_lock:
-        table = _zero_tables.get(key)
-        if table is None:
-            table = _zero_tables[key] = _ZeroTable(*key)
-        return table.get(int(n))
+    zeros = special.jnp_zeros if derivative else special.jn_zeros
+    return float(zeros(int(k), int(n))[-1])
 
 
 # ---------------------------------------------------------------------------
 # Oracle spectra
-
-
-def _expand_sorted(values, count: int) -> np.ndarray:
-    return np.array(values[:count], dtype=float)
 
 
 def right_isosceles_spectrum(count: int) -> OracleSpectrum:
@@ -275,7 +87,7 @@ def right_isosceles_spectrum(count: int) -> OracleSpectrum:
         cutoff = math.pi**2 * (1.0 + (kmax + 1) ** 2)
         safe = [v for v in vals if v < cutoff]
         if len(safe) >= count:
-            return OracleSpectrum("right-isosceles", _expand_sorted(safe, count))
+            return OracleSpectrum("right-isosceles", safe[:count])
         kmax *= 2
 
 
@@ -300,42 +112,49 @@ def equilateral_spectrum(count: int) -> OracleSpectrum:
         cutoff = scale * (1 + (kmax + 1) ** 2 + (kmax + 1))
         safe = [v for v in vals if v < cutoff]
         if len(safe) >= count:
-            return OracleSpectrum("equilateral", _expand_sorted(safe, count))
+            return OracleSpectrum("equilateral", safe[:count])
         kmax *= 2
+
+
+def _zeros_below(zeros, k: int, radius: float, nt: int) -> np.ndarray:
+    # ask for nt zeros, doubling nt until one lands at or past the radius
+    while True:
+        z = zeros(k, nt)
+        if z[-1] >= radius:
+            return z[z < radius]
+        nt *= 2
 
 
 def disc_spectrum(count: int, bc: str = "D") -> OracleSpectrum:
     """Unit-disc spectrum: squares of Bessel zeros (Dirichlet) or of derivative
-    zeros plus the zero mode (Neumann); multiplicity 1 for order 0, 2 otherwise."""
+    zeros plus the zero mode (Neumann); multiplicity 1 for order 0, 2 otherwise.
+
+    All zeros below a radius are collected order by order; the radius starts
+    at the Weyl estimate sqrt(lambda_count) ~ 2 sqrt(count) and grows until
+    at least count eigenvalues lie below its square.
+    """
     if count < 1:
         raise OracleError("count must be >= 1")
     if bc not in ("D", "N"):
         raise OracleError(f"bc must be 'D' or 'N', got {bc!r}")
-    derivative = bc == "N"
-    out: list[float] = []
-    if derivative:
-        out.append(0.0)
-    # merge the per-order zero streams by always extending the smallest front
-    heap: list[tuple[float, int, int]] = []
-
-    def push(k: int, n: int):
-        z = bessel_zero(k, n, derivative)
-        heapq.heappush(heap, (z * z, k, n))
-
-    push(0, 1)
-    k_open = 1
-    while len(out) < count:
-        # first zeros exceed the order, so any order with k^2 above the heap
-        # front cannot contribute yet; open the rest before popping
-        while k_open * k_open <= heap[0][0]:
-            push(k_open, 1)
-            k_open += 1
-        lam, k, n = heapq.heappop(heap)
-        out.append(lam)
-        if k > 0:
-            out.append(lam)
-        push(k, n + 1)
-    return OracleSpectrum(f"disc-{bc.lower()}", _expand_sorted(out, count))
+    zeros = special.jnp_zeros if bc == "N" else special.jn_zeros
+    radius = 2.0 * math.sqrt(count) + 2.0
+    while True:
+        parts = [np.zeros(1)] if bc == "N" else []
+        # zeros below the radius per order: at most one more than at the
+        # previous order, and (for k >= 1) none once the first zero passes
+        # it; order 0 cannot stop the scan since j'_{0,1} > j'_{1,1}
+        nt, k = int(radius / math.pi) + 2, 0
+        while True:
+            z = _zeros_below(zeros, k, radius, nt)
+            if k >= 1 and len(z) == 0:
+                break
+            parts.append(np.repeat(z * z, 2 if k else 1))
+            nt, k = len(z) + 2, k + 1
+        vals = np.sort(np.concatenate(parts))
+        if len(vals) >= count:
+            return OracleSpectrum(f"disc-{bc.lower()}", vals[:count])
+        radius *= 1.25
 
 
 def spherical_right_triangle_spectrum(count: int) -> OracleSpectrum:
@@ -347,7 +166,7 @@ def spherical_right_triangle_spectrum(count: int) -> OracleSpectrum:
     while len(vals) < count:
         vals.extend([float(4 * i * i + 6 * i + 2)] * i)
         i += 1
-    return OracleSpectrum("spherical-right-triangle", _expand_sorted(vals, count))
+    return OracleSpectrum("spherical-right-triangle", vals[:count])
 
 
 def hemisphere_spectrum(count: int) -> OracleSpectrum:
@@ -359,7 +178,7 @@ def hemisphere_spectrum(count: int) -> OracleSpectrum:
     while len(vals) < count:
         vals.extend([float(n * (n + 1))] * n)
         n += 1
-    return OracleSpectrum("hemisphere", _expand_sorted(vals, count))
+    return OracleSpectrum("hemisphere", vals[:count])
 
 
 def known_subspectrum(case: str, count: int) -> OracleSpectrum:

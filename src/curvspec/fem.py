@@ -59,13 +59,8 @@ def constrained_dimension(problem: EigenProblem) -> int:
 
 def dirichlet_vertices(mesh: Mesh, bc_map=None) -> np.ndarray:
     """Mesh vertices on any Dirichlet arc (mixed-BC corners count as Dirichlet)."""
-    bcs = _effective_bc(mesh, bc_map)
-    out = set()
-    for (i, j, a), bc in zip(mesh.boundary_edges, bcs):
-        if bc == DIRICHLET:
-            out.add(int(i))
-            out.add(int(j))
-    return np.array(sorted(out), dtype=np.int64)
+    on_dirichlet = np.asarray(_effective_bc(mesh, bc_map), dtype=str) == DIRICHLET
+    return np.unique(mesh.boundary_edges[on_dirichlet, :2])
 
 
 def _effective_bc(mesh: Mesh, bc_map) -> list[str]:

@@ -64,6 +64,9 @@ def test_first_derivative_zero_j1_against_bisection():
         (95, 2, True),
         (200, 1, False),
         (200, 4, True),
+        # near sqrt(lambda_4000) ~ 126, the frontier of the 4000-value disc spectra
+        (1, 40, True),
+        (95, 5, False),
     ],
 )
 def test_zeros_against_mpmath(k, n, deriv):
@@ -177,6 +180,18 @@ def test_disc_multiplicity_law(disc_d_660):
     assert int(np.sum(np.isclose(disc_d_660, lam0, rtol=1e-12))) == 1
     lam2 = exact.bessel_zero(2, 1) ** 2
     assert int(np.sum(np.isclose(disc_d_660, lam2, rtol=1e-12))) == 2
+
+
+@pytest.fixture(scope="module")
+def disc_4000():
+    return {bc: exact.disc_spectrum(4000, bc).eigenvalues for bc in ("D", "N")}
+
+
+@pytest.mark.parametrize("bc", ["D", "N"])
+@pytest.mark.parametrize("m", [1, 2, 3, 37, 660])
+def test_disc_spectrum_prefix_of_larger(disc_4000, m, bc):
+    # spectra gathered below different radii agree on their common prefix
+    assert np.array_equal(exact.disc_spectrum(m, bc).eigenvalues, disc_4000[bc][:m])
 
 
 def test_spherical_right_triangle_spectrum():
