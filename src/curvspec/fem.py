@@ -59,20 +59,22 @@ def constrained_dimension(problem: EigenProblem) -> int:
 
 def dirichlet_vertices(mesh: Mesh, bc_map=None) -> np.ndarray:
     """Mesh vertices on any Dirichlet arc (mixed-BC corners count as Dirichlet)."""
-    on_dirichlet = np.asarray(_effective_bc(mesh, bc_map), dtype=str) == DIRICHLET
+    on_dirichlet = _effective_bc(mesh, bc_map) == DIRICHLET
     return np.unique(mesh.boundary_edges[on_dirichlet, :2])
 
 
-def _effective_bc(mesh: Mesh, bc_map) -> list[str]:
+def _effective_bc(mesh: Mesh, bc_map) -> np.ndarray:
     if bc_map is None:
-        return list(mesh.boundary_bc())
-    out = []
-    for i, j, a in mesh.boundary_edges:
+        return mesh.boundary_bc()
+    arc_ids = mesh.boundary_edges[:, 2]
+    used, first = np.unique(arc_ids, return_index=True)
+    per_arc = np.full(len(mesh.arcs), "", dtype="<U1")
+    for a in used[np.argsort(first)]:  # arcs in order of first use
         bc = bc_map.get(int(a)) if hasattr(bc_map, "get") else bc_map[int(a)]
         if bc not in ("D", "N"):
             raise AssemblyError(f"bc_map[{int(a)}] must be 'D' or 'N', got {bc!r}")
-        out.append(bc)
-    return out
+        per_arc[a] = bc
+    return per_arc[arc_ids]
 
 
 def assemble(mesh: Mesh, weight: ConformalWeight, bc_map=None) -> EigenProblem:

@@ -330,15 +330,16 @@ def _signed_area(poly: np.ndarray) -> float:
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
-def _point_in_poly(poly: np.ndarray, p) -> bool:
-    # crossing number
-    x, y = float(p[0]), float(p[1])
+def _points_in_poly(poly: np.ndarray, pts) -> np.ndarray:
+    """Crossing-number test: which of the points (rows of `pts`) lie inside `poly`."""
+    pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+    x, y = pts[:, :1], pts[:, 1:]
     px, py = poly[:, 0], poly[:, 1]
     qx, qy = np.roll(px, -1), np.roll(py, -1)
     cond = (py > y) != (qy > y)
     with np.errstate(divide="ignore", invalid="ignore"):
         xint = px + (y - py) * (qx - px) / (qy - py)
-    return bool(np.sum(cond & (x < xint)) % 2)
+    return np.count_nonzero(cond & (x < xint), axis=1) % 2 == 1
 
 
 def oriented(loop: list[Arc], ccw: bool = True) -> list[Arc]:
@@ -406,9 +407,9 @@ class Domain:
 
     def contains(self, p) -> bool:
         """Point-in-domain test on the chordized boundary."""
-        if not _point_in_poly(self._outer_poly(), p):
+        if not _points_in_poly(self._outer_poly(), p)[0]:
             return False
-        return all(not _point_in_poly(hp, p) for hp in self._hole_polys())
+        return not any(_points_in_poly(hp, p)[0] for hp in self._hole_polys())
 
     def _outer_poly(self) -> np.ndarray:
         if not hasattr(self, "_outer_poly_cache"):
@@ -480,7 +481,7 @@ class Domain:
         polys = [self._outer_poly()] + self._hole_polys()
         # holes must sit inside the outer loop and outside each other
         for k, hp in enumerate(self._hole_polys()):
-            if not _point_in_poly(self._outer_poly(), hp.mean(axis=0)):
+            if not _points_in_poly(self._outer_poly(), hp.mean(axis=0))[0]:
                 raise GeometryError(f"hole {k} is not inside the outer loop")
         scale = 1.0 + self.model_diameter()
         eps = (1e-12 * scale) ** 2

@@ -23,6 +23,7 @@ from .geometry import (
     Domain,
     GeometryError,
     LineSegment,
+    _points_in_poly,
 )
 
 _MIN_ANGLE_DEG = 20.0
@@ -72,7 +73,7 @@ class Mesh:
 
     def boundary_bc(self) -> np.ndarray:
         """Per-boundary-edge condition, from the referenced arcs."""
-        return np.array([self.arcs[a].bc for a in self.boundary_edges[:, 2]])
+        return np.array([arc.bc for arc in self.arcs])[self.boundary_edges[:, 2]]
 
     def signed_areas(self) -> np.ndarray:
         p = self.vertices[self.triangles]
@@ -104,8 +105,26 @@ def _triangle_angles(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     return angles
 
 
-def _edge_key(i: int, j: int) -> tuple[int, int]:
-    return (i, j) if i < j else (j, i)
+def _edges(triangles: np.ndarray):
+    """The edge table of a triangulation.
+
+    Returns the unique edges (E, 2) as sorted (i < j) rows in lexicographic
+    order, each triangle's rows of its edges (v0v1, v1v2, v2v0) as (T, 3), and
+    the number of triangles on each edge (E,).
+    """
+    t = np.asarray(triangles, dtype=np.int64)
+    nxt = np.roll(t, -1, axis=1)
+    n = int(t.max()) + 1 if t.size else 0
+    keys, rows, counts = np.unique(
+        np.minimum(t, nxt) * n + np.maximum(t, nxt),
+        return_inverse=True,
+        return_counts=True,
+    )
+    return np.column_stack([keys // n, keys % n]), rows.reshape(t.shape), counts
+
+
+def _sorted_rows(table: np.ndarray) -> np.ndarray:
+    return table[np.lexsort(table.T[::-1])]
 
 
 # ---------------------------------------------------------------------------
@@ -115,51 +134,38 @@ def _edge_key(i: int, j: int) -> tuple[int, int]:
 def _discretize_boundary(domain: Domain, chord: float):
     """Chord endpoints on every arc plus the chord->arc map.
 
-    Returns (points list, chords list of (i, j, arc_id), loop polygons).
+    Returns (points (N, 2), chords (N, 3) of rows (i, j, arc_id), loop
+    polygons). Each loop's chords join consecutive points and close back to
+    the loop's first point.
     """
-    points: list[np.ndarray] = []
-    chords: list[tuple[int, int, int]] = []
     polys: list[np.ndarray] = []
+    chords: list[np.ndarray] = []
     arc_id = 0
+    start = 0
     for loop in domain.loops():
-        loop_start = len(points)
+        pieces, arc_ids = [], []
         for arc in loop:
             span = arc.chord_length()
             n_seg = max(1, int(math.ceil(span / chord)))
             if isinstance(arc, CircleArc) and abs(arc.span) > 1.9 * math.pi:
                 n_seg = max(n_seg, 8)
-            first = len(points)
-            ts = np.arange(n_seg) / n_seg
-            for p in np.asarray(arc.point(ts)):
-                points.append(p)
-            for s in range(n_seg):
-                i = first + s
-                j = first + s + 1 if s < n_seg - 1 else len(points)
-                chords.append((i, j, arc_id))
+            pieces.append(np.asarray(arc.point(np.arange(n_seg) / n_seg)))
+            arc_ids.append(np.full(n_seg, arc_id))
             arc_id += 1
-        # close the loop: the final chord wraps to the loop's first vertex
-        i, j, a = chords[-1]
-        chords[-1] = (i, loop_start, a)
-        polys.append(np.asarray(points[loop_start:]))
-    return points, chords, polys
+        polys.append(np.concatenate(pieces, axis=0))
+        m = len(polys[-1])
+        i = np.arange(m)
+        chords.append(
+            np.column_stack([start + i, start + (i + 1) % m, np.concatenate(arc_ids)])
+        )
+        start += m
+    return np.concatenate(polys, axis=0), np.concatenate(chords, axis=0), polys
 
 
 def _points_in_polys(outer: np.ndarray, holes: list[np.ndarray], pts: np.ndarray):
-    def inside(poly, q):
-        x, y = q[:, 0], q[:, 1]
-        px, py = poly[:, 0], poly[:, 1]
-        qx, qy = np.roll(px, -1), np.roll(py, -1)
-        res = np.zeros(len(q), dtype=bool)
-        for k in range(len(poly)):
-            cond = (py[k] > y) != (qy[k] > y)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                xint = px[k] + (y - py[k]) * (qx[k] - px[k]) / (qy[k] - py[k])
-            res ^= cond & (x < xint)
-        return res
-
-    mask = inside(outer, pts)
+    mask = _points_in_poly(outer, pts)
     for h in holes:
-        mask &= ~inside(h, pts)
+        mask &= ~_points_in_poly(h, pts)
     return mask
 
 
@@ -167,13 +173,10 @@ def _dist_to_segments(pts: np.ndarray, segs_a: np.ndarray, segs_b: np.ndarray):
     # min distance from each point to any segment (a_k, b_k)
     d = segs_b - segs_a
     seg_len2 = np.einsum("ij,ij->i", d, d)
-    out = np.full(len(pts), np.inf)
-    for k in range(len(segs_a)):
-        rel = pts - segs_a[k]
-        t = np.clip(rel @ d[k] / seg_len2[k], 0.0, 1.0)
-        proj = segs_a[k] + np.outer(t, d[k])
-        out = np.minimum(out, np.linalg.norm(pts - proj, axis=1))
-    return out
+    rel = pts[:, None, :] - segs_a  # (P, S, 2)
+    t = np.clip(np.einsum("psk,sk->ps", rel, d) / seg_len2, 0.0, 1.0)
+    proj = segs_a + t[:, :, None] * d
+    return np.linalg.norm(pts[:, None, :] - proj, axis=2).min(axis=1)
 
 
 def _hex_lattice(bbox, pitch: float) -> np.ndarray:
@@ -201,8 +204,7 @@ def _canonical_triangles(tris: np.ndarray) -> np.ndarray:
     for r in range(3):
         sel = argmin == r
         rolled[sel] = np.roll(tris[sel], -r, axis=1)
-    order = np.lexsort((rolled[:, 2], rolled[:, 1], rolled[:, 0]))
-    return rolled[order]
+    return _sorted_rows(rolled)
 
 
 def triangulate(domain: Domain, target_h: float | None = None) -> Mesh:
@@ -237,12 +239,11 @@ def triangulate(domain: Domain, target_h: float | None = None) -> Mesh:
 
 def _triangulate_once(domain: Domain, target_h: float) -> Mesh | None:
     chord = _CHORD_FACTOR * target_h
-    b_points, chords, polys = _discretize_boundary(domain, chord)
-    boundary = np.asarray(b_points)
+    boundary, chords, polys = _discretize_boundary(domain, chord)
     outer_poly, hole_polys = polys[0], polys[1:]
 
-    segs_a = np.array([boundary[i] for i, _, _ in chords])
-    segs_b = np.array([boundary[j] for _, j, _ in chords])
+    segs_a = boundary[chords[:, 0]]
+    segs_b = boundary[chords[:, 1]]
     max_chord = float(np.max(np.linalg.norm(segs_b - segs_a, axis=1)))
     clearance = _CLEARANCE_FACTOR * max_chord
 
@@ -257,8 +258,9 @@ def _triangulate_once(domain: Domain, target_h: float) -> Mesh | None:
     points = np.concatenate([boundary, lattice], axis=0) if len(lattice) else boundary
     n_boundary = len(boundary)
 
-    chord_set = {_edge_key(i, j) for i, j, _ in chords}
-    arc_of_chord = {_edge_key(i, j): a for i, j, a in chords}
+    # boundary vertices come first and keep their indices through the cleanup below
+    ends = np.sort(chords[:, :2], axis=1)
+    boundary_edges = _sorted_rows(np.column_stack([ends, chords[:, 2]]))
 
     for _ in range(4):  # smoothing attempts
         tri = Delaunay(points)
@@ -269,27 +271,21 @@ def _triangulate_once(domain: Domain, target_h: float) -> Mesh | None:
         if len(kept) == 0:
             return None
         # boundary of the kept triangulation must be exactly the chord set
-        edges: dict[tuple[int, int], int] = {}
-        for t in kept:
-            for a, b in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
-                k = _edge_key(int(a), int(b))
-                edges[k] = edges.get(k, 0) + 1
-        mesh_boundary = {k for k, cnt in edges.items() if cnt == 1}
-        if mesh_boundary != chord_set or max(edges.values()) > 2:
+        edges, _, counts = _edges(kept)
+        if counts.max() > 2 or not np.array_equal(
+            edges[counts == 1], boundary_edges[:, :2]
+        ):
             return None
         angles = np.degrees(_triangle_angles(points, kept).min())
         if angles >= _MIN_ANGLE_DEG - 1e-9 or len(points) == n_boundary:
             break
-        # Laplacian smoothing of the interior points over the kept triangulation
+        # Laplacian smoothing of the interior points over the kept triangulation;
+        # each triangle side adds (i <- j) then (j <- i), in triangle order
+        pairs = np.stack([kept, np.roll(kept, -1, axis=1)], axis=-1)
+        directed = np.stack([pairs, pairs[..., ::-1]], axis=2).reshape(-1, 2)
         neigh_sum = np.zeros_like(points)
-        neigh_cnt = np.zeros(len(points))
-        for t in kept:
-            for a in range(3):
-                i, j = t[a], t[(a + 1) % 3]
-                neigh_sum[i] += points[j]
-                neigh_cnt[i] += 1
-                neigh_sum[j] += points[i]
-                neigh_cnt[j] += 1
+        np.add.at(neigh_sum, directed[:, 0], points[directed[:, 1]])
+        neigh_cnt = np.bincount(directed[:, 0], minlength=len(points))
         movable = np.arange(len(points)) >= n_boundary
         movable &= neigh_cnt > 0
         points = points.copy()
@@ -312,10 +308,6 @@ def _triangulate_once(domain: Domain, target_h: float) -> Mesh | None:
     kept[flip] = kept[flip][:, [0, 2, 1]]
     kept = _canonical_triangles(kept)
 
-    boundary_edges = np.array(
-        sorted((min(i, j), max(i, j), arc_of_chord[_edge_key(i, j)]) for i, j, _ in chords),
-        dtype=np.int64,
-    )
     return Mesh(
         vertices=points,
         triangles=kept,
@@ -329,14 +321,6 @@ def _triangulate_once(domain: Domain, target_h: float) -> Mesh | None:
 # Refinement
 
 
-def _snap_to_arc(arc: Arc, p: np.ndarray) -> np.ndarray:
-    if isinstance(arc, LineSegment):
-        return p  # midpoint of a segment chord is already on the line
-    c = np.asarray(arc.center, dtype=float)
-    d = p - c
-    return c + arc.radius * d / np.linalg.norm(d)
-
-
 def refine(mesh: Mesh) -> Mesh:
     """Red refinement: each triangle splits into four via edge midpoints.
 
@@ -346,43 +330,31 @@ def refine(mesh: Mesh) -> Mesh:
     """
     v = mesh.vertices
     t = mesh.triangles
+    n = len(v)
+    edges, rows, _ = _edges(t)
+    mids = 0.5 * (v[edges[:, 0]] + v[edges[:, 1]])
 
-    edge_keys: set[tuple[int, int]] = set()
-    for tri in t:
-        for a in range(3):
-            edge_keys.add(_edge_key(int(tri[a]), int(tri[(a + 1) % 3])))
-    ordered = sorted(edge_keys)
-    midpoint_index = {e: len(v) + n for n, e in enumerate(ordered)}
-
-    boundary_arc = {
-        _edge_key(int(i), int(j)): int(a) for i, j, a in mesh.boundary_edges
-    }
-    mids = np.empty((len(ordered), 2))
-    for n, (i, j) in enumerate(ordered):
-        m = 0.5 * (v[i] + v[j])
-        arc_id = boundary_arc.get((i, j))
-        if arc_id is not None:
-            m = _snap_to_arc(mesh.arcs[arc_id], m)
-        mids[n] = m
+    b = mesh.boundary_edges
+    b_ends = np.sort(b[:, :2], axis=1)
+    b_rows = np.searchsorted(edges[:, 0] * n + edges[:, 1], b_ends[:, 0] * n + b_ends[:, 1])
+    for a, arc in enumerate(mesh.arcs):
+        if isinstance(arc, CircleArc):
+            sel = b_rows[b[:, 2] == a]
+            c = np.asarray(arc.center, dtype=float)
+            d = mids[sel] - c
+            mids[sel] = c + arc.radius * d / np.sqrt(d[:, None, :] @ d[:, :, None])[:, 0]
     new_vertices = np.concatenate([v, mids], axis=0)
 
-    new_tris = np.empty((4 * len(t), 3), dtype=np.int64)
-    for n, tri in enumerate(t):
-        i0, i1, i2 = (int(x) for x in tri)
-        m01 = midpoint_index[_edge_key(i0, i1)]
-        m12 = midpoint_index[_edge_key(i1, i2)]
-        m20 = midpoint_index[_edge_key(i2, i0)]
-        new_tris[4 * n] = (i0, m01, m20)
-        new_tris[4 * n + 1] = (i1, m12, m01)
-        new_tris[4 * n + 2] = (i2, m20, m12)
-        new_tris[4 * n + 3] = (m01, m12, m20)
+    # children (v_k, m_k, m_{k-1}) for k = 0, 1, 2 and the middle (m01, m12, m20)
+    m = n + rows
+    corners = np.stack([t, m, np.roll(m, 1, axis=1)], axis=-1)
+    new_tris = np.concatenate([corners, m[:, None, :]], axis=1).reshape(-1, 3)
 
-    new_boundary = []
-    for i, j, a in mesh.boundary_edges:
-        m = midpoint_index[_edge_key(int(i), int(j))]
-        new_boundary.append((min(int(i), m), max(int(i), m), int(a)))
-        new_boundary.append((min(int(j), m), max(int(j), m), int(a)))
-    new_boundary = np.array(sorted(new_boundary), dtype=np.int64)
+    # each boundary edge (i, j) splits into (i, m) and (j, m), with m > i, j
+    b_mid = n + b_rows
+    new_boundary = _sorted_rows(
+        np.column_stack([b[:, :2].ravel(), np.repeat(b_mid, 2), np.repeat(b[:, 2], 2)])
+    )
 
     out = Mesh(
         vertices=new_vertices,
@@ -402,50 +374,40 @@ def refine(mesh: Mesh) -> Mesh:
 
 
 def euler_characteristic(mesh: Mesh) -> int:
-    edges = set()
-    for tri in mesh.triangles:
-        for a in range(3):
-            edges.add(_edge_key(int(tri[a]), int(tri[(a + 1) % 3])))
-    return mesh.num_vertices - len(edges) + mesh.num_triangles
+    return mesh.num_vertices - len(_edges(mesh.triangles)[0]) + mesh.num_triangles
 
 
-def _arc_distance(arc: Arc, p: np.ndarray) -> float:
+def _arc_distance(arc: Arc, p: np.ndarray) -> np.ndarray:
     if isinstance(arc, CircleArc):
-        c = np.asarray(arc.center)
-        return abs(np.linalg.norm(p - c) - arc.radius)
-    a = np.asarray(arc.p0)
-    b = np.asarray(arc.p1)
-    d = b - a
-    t = float(np.clip((p - a) @ d / (d @ d), 0.0, 1.0))
-    return float(np.linalg.norm(p - (a + t * d)))
+        return np.abs(np.linalg.norm(p - np.asarray(arc.center), axis=1) - arc.radius)
+    a = np.asarray(arc.p0, dtype=float)
+    d = np.asarray(arc.p1, dtype=float) - a
+    t = np.clip((p - a) @ d / (d @ d), 0.0, 1.0)
+    return np.linalg.norm(p - (a + t[:, None] * d), axis=1)
 
 
 def validate_mesh(mesh: Mesh) -> None:
     """Check the structural mesh invariants; raise MeshError on violation."""
     if np.any(mesh.signed_areas() <= 0.0):
         raise MeshError("mesh has nonpositively oriented triangles")
-    counts: dict[tuple[int, int], int] = {}
-    for tri in mesh.triangles:
-        for a in range(3):
-            k = _edge_key(int(tri[a]), int(tri[(a + 1) % 3]))
-            counts[k] = counts.get(k, 0) + 1
-    if counts and max(counts.values()) > 2:
+    edges, _, counts = _edges(mesh.triangles)
+    if np.any(counts > 2):
         raise MeshError("mesh is not edge-manifold")
-    boundary = {k for k, c in counts.items() if c == 1}
-    declared = {_edge_key(int(i), int(j)) for i, j, _ in mesh.boundary_edges}
-    if boundary != declared:
+    b = mesh.boundary_edges
+    declared = np.unique(np.sort(b[:, :2], axis=1), axis=0)
+    if not np.array_equal(edges[counts == 1], declared.reshape(-1, 2)):
         raise MeshError("declared boundary edges do not tile the mesh boundary")
     scale = 1.0 + float(np.abs(mesh.vertices).max())
-    incident: dict[int, int] = {}
-    for i, j, a in mesh.boundary_edges:
-        for vtx in (int(i), int(j)):
-            incident[vtx] = incident.get(vtx, 0) + 1
-            dist = _arc_distance(mesh.arcs[int(a)], mesh.vertices[vtx])
-            if dist > _ON_ARC_TOL * scale:
-                raise MeshError(
-                    f"boundary vertex {vtx} lies {dist:.3e} away from arc {int(a)}"
-                )
-    if incident and set(incident.values()) != {2}:
+    for a, arc in enumerate(mesh.arcs):
+        vtx = b[b[:, 2] == a, :2].ravel()
+        dist = _arc_distance(arc, mesh.vertices[vtx])
+        far = np.flatnonzero(dist > _ON_ARC_TOL * scale)
+        if len(far):
+            raise MeshError(
+                f"boundary vertex {vtx[far[0]]} lies {dist[far[0]]:.3e} away from arc {a}"
+            )
+    incident = np.bincount(b[:, :2].ravel())
+    if np.any((incident != 0) & (incident != 2)):
         raise MeshError("boundary edges do not form closed loops")
 
 
@@ -457,15 +419,13 @@ def save_mesh(mesh: Mesh, path) -> None:
     """Plain-text mesh: vertex, triangle, boundary-edge and arc tables."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"mesh level {mesh.level}\n")
-        fh.write(f"vertices {mesh.num_vertices}\n")
-        for x, y in mesh.vertices:
-            fh.write(f"{x:.17g} {y:.17g}\n")
-        fh.write(f"triangles {mesh.num_triangles}\n")
-        for a, b, c in mesh.triangles:
-            fh.write(f"{a} {b} {c}\n")
-        fh.write(f"boundary_edges {len(mesh.boundary_edges)}\n")
-        for i, j, a in mesh.boundary_edges:
-            fh.write(f"{i} {j} {a}\n")
+        for tag, table, fmt in (
+            ("vertices", mesh.vertices, "%.17g"),
+            ("triangles", mesh.triangles, "%d"),
+            ("boundary_edges", mesh.boundary_edges, "%d"),
+        ):
+            fh.write(f"{tag} {len(table)}\n")
+            np.savetxt(fh, table, fmt=fmt)
         fh.write(f"arcs {len(mesh.arcs)}\n")
         for arc in mesh.arcs:
             if isinstance(arc, LineSegment):
@@ -495,47 +455,42 @@ def load_mesh(path) -> Mesh:
         pos += 1
         return parts
 
-    head = expect("mesh")
-    level = int(head[2])
-    n_v = int(expect("vertices")[1])
-    vertices = np.array(
-        [[float(x) for x in lines[pos + r].split()] for r in range(n_v)]
-    ).reshape(n_v, 2)
-    pos += n_v
-    n_t = int(expect("triangles")[1])
-    triangles = np.array(
-        [[int(x) for x in lines[pos + r].split()] for r in range(n_t)], dtype=np.int64
-    ).reshape(n_t, 3)
-    pos += n_t
-    n_b = int(expect("boundary_edges")[1])
-    boundary = np.array(
-        [[int(x) for x in lines[pos + r].split()] for r in range(n_b)], dtype=np.int64
-    ).reshape(n_b, 3)
-    pos += n_b
-    n_a = int(expect("arcs")[1])
+    def rows(tag: str) -> list[str]:
+        nonlocal pos
+        n = int(expect(tag)[1])
+        body = lines[pos : pos + n]
+        if len(body) < n:
+            raise MeshError(f"{path}: {tag!r} table truncated after {len(body)} of {n} rows")
+        pos += n
+        return body
+
+    def table(tag: str, cols: int, dtype) -> np.ndarray:
+        body = rows(tag)
+        try:
+            return np.loadtxt(body, dtype=dtype, ndmin=2).reshape(len(body), cols)
+        except ValueError as exc:
+            raise MeshError(f"{path}: bad {tag!r} table: {exc}") from None
+
+    level = int(expect("mesh")[2])
+    vertices = table("vertices", 2, float)
+    triangles = table("triangles", 3, np.int64)
+    boundary = table("boundary_edges", 3, np.int64)
+    body = rows("arcs")
     arcs: list[Arc] = []
-    for r in range(n_a):
-        parts = lines[pos + r].split()
-        if parts[0] == "segment":
-            arcs.append(
-                LineSegment(
-                    (float(parts[1]), float(parts[2])),
-                    (float(parts[3]), float(parts[4])),
-                    parts[5],
-                )
-            )
-        elif parts[0] == "arc":
-            arcs.append(
-                CircleArc(
-                    (float(parts[1]), float(parts[2])),
-                    float(parts[3]),
-                    float(parts[4]),
-                    float(parts[5]),
-                    parts[6],
-                )
-            )
-        else:
-            raise MeshError(f"{path}:{pos + r + 1}: unknown arc kind {parts[0]!r}")
+    for r, row in enumerate(body):
+        kind, *fields = row.split() or [""]
+        if kind not in ("segment", "arc"):
+            raise MeshError(f"{path}:{pos - len(body) + r + 1}: unknown arc kind {kind!r}")
+        try:
+            x = [float(f) for f in fields[:-1]]
+            if len(x) != (4 if kind == "segment" else 5):
+                raise ValueError(f"{len(fields)} fields")
+            if kind == "segment":
+                arcs.append(LineSegment((x[0], x[1]), (x[2], x[3]), fields[-1]))
+            else:
+                arcs.append(CircleArc((x[0], x[1]), x[2], x[3], x[4], fields[-1]))
+        except ValueError as exc:
+            raise MeshError(f"{path}: bad 'arcs' table row {r + 1}: {exc}") from None
     return Mesh(
         vertices=vertices,
         triangles=triangles,

@@ -143,6 +143,30 @@ def test_load_mesh_error_messages(tmp_path):
         meshing.load_mesh(bad)
 
 
+def _saved_lines(tmp_path, disc_domain):
+    path = tmp_path / "good.mesh"
+    meshing.save_mesh(meshing.triangulate(disc_domain, 0.6), path)
+    return path.read_text().splitlines()
+
+
+def test_load_mesh_truncated_table_names_path_and_table(tmp_path, disc_domain):
+    lines = _saved_lines(tmp_path, disc_domain)
+    tri = next(k for k, line in enumerate(lines) if line.startswith("triangles "))
+    bad = tmp_path / "truncated.mesh"
+    bad.write_text("\n".join(lines[: tri + 3]) + "\n")
+    with pytest.raises(meshing.MeshError, match=r"truncated\.mesh.*'triangles'"):
+        meshing.load_mesh(bad)
+
+
+def test_load_mesh_malformed_number_names_path_and_table(tmp_path, disc_domain):
+    lines = _saved_lines(tmp_path, disc_domain)
+    lines[2] = "0.5 not-a-number"  # first vertex row
+    bad = tmp_path / "malformed.mesh"
+    bad.write_text("\n".join(lines) + "\n")
+    with pytest.raises(meshing.MeshError, match=r"malformed\.mesh.*'vertices'"):
+        meshing.load_mesh(bad)
+
+
 def test_target_h_validation(disc_domain):
     with pytest.raises(meshing.MeshError):
         meshing.triangulate(disc_domain, -1.0)
