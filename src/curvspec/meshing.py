@@ -144,12 +144,14 @@ def _discretize_boundary(domain: Domain, chord: float):
     start = 0
     for loop in domain.loops():
         pieces, arc_ids = [], []
-        for arc in loop:
+        for k, arc in enumerate(loop):
             span = arc.chord_length()
             n_seg = max(1, int(math.ceil(span / chord)))
             if isinstance(arc, CircleArc) and abs(arc.span) > 1.9 * math.pi:
                 n_seg = max(n_seg, 8)
             pieces.append(np.asarray(arc.point(np.arange(n_seg) / n_seg)))
+            if isinstance(loop[k - 1], LineSegment):  # exact junction after a segment
+                pieces[-1][0] = loop[k - 1].p1
             arc_ids.append(np.full(n_seg, arc_id))
             arc_id += 1
         polys.append(np.concatenate(pieces, axis=0))

@@ -170,3 +170,14 @@ def test_load_mesh_malformed_number_names_path_and_table(tmp_path, disc_domain):
 def test_target_h_validation(disc_domain):
     with pytest.raises(meshing.MeshError):
         meshing.triangulate(disc_domain, -1.0)
+
+
+def test_spherical_triangle_junction_meshes():
+    # the junction after the u-axis segment must be that segment's exact end;
+    # an arc-evaluated y of -1e-17 there once fanned chord points into slivers
+    dom = geo.build_spherical_triangle(
+        geo.SphericalTriangleSpec(angles=(1.071, 0.701, 1.494))
+    )[0]
+    mesh = meshing.triangulate(dom)
+    meshing.validate_mesh(mesh)
+    assert mesh.min_angle_deg() >= 20.0 - 1e-9
