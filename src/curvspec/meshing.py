@@ -397,7 +397,7 @@ def validate_mesh(mesh: Mesh) -> None:
         raise MeshError("mesh is not edge-manifold")
     b = mesh.boundary_edges
     declared = np.unique(np.sort(b[:, :2], axis=1), axis=0)
-    if not np.array_equal(edges[counts == 1], declared.reshape(-1, 2)):
+    if not np.array_equal(edges[counts == 1], declared):
         raise MeshError("declared boundary edges do not tile the mesh boundary")
     scale = 1.0 + float(np.abs(mesh.vertices).max())
     for a, arc in enumerate(mesh.arcs):

@@ -1,0 +1,81 @@
+"""Property tests of triangulate + refine on random triangles of all three geometries."""
+
+import math
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from curvspec import geometry as geo
+from curvspec import meshing
+
+_MIN = 0.5  # smallest corner angle (rad); sharper corners may legitimately fail quality
+_PROPERTY_SETTINGS = settings(max_examples=20, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def flat_triangles(draw):
+    a = draw(st.floats(_MIN, math.pi - 2 * _MIN))
+    b = draw(st.floats(_MIN, math.pi - _MIN - a))
+    return geo.euclidean_polygon(geo.triangle_from_angles(a, b, math.pi - a - b))
+
+
+@st.composite
+def hyperbolic_triangles(draw):
+    a = draw(st.floats(_MIN, math.pi - 2 * _MIN - 0.1))
+    b = draw(st.floats(_MIN, math.pi - _MIN - 0.1 - a))
+    c = draw(st.floats(_MIN, math.pi - 0.1 - a - b))
+    spec = geo.HyperbolicTriangleSpec(angles=(a, b, c))
+    return geo.build_hyperbolic_triangle(spec)[0]
+
+
+@st.composite
+def spherical_triangles(draw):
+    angles = draw(st.lists(st.floats(_MIN, math.pi - 1.0), min_size=3, max_size=3))
+    total = sum(angles)
+    # positive excess, and each angle's supplement beats the other two's sum
+    assume(total > math.pi + 0.01)
+    assume(all(total - 2.0 * x < math.pi - 0.01 for x in angles))
+    spec = geo.SphericalTriangleSpec(angles=tuple(angles))
+    return geo.build_spherical_triangle(spec)[0]
+
+
+def _num_edges(mesh):
+    t = mesh.triangles
+    pairs = np.sort(np.stack([t, np.roll(t, -1, axis=1)], axis=-1).reshape(-1, 2), axis=1)
+    return len(np.unique(pairs, axis=0))
+
+
+def _check_refinement_chain(domain):
+    mesh = meshing.triangulate(domain)
+    meshing.validate_mesh(mesh)
+    assert meshing.euler_characteristic(mesh) == 1
+    for _ in range(2):
+        child = meshing.refine(mesh)
+        meshing.validate_mesh(child)
+        assert meshing.euler_characteristic(child) == 1
+        assert child.num_vertices == mesh.num_vertices + _num_edges(mesh)
+        assert len(child.boundary_edges) == 2 * len(mesh.boundary_edges)
+        assert np.array_equal(child.vertices[: mesh.num_vertices], mesh.vertices)
+        if domain.space is geo.SpaceForm.EUCLIDEAN:
+            area, child_area = mesh.signed_areas().sum(), child.signed_areas().sum()
+            assert math.isclose(child_area, area, rel_tol=1e-12)
+        mesh = child
+
+
+@_PROPERTY_SETTINGS
+@given(flat_triangles())
+def test_refinement_invariants_flat(domain):
+    _check_refinement_chain(domain)
+
+
+@_PROPERTY_SETTINGS
+@given(hyperbolic_triangles())
+def test_refinement_invariants_hyperbolic(domain):
+    _check_refinement_chain(domain)
+
+
+@_PROPERTY_SETTINGS
+@given(spherical_triangles())
+def test_refinement_invariants_spherical(domain):
+    _check_refinement_chain(domain)
