@@ -339,6 +339,8 @@ def refine(mesh: Mesh) -> Mesh:
     b = mesh.boundary_edges
     b_ends = np.sort(b[:, :2], axis=1)
     b_rows = np.searchsorted(edges[:, 0] * n + edges[:, 1], b_ends[:, 0] * n + b_ends[:, 1])
+    if np.any(b_rows >= len(edges)) or not np.array_equal(edges[b_rows], b_ends):
+        raise MeshError("declared boundary edges are not edges of the mesh")
     for a, arc in enumerate(mesh.arcs):
         if isinstance(arc, CircleArc):
             sel = b_rows[b[:, 2] == a]

@@ -181,3 +181,12 @@ def test_spherical_triangle_junction_meshes():
     mesh = meshing.triangulate(dom)
     meshing.validate_mesh(mesh)
     assert mesh.min_angle_deg() >= 20.0 - 1e-9
+
+
+def test_refine_rejects_boundary_edge_not_in_mesh(disc_domain):
+    mesh = meshing.triangulate(disc_domain, 0.5)
+    boundary = mesh.boundary_edges.copy()
+    boundary[0, 1] = mesh.num_vertices - 1  # an interior vertex: not a mesh edge
+    bad = meshing.Mesh(mesh.vertices, mesh.triangles, boundary, mesh.arcs)
+    with pytest.raises(meshing.MeshError, match="not edges of the mesh"):
+        meshing.refine(bad)
