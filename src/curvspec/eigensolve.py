@@ -1,8 +1,10 @@
 """Lowest eigenvalues of the assembled pencil and refinement extrapolation.
 
-The scale path is ARPACK shift-invert with a sparse LU of K - sigma*M; small
-problems go through the dense LAPACK solver. Extrapolation fits the last
-three refinement values to x_n = x + c*r^n and takes x.
+Small problems go through dense LAPACK. The scale path is ARPACK shift-invert
+on a symmetric-mode (MMD, diagonal pivot) SuperLU factor of K - sigma*M, run
+to the residual gate's tol and certified complete by Sylvester inertia: a
+skipped eigenvalue raises SolveError instead of shifting every later index.
+Extrapolation fits the last three refinement values to x_n = x + c*r^n.
 """
 
 from __future__ import annotations
@@ -67,6 +69,49 @@ def _residuals(problem: EigenProblem, vals, vecs) -> np.ndarray:
     return np.linalg.norm(kv - mv * vals, axis=0) / np.linalg.norm(mv, axis=0)
 
 
+def _factor(problem: EigenProblem, sigma: float):
+    """Sparse LU of K - sigma*M in one symmetric ordering with diagonal pivots:
+    with perm_r == perm_c it is L D L^T, D = diag(U), so the negative entries of
+    diag(U) count the eigenvalues below sigma (Sylvester inertia)."""
+    a = (problem.stiffness - sigma * problem.mass).tocsc()
+    opts = {"SymmetricMode": True}
+    return spla.splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options=opts)
+
+
+def _shift_invert(problem: EigenProblem, m: int, sigma: float, v0, ncv: int, tol: float):
+    # the factor dies with this frame, before the certificate builds its own
+    lu = _factor(problem, sigma)
+    op = spla.LinearOperator(lu.shape, matvec=lu.solve, dtype=float)
+    return spla.eigsh(
+        problem.stiffness, k=m, M=problem.mass, sigma=sigma, v0=v0, ncv=ncv, tol=tol, OPinv=op
+    )
+
+
+def _certify(problem: EigenProblem, sl: SpectrumSlice, floor: float, tol: float) -> None:
+    """Raise SolveError unless inertia confirms that no eigenvalue was skipped.
+
+    The check shift s sits mid-way in the topmost gap of [floor, *eigenvalues]
+    wider than 10*tol relative (1e-8 at the default tol); floor lies below the
+    spectrum, so m == 1 and a fully clustered top still have that gap. K - s*M
+    must have exactly one negative pivot per computed eigenvalue below s.
+    """
+    v = np.concatenate(([floor], sl.eigenvalues))
+    wide = np.diff(v) > 10.0 * tol * np.maximum(1.0, v[1:])
+    wide[0] = True  # floor lies below the spectrum
+    j = int(np.flatnonzero(wide)[-1])
+    s = 0.5 * (v[j] + v[j + 1])
+    try:
+        lu = _factor(problem, s)
+    except RuntimeError:
+        raise SolveError(f"inertia factorization failed at shift {s:.6g}", partial=sl) from None
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise SolveError("inertia factor lost its symmetric ordering", partial=sl)
+    below = int(np.count_nonzero(lu.U.diagonal() < 0))
+    if below != j:
+        msg = f"inertia counts {below} eigenvalues below {s:.6g} but the solve found {j}"
+        raise SolveError(msg, partial=sl)
+
+
 def solve_lowest(problem: EigenProblem, m: int, tol: float = 1e-9) -> SpectrumSlice:
     """The m smallest eigenvalues of K v = lambda M v.
 
@@ -97,27 +142,19 @@ def solve_lowest(problem: EigenProblem, m: int, tol: float = 1e-9) -> SpectrumSl
         sigma = -0.5 * max(4.0 * math.pi / area, 1e-8)
         rng = np.random.default_rng(7151)
         v0 = rng.uniform(-1.0, 1.0, n)
-        vals = vecs = None
+        ncv = min(max(2 * m + 1, 20), n)  # eigsh's default subspace size
         for attempt in range(3):
             try:
-                vals, vecs = spla.eigsh(
-                    problem.stiffness,
-                    k=m,
-                    M=problem.mass,
-                    sigma=sigma,
-                    which="LM",
-                    v0=v0,
-                    tol=0,
-                )
+                vals, vecs = _shift_invert(problem, m, sigma, v0, ncv, tol)
                 break
             except spla.ArpackNoConvergence as exc:
-                partial = SpectrumSlice(
-                    np.sort(exc.eigenvalues), level=-1, residual_norms=np.array([])
-                )
-                raise SolveError(
-                    f"eigensolver converged only {len(exc.eigenvalues)}/{m} eigenvalues",
-                    partial=partial,
-                ) from exc
+                if attempt == 2:
+                    got = np.sort(exc.eigenvalues)
+                    raise SolveError(
+                        f"eigensolver converged only {len(got)}/{m} eigenvalues",
+                        partial=SpectrumSlice(got, level=-1, residual_norms=np.array([])),
+                    ) from exc
+                ncv = min(2 * ncv, n)  # retry with a larger Krylov subspace
             except RuntimeError:
                 if attempt == 2:
                     raise SolveError("shifted factorization failed repeatedly") from None
@@ -133,14 +170,17 @@ def solve_lowest(problem: EigenProblem, m: int, tol: float = 1e-9) -> SpectrumSl
         raise SolveError(f"negative eigenvalue {vals.min():.3e} beyond tolerance")
     vals = np.where(np.abs(vals) < tol * scale, 0.0, vals)
 
+    sl = SpectrumSlice(eigenvalues=vals, level=-1, residual_norms=res)
     bad = res > tol * np.maximum(1.0, np.abs(vals))
     if np.any(bad):
         worst = float(res[bad].max())
         raise SolveError(
-            f"{int(bad.sum())} residuals exceed tolerance (worst {worst:.3e})",
-            partial=SpectrumSlice(vals, level=-1, residual_norms=res),
+            f"{int(bad.sum())} residuals exceed tolerance (worst {worst:.3e})", partial=sl
         )
-    return SpectrumSlice(eigenvalues=vals, level=-1, residual_norms=res)
+    if n > _DENSE_LIMIT:
+        del vecs  # make room for the certificate's factor
+        _certify(problem, sl, sigma, tol)
+    return sl
 
 
 def _geometric_fit(x4, x5, x6) -> tuple[np.ndarray, np.ndarray]:

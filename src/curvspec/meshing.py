@@ -449,19 +449,22 @@ def load_mesh(path) -> Mesh:
         lines = fh.read().splitlines()
     pos = 0
 
-    def expect(tag: str) -> list[str]:
+    def expect(tag: str, field: int) -> int:
+        # the non-negative integer in the given field of a section header
         nonlocal pos
         if pos >= len(lines):
             raise MeshError(f"{path}: truncated before {tag!r} section")
         parts = lines[pos].split()
         if not parts or parts[0] != tag:
             raise MeshError(f"{path}:{pos + 1}: expected {tag!r} section header")
+        if len(parts) <= field or not parts[field].isdigit():
+            raise MeshError(f"{path}:{pos + 1}: malformed {tag!r} header {lines[pos]!r}")
         pos += 1
-        return parts
+        return int(parts[field])
 
     def rows(tag: str) -> list[str]:
         nonlocal pos
-        n = int(expect(tag)[1])
+        n = expect(tag, 1)
         body = lines[pos : pos + n]
         if len(body) < n:
             raise MeshError(f"{path}: {tag!r} table truncated after {len(body)} of {n} rows")
@@ -475,7 +478,7 @@ def load_mesh(path) -> Mesh:
         except ValueError as exc:
             raise MeshError(f"{path}: bad {tag!r} table: {exc}") from None
 
-    level = int(expect("mesh")[2])
+    level = expect("mesh", 2)
     vertices = table("vertices", 2, float)
     triangles = table("triangles", 3, np.int64)
     boundary = table("boundary_edges", 3, np.int64)

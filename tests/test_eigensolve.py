@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from curvspec import eigensolve, exact, fem
 from curvspec import geometry as geo
@@ -212,3 +216,196 @@ def test_spectrum_file_parse_errors(tmp_path):
     path2.write_text("nope\n")
     with pytest.raises(eigensolve.SolveError, match=":1"):
         eigensolve.read_spectrum_file(path2)
+
+
+# ---------------------------------------------------------------------------
+# ARPACK path: retries and the inertia completeness certificate
+
+
+@pytest.fixture(scope="module")
+def disc_above_dense():
+    # just above the dense limit; the disc's double eigenvalues split into
+    # near-double pairs on the mesh
+    mesh = meshing.triangulate(geo.euclidean_disc(1.0), 0.09)
+    problem = fem.assemble(mesh, fem.ConformalWeight(SpaceForm.EUCLIDEAN))
+    assert eigensolve._DENSE_LIMIT < problem.dimension < 2 * eigensolve._DENSE_LIMIT
+    dense = sla.eigh(problem.stiffness.toarray(), problem.mass.toarray(), eigvals_only=True)
+    return problem, dense
+
+
+def _no_convergence(n):
+    return spla.ArpackNoConvergence("no convergence", np.array([9.0, 5.0]), np.zeros((n, 2)))
+
+
+def test_no_convergence_retries_with_doubled_ncv(disc_above_dense, monkeypatch):
+    problem, dense = disc_above_dense
+    real = spla.eigsh
+    ncvs = []
+
+    def flaky(*args, **kwargs):
+        ncvs.append(kwargs["ncv"])
+        if len(ncvs) == 1:
+            raise _no_convergence(problem.dimension)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(eigensolve.spla, "eigsh", flaky)
+    sl = eigensolve.solve_lowest(problem, 6)
+    assert ncvs == [20, 40]
+    np.testing.assert_allclose(sl.eigenvalues, dense[:6], rtol=1e-10)
+
+
+def test_no_convergence_on_every_attempt_attaches_partial(disc_above_dense, monkeypatch):
+    problem, _ = disc_above_dense
+    ncvs = []
+
+    def stuck(*args, **kwargs):
+        ncvs.append(kwargs["ncv"])
+        raise _no_convergence(problem.dimension)
+
+    monkeypatch.setattr(eigensolve.spla, "eigsh", stuck)
+    with pytest.raises(eigensolve.SolveError, match="2/6") as info:
+        eigensolve.solve_lowest(problem, 6)
+    assert ncvs == [20, 40, 80]
+    assert info.value.partial.eigenvalues.tolist() == [5.0, 9.0]
+
+
+def test_failed_factorization_retries_further_shift(disc_above_dense, monkeypatch):
+    problem, dense = disc_above_dense
+    real = eigensolve._factor
+    shifts = []
+
+    def singular_once(problem, sigma):
+        shifts.append(sigma)
+        if len(shifts) == 1:
+            raise RuntimeError("Factor is exactly singular")
+        return real(problem, sigma)
+
+    monkeypatch.setattr(eigensolve, "_factor", singular_once)
+    sl = eigensolve.solve_lowest(problem, 6)
+    assert shifts[1] == 4.0 * shifts[0] < 0.0
+    assert len(shifts) == 3  # failed, solved, certified
+    np.testing.assert_allclose(sl.eigenvalues, dense[:6], rtol=1e-10)
+
+
+def test_factor_inertia_matches_dense_count(disc_above_dense):
+    problem, dense = disc_above_dense
+    rel_gap = np.diff(dense[:60]) / dense[1:60]
+    p = int(np.argmin(rel_gap[1:])) + 1  # closest pair (p, p+1) above the first
+    assert rel_gap[p] < 1e-4
+    mids = 0.5 * (dense[:-1] + dense[1:])
+    shifts = [-1.0, 0.5 * dense[0], mids[p - 1], mids[p], mids[p + 1], 100.0, mids[149]]
+    for s in shifts:
+        lu = eigensolve._factor(problem, s)
+        assert np.array_equal(lu.perm_r, lu.perm_c)
+        assert np.count_nonzero(lu.U.diagonal() < 0) == np.count_nonzero(dense < s), s
+
+
+@pytest.mark.parametrize("m", [1, 2, 40])
+def test_arpack_path_matches_dense(disc_above_dense, m):
+    problem, dense = disc_above_dense
+    sl = eigensolve.solve_lowest(problem, m)
+    np.testing.assert_allclose(sl.eigenvalues, dense[:m], rtol=1e-10)
+
+
+def test_skipped_interior_eigenvalue_fails_certificate(disc_above_dense, monkeypatch):
+    problem, _ = disc_above_dense
+    real = spla.eigsh
+
+    def skipping(*args, k, **kwargs):
+        vals, vecs = real(*args, k=k + 1, **kwargs)
+        keep = np.delete(np.argsort(vals), 3)
+        return vals[keep], vecs[:, keep]
+
+    monkeypatch.setattr(eigensolve.spla, "eigsh", skipping)
+    with pytest.raises(eigensolve.SolveError, match="inertia") as info:
+        eigensolve.solve_lowest(problem, 10)
+    assert len(info.value.partial) == 10
+
+
+def _diagonal_problem(diag):
+    return _problem_from(np.diag(diag), np.eye(len(diag)))
+
+
+def _exact_diagonal_eigsh(diag, skip=None):
+    # returns the k smallest exact eigenpairs of diag(d) v = lambda v
+    def eigsh(*args, k, **kwargs):
+        idx = [i for i in range(k + (skip is not None)) if i != skip]
+        return np.asarray(diag, dtype=float)[idx], np.eye(len(diag))[:, idx]
+
+    return eigsh
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_certificate_below_fully_clustered_top(monkeypatch, m):
+    # all requested values lie in one cluster: the check shift goes below it
+    diag = np.concatenate(([5.0, 5.0, 5.0], np.arange(7.0, 7.0 + eigensolve._DENSE_LIMIT)))
+    monkeypatch.setattr(eigensolve.spla, "eigsh", _exact_diagonal_eigsh(diag))
+    sl = eigensolve.solve_lowest(_diagonal_problem(diag), m)
+    assert sl.eigenvalues.tolist() == [5.0] * m
+
+
+def test_certificate_catches_member_skipped_from_cluster(monkeypatch):
+    diag = np.concatenate(([5.0, 5.0, 5.0], np.arange(7.0, 7.0 + eigensolve._DENSE_LIMIT)))
+    monkeypatch.setattr(eigensolve.spla, "eigsh", _exact_diagonal_eigsh(diag, skip=1))
+    with pytest.raises(eigensolve.SolveError, match="inertia counts 3 .* found 2"):
+        eigensolve.solve_lowest(_diagonal_problem(diag), 3)
+
+
+# ---------------------------------------------------------------------------
+# extrapolation on exact geometric sequences x_n = x + c r^n
+
+_EXTRAP_SETTINGS = settings(max_examples=50, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def geometric_lanes(draw):
+    # (x, r, d): limit x, ratio r and finest jump d = c r^6 / x
+    x = draw(st.floats(0.5, 1e4))
+    r = draw(st.floats(0.01, 0.5)) * draw(st.sampled_from([-1.0, 1.0]))
+    d = draw(st.floats(1e-6, 0.1)) * draw(st.sampled_from([-1.0, 1.0]))
+    return x, r, d
+
+
+def _levels(x, r, d):
+    c = d * x / r**6
+    return [x + c * r**n for n in (4, 5, 6)]
+
+
+@_EXTRAP_SETTINGS
+@given(geometric_lanes())
+def test_extrapolate_recovers_geometric_limit(lane):
+    x, r, d = lane
+    pred, ratio = eigensolve.extrapolate(*_levels(x, r, d))
+    assert pred == pytest.approx(x, rel=1e-10)
+    assert ratio == pytest.approx(r, rel=1e-6)
+
+
+@_EXTRAP_SETTINGS
+@given(st.lists(geometric_lanes(), min_size=1, max_size=6))
+def test_extrapolate_spectrum_recovers_and_trusts_geometric_lanes(lanes):
+    xs = np.array([x for x, _, _ in lanes])
+    assume(len(xs) == 1 or np.min(np.diff(np.sort(xs)) / np.sort(xs)[1:]) > 1e-6)
+    jumps = np.array([abs(d) * x for x, _, d in lanes])
+    limit = eigensolve._TRUST_JUMP * (1.0 + xs)
+    assume(np.all(np.abs(jumps / limit - 1.0) > 1e-6))
+    assume(all(abs(abs(r) - eigensolve._TRUST_RATIO) > 1e-6 for _, r, _ in lanes))
+    columns = np.array([_levels(*lane) for lane in lanes]).T
+    ex = eigensolve.extrapolate_spectrum(_make_slices(columns))
+    order = np.argsort(xs)
+    np.testing.assert_allclose(ex.predicted, xs[order], rtol=1e-10)
+    assert ex.trusted.tolist() == (jumps <= limit)[order].tolist()
+
+
+@_EXTRAP_SETTINGS
+@given(
+    st.floats(0.5, 1e4),
+    st.floats(1e-6, 10.0) | st.floats(-10.0, -1e-6),
+    st.floats(1.01, 10.0) | st.floats(-10.0, -1.01),
+)
+def test_extrapolate_degenerate_lanes_return_finest(x4, step, rho):
+    flat = [x4, x4, x4 + step]  # x5 == x4
+    diverging = [x4, x4 + step, x4 + step + rho * step]  # |r| >= 1
+    for lane in (flat, diverging):
+        assert eigensolve.extrapolate(*lane)[0] == lane[2]
+        ex = eigensolve.extrapolate_spectrum(_make_slices([[v] for v in lane]))
+        assert ex.predicted[0] == lane[2]

@@ -167,6 +167,20 @@ def test_load_mesh_malformed_number_names_path_and_table(tmp_path, disc_domain):
         meshing.load_mesh(bad)
 
 
+@pytest.mark.parametrize(
+    "line, header",
+    [(0, "mesh level"), (0, "mesh"), (1, "vertices two"), (1, "vertices -3")],
+)
+def test_load_mesh_malformed_header_names_path_line_and_tag(tmp_path, disc_domain, line, header):
+    lines = _saved_lines(tmp_path, disc_domain)
+    lines[line] = header
+    bad = tmp_path / "header.mesh"
+    bad.write_text("\n".join(lines) + "\n")
+    tag = header.split()[0]
+    with pytest.raises(meshing.MeshError, match=rf"header\.mesh:{line + 1}: .*'{tag}'"):
+        meshing.load_mesh(bad)
+
+
 def test_target_h_validation(disc_domain):
     with pytest.raises(meshing.MeshError):
         meshing.triangulate(disc_domain, -1.0)

@@ -143,6 +143,27 @@ def test_solver_failure_exit_code(tmp_path, capsys):
     assert "min angle" in capsys.readouterr().err
 
 
+def test_skipped_eigenvalue_exit_code(tmp_path, capsys, monkeypatch):
+    # level 3 of the disc is the first on the ARPACK path; dropping one
+    # eigenvalue there must fail the inertia certificate, not shift the table
+    real = eigensolve.spla.eigsh
+
+    def skipping(*args, k, **kwargs):
+        vals, vecs = real(*args, k=k + 1, **kwargs)
+        keep = np.delete(np.argsort(vals), 4)
+        return vals[keep], vecs[:, keep]
+
+    monkeypatch.setattr(eigensolve.spla, "eigsh", skipping)
+    config = os.path.join(CONFIG_DIR, "unit_disc_dirichlet.yaml")
+    out = str(tmp_path / "o")
+    rc = main(
+        ["solve", "--config", config, "--out", out, "--refinements", "3", "--num-eigs", "10", "--quiet"]
+    )
+    assert rc == 3
+    assert "refinement level 3: inertia counts" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "spectrum.csv"))
+
+
 def test_analysis_failure_exit_code(tmp_path, capsys):
     spectrum = str(tmp_path / "one.csv")
     eigensolve.write_spectrum_file(
