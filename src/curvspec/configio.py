@@ -9,7 +9,7 @@ Schema (see configs/ for complete examples per geometry):
     # shape-specific keys:
     vertices: [[x, y], ...]            (polygon)
     outer: [[x, y], ...]               (polygon_with_holes)
-    holes: [[[x, y], ...], ...]        (polygon_with_holes; bc via hole_bc)
+    holes: [[[x, y], ...], ...]        (polygon_with_holes; hole_bc: D, N or one per hole)
     radius: r                          (disc / hyperbolic_disc / spherical_disc)
     angles: [a, b, c]                  (hyperbolic_triangle / spherical_triangle)
     circles: [a1, r1, a2, r2]          (hyperbolic_triangle)
@@ -96,18 +96,17 @@ def _vertex_list(raw, key: str) -> list[tuple[float, float]]:
     return out
 
 
-def _bc_value(raw: dict):
-    bc = raw.get("bc", "D")
+def _bc_value(bc, key: str = "bc"):
     if isinstance(bc, str):
         if bc not in ("D", "N"):
-            raise ConfigError(f"key 'bc': must be 'D' or 'N', got {bc!r}")
+            raise ConfigError(f"key {key!r}: must be 'D' or 'N', got {bc!r}")
         return bc
     if isinstance(bc, list):
         for k, b in enumerate(bc):
             if b not in ("D", "N"):
-                raise ConfigError(f"key 'bc'[{k}]: must be 'D' or 'N', got {b!r}")
+                raise ConfigError(f"key {key!r}[{k}]: must be 'D' or 'N', got {b!r}")
         return list(bc)
-    raise ConfigError(f"key 'bc': expected 'D'/'N' or a list, got {bc!r}")
+    raise ConfigError(f"key {key!r}: expected 'D'/'N' or a list, got {bc!r}")
 
 
 @dataclass
@@ -153,10 +152,10 @@ def build_domain(raw: dict, name: str = "<config>") -> DomainConfig:
     shape = raw["shape"]
     if shape not in _SHAPES:
         raise ConfigError(f"key 'shape': {shape!r} is not one of {', '.join(_SHAPES)}")
-    bc = _bc_value(raw)
+    bc = _bc_value(raw.get("bc", "D"))
 
     oracle = raw.get("oracle")
-    if oracle is not None and oracle not in ORACLE_CASES:
+    if oracle is not None and (not isinstance(oracle, str) or oracle not in ORACLE_CASES):
         raise ConfigError(
             f"key 'oracle': {oracle!r} is not one of {', '.join(sorted(ORACLE_CASES))}"
         )
@@ -188,6 +187,12 @@ def _construct(space, shape, bc, raw):
             raise ConfigError("key 'holes': expected a nonempty list of vertex lists")
         holes = [_vertex_list(h, f"holes[{k}]") for k, h in enumerate(holes_raw)]
         hole_bc = raw.get("hole_bc", "D")
+        if not isinstance(hole_bc, list):
+            hole_bc = _bc_value(hole_bc, "hole_bc")
+        elif len(hole_bc) == len(holes):
+            hole_bc = [_bc_value(b, f"hole_bc[{k}]") for k, b in enumerate(hole_bc)]
+        else:
+            raise ConfigError(f"key 'hole_bc': expected one entry per hole, got {hole_bc!r}")
         domain = geo.euclidean_polygon(outer, bc, holes=holes, hole_bc=hole_bc)
         return domain, geo.geometric_constants(domain)
     if shape == "disc":
@@ -234,13 +239,7 @@ def _triangle_spec(raw, spec_cls, keys):
     vals = raw[key]
     if not isinstance(vals, list):
         raise ConfigError(f"key {key!r}: expected a list, got {vals!r}")
-    if key == "angles":
-        parsed = tuple(parse_angle(v, f"{key}[{i}]") for i, v in enumerate(vals))
-    else:
-        parsed = tuple(
-            parse_angle(v, f"{key}[{i}]") if isinstance(v, str) else float(v)
-            for i, v in enumerate(vals)
-        )
+    parsed = tuple(parse_angle(v, f"{key}[{i}]") for i, v in enumerate(vals))
     try:
         return spec_cls(**{key: parsed})
     except geo.GeometryError as exc:

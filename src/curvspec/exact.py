@@ -37,19 +37,10 @@ class OracleSpectrum:
 # Bessel functions of the first kind and their zeros
 
 
-def _check_positive(x: float) -> None:
+def bessel_j(k: int, x: float) -> float:
     if x <= 0.0:
         raise OracleError(f"Bessel evaluation needs x > 0, got {x}")
-
-
-def bessel_j(k: int, x: float) -> float:
-    _check_positive(x)
     return float(special.jv(k, x))
-
-
-def bessel_j_prime(k: int, x: float) -> float:
-    _check_positive(x)
-    return float(special.jvp(k, x))
 
 
 def bessel_zero(k: int, n: int, derivative: bool = False) -> float:

@@ -11,7 +11,7 @@ domain is audited against the Gauss-Bonnet identity
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -350,15 +350,6 @@ def oriented(loop: list[Arc], ccw: bool = True) -> list[Arc]:
     return list(loop)
 
 
-def _segments_cross(a0, a1, b0, b1, eps: float) -> bool:
-    def orient(p, q, r):
-        return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
-
-    d1, d2 = orient(a0, a1, b0), orient(a0, a1, b1)
-    d3, d4 = orient(b0, b1, a0), orient(b0, b1, a1)
-    return (d1 * d2 < -eps) and (d3 * d4 < -eps)
-
-
 @dataclass
 class Domain:
     """A bounded region of a space form, described by its boundary arcs.
@@ -404,22 +395,6 @@ class Domain:
     def model_diameter(self) -> float:
         x0, y0, x1, y1 = self.bbox()
         return math.hypot(x1 - x0, y1 - y0)
-
-    def contains(self, p) -> bool:
-        """Point-in-domain test on the chordized boundary."""
-        if not _points_in_poly(self._outer_poly(), p)[0]:
-            return False
-        return not any(_points_in_poly(hp, p)[0] for hp in self._hole_polys())
-
-    def _outer_poly(self) -> np.ndarray:
-        if not hasattr(self, "_outer_poly_cache"):
-            self._outer_poly_cache = _chordize(self.outer_loop)
-        return self._outer_poly_cache
-
-    def _hole_polys(self) -> list[np.ndarray]:
-        if not hasattr(self, "_hole_polys_cache"):
-            self._hole_polys_cache = [_chordize(h) for h in self.holes]
-        return self._hole_polys_cache
 
     # -- validation --------------------------------------------------------
     def _validate_points(self):
@@ -478,31 +453,44 @@ class Domain:
         return corners
 
     def _validate_simple(self):
-        polys = [self._outer_poly()] + self._hole_polys()
-        # holes must sit inside the outer loop and outside each other
-        for k, hp in enumerate(self._hole_polys()):
-            if not _points_in_poly(self._outer_poly(), hp.mean(axis=0))[0]:
-                raise GeometryError(f"hole {k} is not inside the outer loop")
+        polys = [_chordize(loop) for loop in self.loops()]
+        # holes must sit inside the outer loop (checked at their chord means)
+        means = np.array([hp.mean(axis=0) for hp in polys[1:]]).reshape(-1, 2)
+        outside = ~_points_in_poly(polys[0], means)
+        if outside.any():
+            raise GeometryError(f"hole {int(np.argmax(outside))} is not inside the outer loop")
+        # no two chord segments may cross: one pass per segment a over all
+        # later segments b, which cross when orient(a0, a1, b0) * orient(a0, a1, b1)
+        # and orient(b0, b1, a0) * orient(b0, b1, a1) are both below -eps, with
+        # orient(p, q, r) = (q - p) x (r - p); two neighbours on a loop share an
+        # end, which makes one of their orientations exactly 0
         scale = 1.0 + self.model_diameter()
         eps = (1e-12 * scale) ** 2
-        segs = []
-        for li, poly in enumerate(polys):
-            n = len(poly)
-            for i in range(n):
-                segs.append((li, i, poly[i], poly[(i + 1) % n]))
-        for a in range(len(segs)):
-            la, ia, a0, a1 = segs[a]
-            for b in range(a + 1, len(segs)):
-                lb, ib, b0, b1 = segs[b]
-                if la == lb:
-                    n = len(polys[la])
-                    if ia == ib or (ia + 1) % n == ib or (ib + 1) % n == ia:
-                        continue
-                if _segments_cross(a0, a1, b0, b1, eps):
-                    raise GeometryError(
-                        "boundary loops are not simple/disjoint "
-                        f"(loops {la} and {lb} cross)"
-                    )
+        loop_of = np.repeat(np.arange(len(polys)), [len(poly) for poly in polys])
+        p0 = np.concatenate(polys)
+        p1 = np.concatenate([np.roll(poly, -1, axis=0) for poly in polys])
+        (x0, y0), (x1, y1) = p0.T, p1.T
+        dx, dy = x1 - x0, y1 - y0
+        for a in range(len(p0) - 1):
+            b = slice(a + 1, None)
+            d1 = dx[a] * (y0[b] - y0[a]) - dy[a] * (x0[b] - x0[a])
+            d2 = dx[a] * (y1[b] - y0[a]) - dy[a] * (x1[b] - x0[a])
+            d3 = dx[b] * (y0[a] - y0[b]) - dy[b] * (x0[a] - x0[b])
+            d4 = dx[b] * (y1[a] - y0[b]) - dy[b] * (x1[a] - x0[b])
+            hit = np.flatnonzero((d1 * d2 < -eps) & (d3 * d4 < -eps))
+            if hit.size:
+                lb = loop_of[a + 1 + hit[0]]
+                raise GeometryError(
+                    f"boundary loops are not simple/disjoint (loops {loop_of[a]} and {lb} cross)"
+                )
+        # holes must sit outside each other (checked at their chord means; of
+        # two concentric holes, the smaller one is inside)
+        areas = np.array([abs(_signed_area(hp)) for hp in polys[1:]])
+        for j, hp in enumerate(polys[1:]):
+            inside = _points_in_poly(hp, means) & (areas <= areas[j])
+            inside[j] = False
+            if inside.any():
+                raise GeometryError(f"hole {int(np.argmax(inside))} lies inside hole {j}")
 
 
 # ---------------------------------------------------------------------------
@@ -677,6 +665,67 @@ def triangle_from_angles(theta1: float, theta2: float, theta3: float, base: floa
 
 
 # ---------------------------------------------------------------------------
+# Geodesic triangles (hyperbolic and spherical)
+
+
+def _upper_arc(center, radius, p_from, p_to, bc) -> CircleArc:
+    """Arc of the circle from p_from to p_to inside the closed upper half-plane.
+
+    The shortest qualifying span wins; for a circle centered on the x-axis
+    and two endpoints above it, that is the direct atan2 span.
+    """
+    cx, cy = float(center[0]), float(center[1])
+    phi_a = math.atan2(p_from[1] - cy, p_from[0] - cx)
+    phi_b = math.atan2(p_to[1] - cy, p_to[0] - cx)
+    ends = [phi_b, phi_b + 2.0 * math.pi, phi_b - 2.0 * math.pi]
+    ends = [phi1 for phi1 in ends if 0.0 < abs(phi1 - phi_a) <= 2.0 * math.pi]
+    for phi1 in sorted(ends, key=lambda phi1: abs(phi1 - phi_a)):
+        arc = CircleArc((cx, cy), radius, phi_a, phi1, bc)
+        ts = np.linspace(0.0, 1.0, 65)[1:-1]
+        if np.all(np.asarray(arc.point(ts))[:, 1] > -1e-12):
+            return arc
+    raise ConstructionError("no side arc stays in the closed upper half-plane")
+
+
+def _audit_triangle(domain: Domain, requested_angles, law_of_cosines) -> GeometricConstants:
+    """Exact constants of a geodesic triangle, cross-checked to 1e-9.
+
+    The area is K (sum(theta) - pi), the angle defect (K = -1) or the
+    excess (K = +1); C2 = 0 and C3 = K area / 12 pi. It must match the
+    Green-integral area, the requested angles (if any) and, through the law
+    of cosines, the quadrature perimeter.
+    """
+    gc = geometric_constants(domain)
+    if len(domain.corners) != 3:
+        raise ConstructionError("expected exactly three corners")
+    angles = [theta for theta, _ in domain.corners]
+    curvature = domain.space.curvature
+    # the summation order fixes the last bit: ascending for a defect,
+    # corner order for an excess
+    area = curvature * (sum(sorted(angles) if curvature < 0.0 else angles) - math.pi)
+    kind = "excess" if curvature > 0.0 else "angle defect"
+    if area <= 0.0:
+        raise ConstructionError(f"nonpositive {domain.space.value} {kind} {area:.6g}")
+    if abs(gc.area - area) > 1e-9 * (1.0 + area):
+        raise ConstructionError(
+            f"area mismatch: Green integral {gc.area:.12g} vs {kind} {area:.12g}"
+        )
+    if requested_angles is not None:
+        pairs = zip(sorted(requested_angles), sorted(angles))
+        if max(abs(w - g) for w, g in pairs) > 1e-9:
+            raise ConstructionError("constructed angles do not match the requested ones")
+    per_locos = sum(
+        law_of_cosines(angles[i], angles[(i + 1) % 3], angles[(i + 2) % 3]) for i in range(3)
+    )
+    if abs(per_locos - gc.perimeter) > 1e-9 * (1.0 + per_locos):
+        raise ConstructionError(
+            f"perimeter mismatch: law of cosines {per_locos:.12g} vs arcs {gc.perimeter:.12g}"
+        )
+    c3 = curvature * area / (12.0 * math.pi)
+    return replace(gc, area=area, boundary_curvature_integral=0.0, c2=0.0, c3=c3)
+
+
+# ---------------------------------------------------------------------------
 # Hyperbolic constructors
 
 
@@ -715,13 +764,6 @@ def _hyperbolic_circles_from_angles(angles) -> tuple[float, float, float, float]
     a2 = -y2 / math.tan(a2_)
     r2 = y2 / math.sin(a2_)
     return (a1, r1, a2, r2)
-
-
-def _arc_between(center, radius, p_from, p_to, bc) -> CircleArc:
-    # arc in the upper half-plane between two points of the circle, direct span
-    phi0 = math.atan2(p_from[1] - center[1], p_from[0] - center[0])
-    phi1 = math.atan2(p_to[1] - center[1], p_to[0] - center[0])
-    return CircleArc(tuple(center), radius, phi0, phi1, bc)
 
 
 def hyperbolic_law_of_cosines(alpha_i, alpha_j, alpha_k) -> float:
@@ -774,50 +816,12 @@ def build_hyperbolic_triangle(
     b_vert = (x3, y3)
     # side i carries bc[i] and is opposite vertex i (C, A, B) = (alpha1, alpha2, alpha3)
     loop = [
-        _arc_between((a1, 0.0), r1, c_vert, b_vert, bcs[1]),
-        _arc_between((a2, 0.0), r2, b_vert, a_vert, bcs[0]),
+        _upper_arc((a1, 0.0), r1, c_vert, b_vert, bcs[1]),
+        _upper_arc((a2, 0.0), r2, b_vert, a_vert, bcs[0]),
         LineSegment(a_vert, c_vert, bcs[2]),
     ]
     domain = Domain(SpaceForm.HYPERBOLIC, loop)
-
-    gc = geometric_constants(domain)
-    angles = sorted(theta for theta, _ in domain.corners)
-    defect = math.pi - sum(angles)
-    if abs(gc.area - defect) > 1e-9 * (1.0 + defect):
-        raise ConstructionError(
-            f"area mismatch: Green integral {gc.area:.12g} vs angle defect {defect:.12g}"
-        )
-    if spec.angles is not None:
-        want = sorted(spec.angles)
-        if max(abs(w - g) for w, g in zip(want, angles)) > 1e-9:
-            raise ConstructionError("constructed angles do not match the requested ones")
-    # law-of-cosines perimeter must agree with the quadrature lengths
-    a_sorted = _triangle_corner_angles(domain)
-    per_locos = sum(
-        hyperbolic_law_of_cosines(a_sorted[i], a_sorted[(i + 1) % 3], a_sorted[(i + 2) % 3])
-        for i in range(3)
-    )
-    if abs(per_locos - gc.perimeter) > 1e-9 * (1.0 + per_locos):
-        raise ConstructionError(
-            f"perimeter mismatch: law of cosines {per_locos:.12g} vs arcs {gc.perimeter:.12g}"
-        )
-    gc = GeometricConstants(
-        area=defect,
-        perimeter_d=gc.perimeter_d,
-        perimeter_n=gc.perimeter_n,
-        euler_characteristic=1,
-        boundary_curvature_integral=0.0,
-        c1=gc.c1,
-        c2=0.0,
-        c3=-defect / (12.0 * math.pi),
-    )
-    return domain, gc
-
-
-def _triangle_corner_angles(domain: Domain) -> list[float]:
-    if len(domain.corners) != 3:
-        raise ConstructionError("expected exactly three corners")
-    return [theta for theta, _ in domain.corners]
+    return domain, _audit_triangle(domain, spec.angles, hyperbolic_law_of_cosines)
 
 
 def build_hyperbolic_disc(radius: float, bc: str = DIRICHLET) -> tuple[Domain, GeometricConstants]:
@@ -969,64 +973,11 @@ def build_spherical_triangle(
 
     # arcs from the u-axis vertices to the apex must avoid each circle's other
     # u-axis root, so the sides only touch v = 0 at their endpoints
-    arc1 = _sph_side_arc(c1, r1, (u1, 0.0), apex, bcs[1])
-    arc2 = _sph_side_arc(c2, r2, apex, (u2, 0.0), bcs[0])
+    arc1 = _upper_arc(c1, r1, (u1, 0.0), apex, bcs[1])
+    arc2 = _upper_arc(c2, r2, apex, (u2, 0.0), bcs[0])
     loop = [LineSegment((u2, 0.0), (u1, 0.0), bcs[2]), arc1, arc2]
     domain = Domain(SpaceForm.SPHERICAL, loop)
-
-    gc = geometric_constants(domain)
-    angles = [theta for theta, _ in domain.corners]
-    excess = sum(angles) - math.pi
-    if excess <= 0.0:
-        raise ConstructionError(f"nonpositive spherical excess {excess:.6g}")
-    if abs(gc.area - excess) > 1e-9 * (1.0 + excess):
-        raise ConstructionError(
-            f"area mismatch: Green integral {gc.area:.12g} vs excess {excess:.12g}"
-        )
-    if spec.angles is not None:
-        want = sorted(spec.angles)
-        got = sorted(angles)
-        if max(abs(w - g) for w, g in zip(want, got)) > 1e-9:
-            raise ConstructionError("constructed angles do not match the requested ones")
-    a_sorted = sorted(angles)
-    per_locos = sum(
-        spherical_law_of_cosines(a_sorted[i], a_sorted[(i + 1) % 3], a_sorted[(i + 2) % 3])
-        for i in range(3)
-    )
-    if abs(per_locos - gc.perimeter) > 1e-9 * (1.0 + per_locos):
-        raise ConstructionError(
-            f"perimeter mismatch: law of cosines {per_locos:.12g} vs arcs {gc.perimeter:.12g}"
-        )
-    gc = GeometricConstants(
-        area=excess,
-        perimeter_d=gc.perimeter_d,
-        perimeter_n=gc.perimeter_n,
-        euler_characteristic=1,
-        boundary_curvature_integral=0.0,
-        c1=gc.c1,
-        c2=0.0,
-        c3=excess / (12.0 * math.pi),
-    )
-    return domain, gc
-
-
-def _sph_side_arc(center, radius, p_from, p_to, bc) -> CircleArc:
-    cx, cy = float(center[0]), float(center[1])
-    phi_a = math.atan2(p_from[1] - cy, p_from[0] - cx)
-    phi_b = math.atan2(p_to[1] - cy, p_to[0] - cx)
-    # two candidate spans; pick the one whose interior stays off the u-axis
-    spans = []
-    for phi1 in (phi_b, phi_b + 2.0 * math.pi, phi_b - 2.0 * math.pi):
-        if abs(phi1 - phi_a) <= 2.0 * math.pi:
-            spans.append((phi_a, phi1))
-    for phi0, phi1 in sorted(spans, key=lambda s: abs(s[1] - s[0])):
-        if phi1 == phi0:
-            continue
-        arc = CircleArc((cx, cy), radius, phi0, phi1, bc)
-        ts = np.linspace(0.0, 1.0, 65)[1:-1]
-        if np.all(np.asarray(arc.point(ts))[:, 1] > -1e-12):
-            return arc
-    raise ConstructionError("no side arc stays in the closed upper half-plane")
+    return domain, _audit_triangle(domain, spec.angles, spherical_law_of_cosines)
 
 
 def build_spherical_disc(radius: float, bc: str = DIRICHLET) -> tuple[Domain, GeometricConstants]:

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from curvspec.cli import main
 from curvspec.configio import ConfigError, build_domain, load_domain_config, parse_angle
 from curvspec.geometry import SpaceForm
 
@@ -120,3 +121,54 @@ def test_spherical_params_with_explicit_roots():
 def test_missing_file():
     with pytest.raises(ConfigError):
         load_domain_config("/nonexistent/config.yaml")
+
+
+_HOLED = {
+    "space": "euclidean",
+    "shape": "polygon_with_holes",
+    "outer": [[0, 0], [10, 0], [10, 10], [0, 10]],
+    "holes": [[[1, 1], [3, 1], [3, 3], [1, 3]], [[6, 6], [8, 6], [8, 8], [6, 8]]],
+}
+_HYP_CIRCLES = {"space": "hyperbolic", "shape": "hyperbolic_triangle"}
+_SPH_PARAMS = {"space": "spherical", "shape": "spherical_triangle"}
+
+
+@pytest.mark.parametrize(
+    "raw, key",
+    [
+        ({**_HYP_CIRCLES, "circles": [1, None, -1, 2]}, "circles"),
+        ({**_SPH_PARAMS, "params": [[1], 0.5, -2, 0.3]}, "params"),
+        ({**_SPH_PARAMS, "params": [-1.5, "pi/4", {"t": 2}, "-pi/6"]}, "params"),
+        ({**_HOLED, "hole_bc": ["D"]}, "hole_bc"),
+        ({**_HOLED, "hole_bc": ["D", "N", "D"]}, "hole_bc"),
+        ({**_HOLED, "hole_bc": 5}, "hole_bc"),
+        ({**_HOLED, "hole_bc": "X"}, "hole_bc"),
+        ({**_HOLED, "hole_bc": ["D", "Q"]}, "hole_bc"),
+        ({"space": "euclidean", "shape": "disc", "radius": 1.0, "oracle": ["x"]}, "oracle"),
+        ({"space": "euclidean", "shape": "disc", "radius": 1.0, "oracle": 3}, "oracle"),
+    ],
+)
+def test_malformed_values_raise_config_error(raw, key):
+    with pytest.raises(ConfigError, match=key):
+        build_domain(raw)
+
+
+def test_hole_bc_forms_accepted():
+    for hole_bc in ("N", ["N", "D"], [["N", "D", "D", "D"], "D"]):
+        cfg = build_domain({**_HOLED, "hole_bc": hole_bc})
+        assert cfg.constants.area == pytest.approx(92.0)
+    assert build_domain({**_HOLED, "hole_bc": "N"}).constants.perimeter_n == pytest.approx(16.0)
+
+
+def test_nested_holes_config_rejected():
+    nested = [[[2, 2], [8, 2], [8, 8], [2, 8]], [[4, 4], [6, 4], [6, 6], [4, 6]]]
+    with pytest.raises(ConfigError, match="hole 1 lies inside hole 0"):
+        build_domain({**_HOLED, "holes": nested})
+
+
+def test_malformed_config_exits_2_through_cli(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("space: hyperbolic\nshape: hyperbolic_triangle\ncircles: [1, null, -1, 2]\n")
+    rc = main(["solve", "--config", str(bad), "--out", str(tmp_path / "o"), "--quiet"])
+    assert rc == 2
+    assert "circles" in capsys.readouterr().err

@@ -464,3 +464,82 @@ def test_hyperbolic_domain_must_stay_in_upper_half_plane():
                 geo.LineSegment((0.5, 1), (0, -0.5)),
             ],
         )
+
+
+def _square(lo, hi):
+    return [(lo, lo), (hi, lo), (hi, hi), (lo, hi)]
+
+
+def test_nested_or_coincident_holes_rejected():
+    with pytest.raises(geo.GeometryError, match="hole 1 lies inside hole 0"):
+        geo.euclidean_polygon(_square(0, 10), holes=[_square(2, 8), _square(4, 6)])
+    with pytest.raises(geo.GeometryError, match="hole 0 lies inside hole 1"):
+        geo.euclidean_polygon(_square(0, 10), holes=[_square(4, 6), _square(2, 8)])
+    with pytest.raises(geo.GeometryError, match="hole 1 lies inside hole 0"):
+        geo.euclidean_polygon(_square(0, 10), holes=[_square(2, 5), _square(2, 5)])
+    dom = geo.euclidean_polygon(_square(0, 10), holes=[_square(2, 4), _square(6, 8)])
+    assert geo.geometric_constants(dom).area == pytest.approx(92.0)
+
+
+def _first_crossing(polys):
+    """Pure-Python pairwise chord-crossing test; loops of the first crossing pair, or None.
+
+    Segments a < b cross when orient(a0, a1, b0) * orient(a0, a1, b1) and
+    orient(b0, b1, a0) * orient(b0, b1, a1) are both below -eps, with
+    orient(p, q, r) = (q - p) x (r - p) written out inline.
+    """
+    pts = np.concatenate(polys)
+    scale = 1.0 + math.hypot(*(pts.max(axis=0) - pts.min(axis=0)))
+    eps = (1e-12 * scale) ** 2
+    segs = []
+    for li, poly in enumerate(polys):
+        n = len(poly)
+        for i in range(n):
+            (x0, y0), (x1, y1) = poly[i].tolist(), poly[(i + 1) % n].tolist()
+            segs.append((li, i, n, x0, y0, x1, y1, x1 - x0, y1 - y0))
+    for a, (la, ia, n, ax0, ay0, ax1, ay1, adx, ady) in enumerate(segs):
+        for lb, ib, _, bx0, by0, bx1, by1, bdx, bdy in segs[a + 1 :]:
+            if la == lb and (ib == ia + 1 or (ia == 0 and ib == n - 1)):
+                continue
+            d1 = adx * (by0 - ay0) - ady * (bx0 - ax0)
+            d2 = adx * (by1 - ay0) - ady * (bx1 - ax0)
+            if d1 * d2 < -eps:
+                d3 = bdx * (ay0 - by0) - bdy * (ax0 - bx0)
+                d4 = bdx * (ay1 - by0) - bdy * (ax1 - bx0)
+                if d3 * d4 < -eps:
+                    return la, lb
+    return None
+
+
+def _check_against_reference(outer, holes=()):
+    loops = [geo.oriented(geo._polygon_loop(outer, "D"), ccw=True)]
+    loops += [geo.oriented(geo._polygon_loop(h, "D"), ccw=False) for h in holes]
+    want = _first_crossing([geo._chordize(loop) for loop in loops])
+    try:
+        geo.euclidean_polygon(outer, holes=holes)
+    except geo.GeometryError as exc:
+        assert want is not None, str(exc)
+        assert f"not simple/disjoint (loops {want[0]} and {want[1]} cross)" in str(exc)
+        return want
+    assert want is None
+    return None
+
+
+def test_simplicity_check_matches_pairwise_reference():
+    rng = np.random.default_rng(11)
+    crossings = 0
+    for _ in range(150):
+        n = int(rng.integers(4, 11))
+        outer = [tuple(v) for v in rng.uniform(-1, 1, (n, 2))]
+        crossings += _check_against_reference(outer) is not None
+    assert crossings > 75
+    layouts = [
+        [],
+        [_square(2, 4), _square(6, 8)],
+        [[(7, 4), (12, 4), (12, 6), (7, 6)]],  # crosses the outer loop
+        [_square(2, 5), _square(4.5, 7.5)],  # two holes cross
+        [_square(1, 3), _square(6, 8), [(2, 5), (7, 5), (7, 7), (2, 7)]],
+        [[(10.05, 4), (7, 4), (7, 6), (10.05, 6)]],  # the hole's first chord crosses
+    ]
+    found = [_check_against_reference(_square(0, 10), holes) for holes in layouts]
+    assert found == [None, None, (0, 1), (1, 2), (2, 3), (0, 1)]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from curvspec import geometry as geo
 from curvspec import meshing
 
-_MIN = 0.5  # smallest corner angle (rad); sharper corners may legitimately fail quality
+_MIN = 0.5  # smallest corner angle (rad)
 _PROPERTY_SETTINGS = settings(max_examples=20, deadline=None, derandomize=True, database=None)
 
 
@@ -31,6 +31,11 @@ def hyperbolic_triangles(draw):
 
 @st.composite
 def spherical_triangles(draw):
+    # angles stay below pi - 1: a near-lune such as (1.8471, 2.4857, 1.2032),
+    # with sides (2.94, 3.01, 0.195), reaches the 20 deg minimum angle only at
+    # h / 1.4**6 (646 level-0 vertices, about 660k after 5 refinements), so
+    # triangulate at the default target_h rejects it; that is a documented
+    # limit of the mesher, not a defect
     angles = draw(st.lists(st.floats(_MIN, math.pi - 1.0), min_size=3, max_size=3))
     total = sum(angles)
     # positive excess, and each angle's supplement beats the other two's sum
