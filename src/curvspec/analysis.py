@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import textio
 from .geometry import GeometricConstants, SpaceForm
 
 
@@ -227,40 +228,19 @@ def gap_stats(spectrum, bin_width: float) -> GapStats:
 
 
 def write_graph_csv(path, x: np.ndarray, y: np.ndarray) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("t,value\n")
-        for xi, yi in zip(x, y):
-            fh.write(f"{xi:.17g},{yi:.17g}\n")
+    textio.write_table(path, "t,value", "%.17g,%.17g", x, y)
 
 
 def read_graph_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    xs, ys = [], []
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header != "t,value":
-            raise AnalysisError(f"{path}: not a graph CSV (header {header!r})")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                xi, yi = line.split(",")
-                xs.append(float(xi))
-                ys.append(float(yi))
-            except ValueError:
-                raise AnalysisError(f"{path}:{lineno}: malformed row {line!r}") from None
-    return np.asarray(xs), np.asarray(ys)
+    _, data = textio.read_csv(path, "graph CSV", lambda h: h == ["t", "value"], AnalysisError)
+    return data[:, 0], data[:, 1]
 
 
 def write_gap_csvs(base_path, stats: GapStats) -> tuple[str, str]:
     cdf_path = f"{base_path}_cdf.csv"
     hist_path = f"{base_path}_hist.csv"
-    with open(cdf_path, "w", encoding="ascii") as fh:
-        fh.write("d,cdf\n")
-        for xi, yi in zip(stats.cdf_x, stats.cdf_y):
-            fh.write(f"{xi:.17g},{yi:.17g}\n")
-    with open(hist_path, "w", encoding="ascii") as fh:
-        fh.write("bin_left,count\n")
-        for left, cnt in zip(stats.bin_edges[:-1], stats.bin_counts):
-            fh.write(f"{left:.17g},{int(cnt)}\n")
+    textio.write_table(cdf_path, "d,cdf", "%.17g,%.17g", stats.cdf_x, stats.cdf_y)
+    textio.write_table(
+        hist_path, "bin_left,count", "%.17g,%d", stats.bin_edges[:-1], stats.bin_counts
+    )
     return cdf_path, hist_path

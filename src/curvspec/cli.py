@@ -8,16 +8,17 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import analysis, eigensolve, exact, fem, meshing, svgplot
-from .configio import ConfigError, DomainConfig, load_domain_config
-from .geometry import GeometryError, SpaceForm
+from .configio import ConfigError, load_domain_config
+from .geometry import GeometryError
 
 _EXIT_CONFIG = 2
 _EXIT_SOLVER = 3
@@ -62,11 +63,6 @@ class RunConfig:
 def _log(cfg: RunConfig, msg: str) -> None:
     if not cfg.quiet:
         print(msg, file=sys.stderr, flush=True)
-
-
-def _graph_index(space: SpaceForm, key: str) -> int:
-    keys = analysis.SPH_GRAPH_KEYS if space is SpaceForm.SPHERICAL else analysis.FLAT_GRAPH_KEYS
-    return keys.index(key) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -173,11 +169,8 @@ def _write_table(path, slices, extr, oracle_vals) -> None:
 # analyze / gaps
 
 
-def _spectrum_for_analysis(cfg: RunConfig, domain_cfg: DomainConfig, spectrum_path):
-    if cfg.use_oracle:
-        if domain_cfg.oracle is None:
-            raise ConfigError("key 'oracle': required for --use-oracle analysis")
-        return exact.oracle_spectrum(domain_cfg.oracle, cfg.num_eigs).eigenvalues
+def _read_spectrum(cfg: RunConfig, spectrum_path) -> np.ndarray:
+    # the trusted prefix (or every eigenvalue with --all), ascending
     spec = eigensolve.read_spectrum_file(spectrum_path)
     eigs = spec.predicted if cfg.all_eigenvalues else spec.trusted_prefix()
     if len(eigs) == 0:
@@ -185,18 +178,22 @@ def _spectrum_for_analysis(cfg: RunConfig, domain_cfg: DomainConfig, spectrum_pa
     return np.sort(eigs)
 
 
-def run_analyze(cfg: RunConfig, spectrum_path) -> dict:
-    """Emit the graph CSV/SVG set and gap statistics for a spectrum file."""
+def run_analyze(cfg: RunConfig, spectrum_path=None) -> dict:
+    """Emit the graph CSV/SVG set and gap statistics for a spectrum file
+    (default <out_dir>/spectrum.csv) or, with use_oracle, the oracle spectrum."""
     domain_cfg = load_domain_config(cfg.config_path)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    eigs = _spectrum_for_analysis(cfg, domain_cfg, spectrum_path)
+    if cfg.use_oracle and domain_cfg.oracle is None:
+        raise ConfigError("key 'oracle': required for --use-oracle analysis")
+    elif cfg.use_oracle:
+        eigs = exact.oracle_spectrum(domain_cfg.oracle, cfg.num_eigs).eigenvalues
+    else:
+        eigs = _read_spectrum(cfg, spectrum_path or os.path.join(cfg.out_dir, "spectrum.csv"))
     params = analysis.RefinedCountParams.from_constants(domain_cfg.constants)
-    space = domain_cfg.domain.space
-    series = analysis.graph_series(eigs, params, space, samples=cfg.samples)
+    series = analysis.graph_series(eigs, params, domain_cfg.domain.space, samples=cfg.samples)
 
     written = []
-    for key, x, y in series.graphs:
-        idx = _graph_index(space, key)
+    for idx, (key, x, y) in enumerate(series.graphs, start=1):
         base = os.path.join(cfg.out_dir, f"graph{idx}_{key}")
         analysis.write_graph_csv(base + ".csv", x, y)
         written.append(base + ".csv")
@@ -213,9 +210,7 @@ def run_gaps(cfg: RunConfig, spectrum_path=None, eigs=None) -> list[str]:
     """Consecutive-difference CDF and histogram (CSV, optionally SVG)."""
     os.makedirs(cfg.out_dir, exist_ok=True)
     if eigs is None:
-        spec = eigensolve.read_spectrum_file(spectrum_path)
-        eigs = spec.predicted if cfg.all_eigenvalues else spec.trusted_prefix()
-        eigs = np.sort(eigs)
+        eigs = _read_spectrum(cfg, spectrum_path)
     d_max = float(np.diff(eigs).max()) if len(eigs) > 1 else 1.0
     bin_width = cfg.bin_width if cfg.bin_width is not None else max(d_max / 40.0, 1e-12)
     stats = analysis.gap_stats(eigs, bin_width)
@@ -262,7 +257,8 @@ def run_report(cfg: RunConfig) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# argument parsing: each option's dest is its RunConfig field, and an option
+# left out stays out of the namespace, so RunConfig states every default
 
 
 def _add_common(p: argparse.ArgumentParser, solver: bool, graphs: bool) -> None:
@@ -273,63 +269,44 @@ def _add_common(p: argparse.ArgumentParser, solver: bool, graphs: bool) -> None:
     p.add_argument("--jobs", type=int, default=1,
                    help="run multiple configs concurrently")
     if solver:
-        p.add_argument("--refinements", type=int, default=5)
-        p.add_argument("--num-eigs", type=int, default=150)
-        p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--target-h", type=float, default=None,
+        p.add_argument("--refinements", type=int)
+        p.add_argument("--num-eigs", type=int)
+        p.add_argument("--tol", type=float)
+        p.add_argument("--target-h", type=float,
                        help="initial mesh size (default 0.2 x model diameter)")
     if graphs:
-        p.add_argument("--samples", type=int, default=4096)
-        p.add_argument("--no-svg", action="store_true")
-        p.add_argument("--no-gaps", action="store_true")
+        p.add_argument("--samples", type=int)
+        p.add_argument("--no-svg", action="store_false", dest="emit_svg")
+        p.add_argument("--no-gaps", action="store_false", dest="emit_gaps")
         p.add_argument("--use-oracle", action="store_true",
                        help="analyze the config's oracle spectrum")
         p.add_argument("--all", action="store_true", dest="all_eigenvalues",
                        help="use all eigenvalues, not just the trusted prefix")
-        p.add_argument("--bin-width", type=float, default=None)
+        p.add_argument("--bin-width", type=float)
 
 
 def _make_run_config(args, config_path: str, out_dir: str) -> RunConfig:
-    return RunConfig(
-        config_path=config_path,
-        out_dir=out_dir,
-        refinements=getattr(args, "refinements", 5),
-        num_eigs=getattr(args, "num_eigs", 150),
-        tol=getattr(args, "tol", 1e-9),
-        samples=getattr(args, "samples", 4096),
-        target_h=getattr(args, "target_h", None),
-        emit_svg=not getattr(args, "no_svg", False),
-        emit_gaps=not getattr(args, "no_gaps", False),
-        use_oracle=getattr(args, "use_oracle", False),
-        all_eigenvalues=getattr(args, "all_eigenvalues", False),
-        bin_width=getattr(args, "bin_width", None),
-        quiet=getattr(args, "quiet", False),
-    )
+    names = {f.name for f in fields(RunConfig)}
+    opts = {k: v for k, v in vars(args).items() if k in names}
+    return RunConfig(config_path=config_path, out_dir=out_dir, **opts)
 
 
 def _per_config_out(args) -> list[tuple[str, str]]:
-    configs = args.configs
-    if len(configs) == 1:
-        return [(configs[0], args.out)]
-    pairs = []
-    for c in configs:
-        stem = os.path.splitext(os.path.basename(c))[0]
-        pairs.append((c, os.path.join(args.out, stem)))
-    return pairs
+    if len(args.configs) == 1:
+        return [(args.configs[0], args.out)]
+    # several configs: one subdirectory per config stem
+    return [(c, os.path.join(args.out, os.path.splitext(os.path.basename(c))[0]))
+            for c in args.configs]
 
 
 def _run_many(args, runner) -> None:
-    pairs = _per_config_out(args)
-    if args.jobs > 1 and len(pairs) > 1:
+    cfgs = [_make_run_config(args, c, o) for c, o in _per_config_out(args)]
+    if args.jobs > 1 and len(cfgs) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [
-                pool.submit(runner, _make_run_config(args, c, o)) for c, o in pairs
-            ]
-            for f in futures:
-                f.result()
+            list(pool.map(runner, cfgs))
     else:
-        for c, o in pairs:
-            runner(_make_run_config(args, c, o))
+        for cfg in cfgs:
+            runner(cfg)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -339,31 +316,33 @@ def build_parser() -> argparse.ArgumentParser:
         "on constant-curvature domains",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add = functools.partial(sub.add_parser, argument_default=argparse.SUPPRESS)
 
-    p = sub.add_parser("solve", help="mesh, refine, solve and extrapolate")
+    p = add("solve", help="mesh, refine, solve and extrapolate")
     _add_common(p, solver=True, graphs=False)
 
-    p = sub.add_parser("analyze", help="graphs and gap stats from a spectrum file")
+    p = add("analyze", help="graphs and gap stats from a spectrum file")
     _add_common(p, solver=False, graphs=True)
-    p.add_argument("--spectrum", help="spectrum file (default <out>/spectrum.csv)")
+    p.add_argument("--spectrum", default=None,
+                   help="spectrum file (default <out>/spectrum.csv)")
     p.add_argument("--num-eigs", type=int, default=600,
                    help="oracle length for --use-oracle")
 
-    p = sub.add_parser("exact", help="emit an oracle spectrum file")
+    p = add("exact", help="emit an oracle spectrum file")
     p.add_argument("--case", required=True,
                    help=", ".join(sorted(exact.ORACLE_CASES)))
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--out", required=True, help="output spectrum file")
 
-    p = sub.add_parser("gaps", help="gap statistics from a spectrum file")
+    p = add("gaps", help="gap statistics from a spectrum file")
     p.add_argument("--spectrum", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--bin-width", type=float, default=None)
+    p.add_argument("--bin-width", type=float)
     p.add_argument("--all", action="store_true", dest="all_eigenvalues")
-    p.add_argument("--no-svg", action="store_true")
+    p.add_argument("--no-svg", action="store_false", dest="emit_svg")
     p.add_argument("--quiet", action="store_true")
 
-    p = sub.add_parser("report", help="solve + analyze + gaps")
+    p = add("report", help="solve + analyze + gaps")
     _add_common(p, solver=True, graphs=True)
     return parser
 
@@ -374,23 +353,11 @@ def main(argv=None) -> int:
         if args.command == "solve":
             _run_many(args, run_solve)
         elif args.command == "analyze":
-            pairs = _per_config_out(args)
-            for c, o in pairs:
-                cfg = _make_run_config(args, c, o)
-                spectrum = args.spectrum or os.path.join(o, "spectrum.csv")
-                run_analyze(cfg, spectrum)
+            _run_many(args, functools.partial(run_analyze, spectrum_path=args.spectrum))
         elif args.command == "exact":
             run_exact_case(args.case, args.count, args.out)
         elif args.command == "gaps":
-            cfg = RunConfig(
-                config_path="",
-                out_dir=args.out,
-                bin_width=args.bin_width,
-                all_eigenvalues=args.all_eigenvalues,
-                emit_svg=not args.no_svg,
-                quiet=args.quiet,
-            )
-            run_gaps(cfg, spectrum_path=args.spectrum)
+            run_gaps(_make_run_config(args, "", args.out), spectrum_path=args.spectrum)
         elif args.command == "report":
             _run_many(args, run_report)
     except (ConfigError, exact.OracleError) as exc:

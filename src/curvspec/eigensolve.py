@@ -10,12 +10,14 @@ Extrapolation fits the last three refinement values to x_n = x + c*r^n.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
+from . import textio
 from .fem import EigenProblem
 
 _DENSE_LIMIT = 1200
@@ -271,44 +273,31 @@ def write_spectrum_file(
     """Rows: index, per-level values (0 where a level had fewer modes),
     predicted, ratio, trusted flag."""
     m = len(predicted)
-    cols = ["index"] + [f"level_{l}" for l in level_ids] + ["predicted", "ratio", "trusted"]
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(",".join(cols) + "\n")
-        for i in range(m):
-            row = [str(i + 1)]
-            for lev in levels:
-                row.append(f"{lev[i]:.17g}" if i < len(lev) else "0")
-            row.append(f"{predicted[i]:.17g}")
-            row.append(f"{ratio[i]:.17g}")
-            row.append("1" if trusted[i] else "0")
-            fh.write(",".join(row) + "\n")
+    cols = [np.asarray(lev, dtype=float)[:m] for lev in levels]
+    header = ["index"] + [f"level_{l}" for l in level_ids] + ["predicted", "ratio", "trusted"]
+    textio.write_table(
+        path,
+        ",".join(header),
+        ",".join(["%d"] + ["%.17g"] * (len(cols) + 2) + ["%d"]),
+        np.arange(1, m + 1),
+        *(np.pad(c, (0, m - len(c))) for c in cols),
+        predicted,
+        ratio,
+        np.asarray(trusted, dtype=bool),
+    )
 
 
 def read_spectrum_file(path) -> SpectrumFile:
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip().split(",")
-        if header[:1] != ["index"] or header[-3:] != ["predicted", "ratio", "trusted"]:
-            raise SolveError(f"{path}:1: not a spectrum file (columns {header})")
-        level_ids = [int(c.split("_", 1)[1]) for c in header[1:-3]]
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != len(header):
-                raise SolveError(
-                    f"{path}:{lineno}: expected {len(header)} columns, got {len(parts)}"
-                )
-            try:
-                rows.append([float(x) for x in parts])
-            except ValueError:
-                raise SolveError(f"{path}:{lineno}: malformed number in {line!r}") from None
-    data = np.asarray(rows, dtype=float).reshape(len(rows), len(header))
-    levels = [data[:, 1 + k] for k in range(len(level_ids))]
+    def header_ok(h):
+        return h[:1] == ["index"] and h[-3:] == ["predicted", "ratio", "trusted"]
+
+    header, data = textio.read_csv(path, "spectrum file", header_ok, SolveError)
+    bad = [c for c in header[1:-3] if not re.fullmatch(r"level_\d+", c)]
+    if bad:
+        raise SolveError(f"{path}:1: bad level column {bad[0]!r}")
     return SpectrumFile(
-        level_ids=level_ids,
-        levels=levels,
+        level_ids=[int(c[6:]) for c in header[1:-3]],
+        levels=list(data[:, 1:-3].T),
         predicted=data[:, -3],
         ratio=data[:, -2],
         trusted=data[:, -1] != 0.0,

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from . import textio
 from .geometry import DIRICHLET, SpaceForm, conformal_factor
 from .meshing import Mesh
 
@@ -160,7 +161,6 @@ def export_matrix(matrix: sp.spmatrix, path) -> None:
     """Coordinate-format text dump: 0-based `row col value`, sorted row-major."""
     coo = matrix.tocoo()
     order = np.lexsort((coo.col, coo.row))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-        for r, c, val in zip(coo.row[order], coo.col[order], coo.data[order]):
-            fh.write(f"{r} {c} {val:.17g}\n")
+    header = f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}"
+    cols = (coo.row[order], coo.col[order], coo.data[order])
+    textio.write_table(path, header, "%d %d %.17g", *cols)

@@ -317,7 +317,7 @@ def corner_constant_c1(corners) -> float:
 
 
 def _chordize(loop: list[Arc], per_arc: int = 33) -> np.ndarray:
-    # odd count: intersections of straight sides never land exactly on samples
+    # two loops may cross exactly at samples; _validate_simple checks for that
     pts = []
     for arc in loop:
         ts = np.linspace(0.0, 1.0, per_arc, endpoint=False)
@@ -491,6 +491,13 @@ class Domain:
             inside[j] = False
             if inside.any():
                 raise GeometryError(f"hole {int(np.argmax(inside))} lies inside hole {j}")
+        # boundaries that meet only at samples pass the crossing test, so no
+        # chord point of one hole may lie inside another
+        hole_of = loop_of[loop_of > 0] - 1
+        for j, hp in enumerate(polys[1:]):
+            inside = _points_in_poly(hp, p0[loop_of > 0]) & (hole_of != j)
+            if inside.any():
+                raise GeometryError(f"hole {hole_of[np.argmax(inside)]} overlaps hole {j}")
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import Delaunay
 
+from . import textio
 from .geometry import (
     Arc,
     CircleArc,
@@ -421,27 +422,23 @@ def validate_mesh(mesh: Mesh) -> None:
 
 def save_mesh(mesh: Mesh, path) -> None:
     """Plain-text mesh: vertex, triangle, boundary-edge and arc tables."""
+    arcs = [f"arcs {len(mesh.arcs)}"]
+    for arc in mesh.arcs:
+        if isinstance(arc, LineSegment):
+            arcs.append("segment %.17g %.17g %.17g %.17g %s" % (*arc.p0, *arc.p1, arc.bc))
+        else:
+            fields = (*arc.center, arc.radius, arc.phi0, arc.phi1, arc.bc)
+            arcs.append("arc %.17g %.17g %.17g %.17g %.17g %s" % fields)
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"mesh level {mesh.level}\n")
+        # one table at a time: that bounds the row strings held in memory
         for tag, table, fmt in (
-            ("vertices", mesh.vertices, "%.17g"),
-            ("triangles", mesh.triangles, "%d"),
-            ("boundary_edges", mesh.boundary_edges, "%d"),
+            ("vertices", mesh.vertices, "%.17g %.17g"),
+            ("triangles", mesh.triangles, "%d %d %d"),
+            ("boundary_edges", mesh.boundary_edges, "%d %d %d"),
         ):
-            fh.write(f"{tag} {len(table)}\n")
-            np.savetxt(fh, table, fmt=fmt)
-        fh.write(f"arcs {len(mesh.arcs)}\n")
-        for arc in mesh.arcs:
-            if isinstance(arc, LineSegment):
-                fh.write(
-                    f"segment {arc.p0[0]:.17g} {arc.p0[1]:.17g} "
-                    f"{arc.p1[0]:.17g} {arc.p1[1]:.17g} {arc.bc}\n"
-                )
-            else:
-                fh.write(
-                    f"arc {arc.center[0]:.17g} {arc.center[1]:.17g} {arc.radius:.17g} "
-                    f"{arc.phi0:.17g} {arc.phi1:.17g} {arc.bc}\n"
-                )
+            fh.write("\n".join([f"{tag} {len(table)}", *textio.format_rows(fmt, *table.T)]) + "\n")
+        fh.write("\n".join(arcs) + "\n")
 
 
 def load_mesh(path) -> Mesh:

@@ -7,6 +7,8 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
+from . import textio
+
 _W, _H = 640, 400
 _ML, _MR, _MT, _MB = 64, 16, 34, 44
 
@@ -103,7 +105,7 @@ def render_line_plot(path, title: str, x, y, xlabel: str = "t") -> None:
             f'<line x1="{_ML}" y1="{zy:.2f}" x2="{_ML + pw}" y2="{zy:.2f}" '
             f'stroke="#bbbbbb" stroke-width="1" stroke-dasharray="4 3"/>'
         )
-    pts = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(x, y))
+    pts = " ".join(textio.format_rows("%.2f,%.2f", sx(x), sy(y)))
     parts.append(
         f'<polyline points="{pts}" fill="none" stroke="#1f4e9c" stroke-width="1.2"/>'
     )

@@ -1,5 +1,7 @@
+import concurrent.futures
 import os
 
+import numpy as np
 import pytest
 
 from curvspec import analysis, eigensolve
@@ -191,3 +193,57 @@ def test_report_bundles_everything(tmp_path):
     assert "spectrum.csv" in files
     assert "table.txt" in files
     assert any(f.startswith("graph") and f.endswith(".svg") for f in files)
+
+
+@pytest.mark.parametrize(
+    "header, column",
+    [("index,levelX,predicted,ratio,trusted", "levelX"),
+     ("index,level_a,predicted,ratio,trusted", "level_a")],
+)
+def test_malformed_spectrum_header_is_a_solve_error(tmp_path, capsys, header, column):
+    spectrum = tmp_path / "f.csv"
+    spectrum.write_text(header + "\n1,2.0,2.0,0.1,1\n2,3.0,3.0,0.1,1\n")
+    with pytest.raises(eigensolve.SolveError, match=rf"f\.csv:1: bad level column '{column}'"):
+        eigensolve.read_spectrum_file(spectrum)
+    rc = main(["gaps", "--spectrum", str(spectrum), "--out", str(tmp_path / "g"), "--quiet"])
+    assert rc == 3
+    assert column in capsys.readouterr().err
+
+
+def test_analyze_jobs_gives_identical_outputs(tmp_path, monkeypatch):
+    pools = []
+
+    class Pool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    args = ["analyze", "--use-oracle", "--num-eigs", "200", "--samples", "256", "--quiet",
+            "--config", _cfg("unit_disc_dirichlet.yaml"),
+            "--config", _cfg("spherical_right_triangle.yaml")]
+    for jobs in ("1", "2"):
+        assert main(args + ["--jobs", jobs, "--out", str(tmp_path / jobs)]) == 0
+    assert pools == [2]
+    names = sorted(
+        os.path.relpath(os.path.join(d, f), tmp_path / "1")
+        for d, _, files in os.walk(tmp_path / "1") for f in files
+    )
+    assert len(names) == 2 * (6 + 5) + 2 * 4  # graph CSVs and SVGs, four gap files each
+    for name in names:
+        a = (tmp_path / "1" / name).read_bytes()
+        assert a == (tmp_path / "2" / name).read_bytes(), name
+
+
+def test_run_analyze_reads_out_dir_spectrum_by_default(tmp_path):
+    out = tmp_path / "a"
+    out.mkdir()
+    eigensolve.write_spectrum_file(
+        out / "spectrum.csv", np.arange(1.0, 41.0), np.zeros(40), np.ones(40, dtype=bool)
+    )
+    cfg = RunConfig(config_path=_cfg("hemisphere_dirichlet.yaml"), out_dir=str(out),
+                    samples=128, emit_svg=False, quiet=True)
+    files = run_analyze(cfg)["files"]
+    assert [os.path.basename(f) for f in files[:5]] == [
+        "graph1_N.csv", "graph2_D.csv", "graph3_A.csv", "graph4_At2.csv", "graph5_runmean.csv"
+    ]

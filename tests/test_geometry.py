@@ -481,6 +481,17 @@ def test_nested_or_coincident_holes_rejected():
     assert geo.geometric_constants(dom).area == pytest.approx(92.0)
 
 
+def test_holes_meeting_only_at_chord_samples_rejected():
+    # 33 chords per 3-unit side put both crossings, (5, 4) and (4, 5), on samples
+    with pytest.raises(geo.GeometryError, match="hole 1 overlaps hole 0"):
+        geo.euclidean_polygon(_square(0, 10), holes=[_square(2, 5), _square(4, 7)])
+    # one chord spacing (3/33) apart: disjoint, accepted
+    gap = 5.0 + 3.0 / 33.0
+    side_by_side = [_square(2, 5), [(gap, 2), (8, 2), (8, 5), (gap, 5)]]
+    dom = geo.euclidean_polygon(_square(0, 10), holes=side_by_side)
+    assert geo.geometric_constants(dom).area == pytest.approx(100.0 - 9.0 - 3.0 * (8 - gap))
+
+
 def _first_crossing(polys):
     """Pure-Python pairwise chord-crossing test; loops of the first crossing pair, or None.
 
