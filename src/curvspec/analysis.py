@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,6 +86,16 @@ FLAT_GRAPH_KEYS = ("N", "D", "A", "t14A", "t14At2", "runmean")
 SPH_GRAPH_KEYS = ("N", "D", "A", "At2", "runmean")
 
 
+class Graph(NamedTuple):
+    """One sampled graph: file key, SVG title and x-axis label, samples."""
+
+    key: str
+    title: str
+    xlabel: str
+    x: np.ndarray
+    y: np.ndarray
+
+
 @dataclass
 class AnalysisSeries:
     """Sampled graph set: six graphs for flat/hyperbolic, five for spherical.
@@ -97,16 +108,16 @@ class AnalysisSeries:
     space: SpaceForm
     t_max: float
     a: float
-    graphs: list[tuple[str, np.ndarray, np.ndarray]] = field(default_factory=list)
+    graphs: list[Graph] = field(default_factory=list)
 
     @property
     def keys(self) -> tuple[str, ...]:
-        return tuple(k for k, _, _ in self.graphs)
+        return tuple(g.key for g in self.graphs)
 
     def get(self, key: str) -> tuple[np.ndarray, np.ndarray]:
-        for k, x, y in self.graphs:
-            if k == key:
-                return x, y
+        for g in self.graphs:
+            if g.key == key:
+                return g.x, g.y
         raise AnalysisError(f"no graph {key!r}; have {self.keys}")
 
 
@@ -165,18 +176,19 @@ def graph_series(
     a_vals = average_error(eigs, params, grid_t)
 
     series = AnalysisSeries(space=space, t_max=t_max, a=a)
-    series.graphs.append(("N", grid_t, n_vals))
-    series.graphs.append(("D", grid_t, d_vals))
-    series.graphs.append(("A", grid_t, a_vals))
+    add = series.graphs.append
+    add(Graph("N", "graph 1: N(t)", "t", grid_t, n_vals))
+    add(Graph("D", "graph 2: D(t) = N(t) - refined(t)", "t", grid_t, d_vals))
+    add(Graph("A", "graph 3: A(t)", "t", grid_t, a_vals))
     a_sq = average_error(eigs, params, grid_r * grid_r)
     if space is SpaceForm.SPHERICAL:
-        series.graphs.append(("At2", grid_r, a_sq))
+        add(Graph("At2", "graph 4: A(t^2)", "sqrt(t)", grid_r, a_sq))
     else:
-        series.graphs.append(("t14A", grid_t, grid_t**0.25 * a_vals))
-        series.graphs.append(("t14At2", grid_r, grid_r**0.25 * a_sq))
+        add(Graph("t14A", "graph 4: t^(1/4) A(t)", "t", grid_t, grid_t**0.25 * a_vals))
+        add(Graph("t14At2", "graph 5: t^(1/4) A(t^2)", "sqrt(t)", grid_r, grid_r**0.25 * a_sq))
     alt = alt_spherical_mean and space is SpaceForm.SPHERICAL
     xs, mean = _running_mean(eigs, params, a, grid_r, sqrt_weight=not alt)
-    series.graphs.append(("runmean", xs, mean))
+    add(Graph("runmean", "running mean of s^(1/2) A(s^2)", "sqrt(t)", xs, mean))
     return series
 
 

@@ -12,7 +12,7 @@ import functools
 import os
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -23,17 +23,6 @@ from .geometry import GeometryError
 _EXIT_CONFIG = 2
 _EXIT_SOLVER = 3
 _EXIT_ANALYSIS = 4
-
-_GRAPH_LABELS = {
-    "N": "graph 1: N(t)",
-    "D": "graph 2: D(t) = N(t) - refined(t)",
-    "A": "graph 3: A(t)",
-    "t14A": "graph 4: t^(1/4) A(t)",
-    "t14At2": "graph 5: t^(1/4) A(t^2)",
-    "At2": "graph 4: A(t^2)",
-    "runmean": "running mean of s^(1/2) A(s^2)",
-}
-
 
 @dataclass
 class RunConfig:
@@ -87,31 +76,29 @@ def run_solve(cfg: RunConfig) -> dict:
         f"finest {meshes[-1].num_triangles} triangles ({time.time() - t0:.1f}s)",
     )
 
+    # refinement keeps every vertex and its boundary condition, so free counts
+    # never fall; the third-finest level's count caps the last three levels
     weight = fem.ConformalWeight(domain.space)
-    free_dims = [
-        m.num_vertices - len(fem.dirichlet_vertices(m)) for m in meshes
-    ]
-    m_final = min(cfg.num_eigs, *free_dims[-3:])
-    if m_final < 1:
-        raise eigensolve.SolveError("finest meshes leave no free nodes to solve")
-
+    m = cfg.num_eigs
     slices: list[eigensolve.SpectrumSlice] = []
     for lev, msh in enumerate(meshes):
-        k = min(m_final, free_dims[lev])
-        if k < 1:
-            slices.append(
-                eigensolve.SpectrumSlice(np.array([]), lev, np.array([]))
-            )
-            continue
         t0 = time.time()
         problem = fem.assemble(msh, weight)
+        k = min(m, problem.dimension)
+        if lev == cfg.refinements - 2:
+            if k < 1:
+                raise eigensolve.SolveError("finest meshes leave no free nodes to solve")
+            m = k
+        if k < 1:
+            slices.append(eigensolve.SpectrumSlice(np.array([]), lev, np.array([])))
+            continue
         try:
             sl = eigensolve.solve_lowest(problem, k, cfg.tol)
         except eigensolve.SolveError as exc:
             raise eigensolve.SolveError(
                 f"refinement level {lev}: {exc}", partial=exc.partial
             ) from exc
-        slices.append(eigensolve.SpectrumSlice(sl.eigenvalues, lev, sl.residual_norms))
+        slices.append(replace(sl, level=lev))
         _log(
             cfg,
             f"level {lev}: {problem.dimension} free nodes, {k} eigenvalues "
@@ -122,7 +109,7 @@ def run_solve(cfg: RunConfig) -> dict:
 
     oracle_vals = None
     if domain_cfg.oracle is not None:
-        oracle_vals = exact.oracle_spectrum(domain_cfg.oracle, m_final).eigenvalues
+        oracle_vals = exact.oracle_spectrum(domain_cfg.oracle, m).eigenvalues
 
     spectrum_path = os.path.join(cfg.out_dir, "spectrum.csv")
     eigensolve.write_spectrum_file(
@@ -193,13 +180,12 @@ def run_analyze(cfg: RunConfig, spectrum_path=None) -> dict:
     series = analysis.graph_series(eigs, params, domain_cfg.domain.space, samples=cfg.samples)
 
     written = []
-    for idx, (key, x, y) in enumerate(series.graphs, start=1):
-        base = os.path.join(cfg.out_dir, f"graph{idx}_{key}")
-        analysis.write_graph_csv(base + ".csv", x, y)
+    for idx, g in enumerate(series.graphs, start=1):
+        base = os.path.join(cfg.out_dir, f"graph{idx}_{g.key}")
+        analysis.write_graph_csv(base + ".csv", g.x, g.y)
         written.append(base + ".csv")
         if cfg.emit_svg:
-            xlabel = "sqrt(t)" if key in ("t14At2", "At2", "runmean") else "t"
-            svgplot.render_line_plot(base + ".svg", _GRAPH_LABELS[key], x, y, xlabel)
+            svgplot.render_line_plot(base + ".svg", g.title, g.x, g.y, g.xlabel)
             written.append(base + ".svg")
     if cfg.emit_gaps:
         written.extend(run_gaps(cfg, eigs=eigs))

@@ -59,7 +59,6 @@ class ExtrapolatedSpectrum:
     ratios: np.ndarray
     trusted: np.ndarray
     trust_count: int
-    inputs: tuple[SpectrumSlice, SpectrumSlice, SpectrumSlice]
 
     def __len__(self) -> int:
         return len(self.predicted)
@@ -233,11 +232,7 @@ def extrapolate_spectrum(slices) -> ExtrapolatedSpectrum:
     preds, ratios, trusted = preds[order], ratios[order], trusted[order]
     trust_count = int(np.argmin(trusted)) if not trusted.all() else len(trusted)
     return ExtrapolatedSpectrum(
-        predicted=preds,
-        ratios=ratios,
-        trusted=trusted,
-        trust_count=trust_count,
-        inputs=slices,
+        predicted=preds, ratios=ratios, trusted=trusted, trust_count=trust_count
     )
 
 

@@ -61,25 +61,30 @@ def bessel_zero(k: int, n: int, derivative: bool = False) -> float:
 # Oracle spectra
 
 
-def right_isosceles_spectrum(count: int) -> OracleSpectrum:
-    """First eigenvalues pi^2 (j^2 + k^2), 0 < j < k, of the unit-leg right isosceles triangle."""
+def _lattice_spectrum(case: str, count: int, scale: float, form, twice: bool) -> OracleSpectrum:
+    """The count smallest scale * form(j, k) over pairs 1 <= j < k, or, when
+    twice, over 1 <= j <= k with each pair j < k counted twice.
+
+    kmax doubles from 3 until count values lie below scale * form(1, kmax + 1),
+    which no pair with a larger k can undercut.
+    """
     if count < 1:
         raise OracleError("count must be >= 1")
-    vals: list[float] = []
     kmax = 3
     while True:
-        vals = [
-            math.pi**2 * (j * j + k * k)
-            for k in range(2, kmax + 1)
-            for j in range(1, k)
-        ]
-        vals.sort()
-        # entries below pi^2 (1 + kmax^2) cannot be displaced by larger k
-        cutoff = math.pi**2 * (1.0 + (kmax + 1) ** 2)
-        safe = [v for v in vals if v < cutoff]
+        j, k = np.triu_indices(kmax, 0 if twice else 1)
+        j, k = j + 1, k + 1
+        vals = np.sort(np.repeat(scale * form(j, k), np.where(j < k, 1 + twice, 1)))
+        safe = vals[vals < scale * form(1, kmax + 1)]
         if len(safe) >= count:
-            return OracleSpectrum("right-isosceles", safe[:count])
+            return OracleSpectrum(case, safe[:count])
         kmax *= 2
+
+
+def right_isosceles_spectrum(count: int) -> OracleSpectrum:
+    """First eigenvalues pi^2 (j^2 + k^2), 0 < j < k, of the unit-leg right isosceles triangle."""
+    scale = math.pi**2
+    return _lattice_spectrum("right-isosceles", count, scale, lambda j, k: j * j + k * k, False)
 
 
 def equilateral_spectrum(count: int) -> OracleSpectrum:
@@ -87,24 +92,8 @@ def equilateral_spectrum(count: int) -> OracleSpectrum:
 
     Unordered pairs {j, k}; multiplicity 2 when j != k.
     """
-    if count < 1:
-        raise OracleError("count must be >= 1")
     scale = (4.0 * math.pi / 3.0) ** 2
-    kmax = 3
-    while True:
-        vals: list[float] = []
-        for j in range(1, kmax + 1):
-            for k in range(j, kmax + 1):
-                q = j * j + k * k + j * k
-                vals.append(scale * q)
-                if j != k:
-                    vals.append(scale * q)
-        vals.sort()
-        cutoff = scale * (1 + (kmax + 1) ** 2 + (kmax + 1))
-        safe = [v for v in vals if v < cutoff]
-        if len(safe) >= count:
-            return OracleSpectrum("equilateral", safe[:count])
-        kmax *= 2
+    return _lattice_spectrum("equilateral", count, scale, lambda j, k: j * j + k * k + j * k, True)
 
 
 def _zeros_below(zeros, k: int, radius: float, nt: int) -> np.ndarray:
@@ -148,28 +137,23 @@ def disc_spectrum(count: int, bc: str = "D") -> OracleSpectrum:
         radius *= 1.25
 
 
-def spherical_right_triangle_spectrum(count: int) -> OracleSpectrum:
-    """Spherical equilateral right triangle: i-th distinct value 4 i^2 + 6 i + 2, multiplicity i."""
+def _staircase_spectrum(case: str, count: int, value) -> OracleSpectrum:
+    # value(i) with multiplicity i for i = 1, 2, ...; i up to isqrt(2 count) + 1
+    # gives more than count entries
     if count < 1:
         raise OracleError("count must be >= 1")
-    vals: list[float] = []
-    i = 1
-    while len(vals) < count:
-        vals.extend([float(4 * i * i + 6 * i + 2)] * i)
-        i += 1
-    return OracleSpectrum("spherical-right-triangle", vals[:count])
+    i = np.arange(1, math.isqrt(2 * count) + 2)
+    return OracleSpectrum(case, np.repeat(value(i), i)[:count])
+
+
+def spherical_right_triangle_spectrum(count: int) -> OracleSpectrum:
+    """Spherical equilateral right triangle: i-th distinct value 4 i^2 + 6 i + 2, multiplicity i."""
+    return _staircase_spectrum("spherical-right-triangle", count, lambda i: 4 * i * i + 6 * i + 2)
 
 
 def hemisphere_spectrum(count: int) -> OracleSpectrum:
     """Dirichlet hemisphere: n-th distinct value n (n + 1), multiplicity n."""
-    if count < 1:
-        raise OracleError("count must be >= 1")
-    vals: list[float] = []
-    n = 1
-    while len(vals) < count:
-        vals.extend([float(n * (n + 1))] * n)
-        n += 1
-    return OracleSpectrum("hemisphere", vals[:count])
+    return _staircase_spectrum("hemisphere", count, lambda n: n * (n + 1))
 
 
 def known_subspectrum(case: str, count: int) -> OracleSpectrum:

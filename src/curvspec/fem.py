@@ -78,6 +78,12 @@ def _effective_bc(mesh: Mesh, bc_map) -> np.ndarray:
     return per_arc[arc_ids]
 
 
+def _midpoint_weights(p: np.ndarray, weight: ConformalWeight) -> np.ndarray:
+    # the weight at each triangle's edge midpoints (m01, m12, m20), (T, 3)
+    mids = 0.5 * (p + np.roll(p, -1, axis=1))
+    return weight(mids[:, :, 0], mids[:, :, 1])
+
+
 def assemble(mesh: Mesh, weight: ConformalWeight, bc_map=None) -> EigenProblem:
     """Assemble the P1 stiffness/weighted-mass pencil with BCs applied.
 
@@ -89,13 +95,10 @@ def assemble(mesh: Mesh, weight: ConformalWeight, bc_map=None) -> EigenProblem:
     if weight.space is SpaceForm.HYPERBOLIC and np.any(v[:, 1] <= 0.0):
         raise AssemblyError("hyperbolic assembly needs all vertices at y > 0")
 
-    p = v[t]  # (T, 3, 2)
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    area2 = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    if np.any(area2 <= 0.0):
+    area = mesh.signed_areas()
+    if np.any(area <= 0.0):
         raise AssemblyError("mesh contains nonpositively oriented triangles")
-    area = 0.5 * area2
+    p = v[t]  # (T, 3, 2)
 
     # P1 gradients: grad phi_i = rot90(p_k - p_j) / (2 area)
     grads = np.empty((len(t), 3, 2))
@@ -103,16 +106,13 @@ def assemble(mesh: Mesh, weight: ConformalWeight, bc_map=None) -> EigenProblem:
         e = p[:, (i + 2) % 3] - p[:, (i + 1) % 3]
         grads[:, i, 0] = -e[:, 1]
         grads[:, i, 1] = e[:, 0]
-    grads /= area2[:, None, None]
+    grads /= 2.0 * area[:, None, None]
 
     k_loc = np.einsum("tia,tja->tij", grads, grads) * area[:, None, None]
     k_loc = 0.5 * (k_loc + np.swapaxes(k_loc, 1, 2))  # exact symmetry
 
-    # edge midpoints (m01, m12, m20); phi values there are 1/2 on adjacent vertices
-    mids = 0.5 * np.stack(
-        [p[:, 0] + p[:, 1], p[:, 1] + p[:, 2], p[:, 2] + p[:, 0]], axis=1
-    )
-    w = weight(mids[:, :, 0], mids[:, :, 1])  # (T, 3)
+    # phi values at the edge midpoints are 1/2 on the edge's two vertices
+    w = _midpoint_weights(p, weight)
     m_loc = np.zeros((len(t), 3, 3))
     # vertex i touches midpoints of edges (i-1, i) and (i, i+1)
     edge_verts = ((0, 1), (1, 2), (2, 0))
@@ -146,15 +146,8 @@ def assemble(mesh: Mesh, weight: ConformalWeight, bc_map=None) -> EigenProblem:
 
 def weighted_mesh_area(mesh: Mesh, weight: ConformalWeight) -> float:
     """Midpoint-rule integral of the weight over the mesh (equals sum of all mass entries)."""
-    p = mesh.vertices[mesh.triangles]
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    area = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-    mids = 0.5 * np.stack(
-        [p[:, 0] + p[:, 1], p[:, 1] + p[:, 2], p[:, 2] + p[:, 0]], axis=1
-    )
-    w = weight(mids[:, :, 0], mids[:, :, 1])
-    return float(np.sum(area / 3.0 * w.sum(axis=1)))
+    w = _midpoint_weights(mesh.vertices[mesh.triangles], weight)
+    return float(np.sum(mesh.signed_areas() / 3.0 * w.sum(axis=1)))
 
 
 def export_matrix(matrix: sp.spmatrix, path) -> None:

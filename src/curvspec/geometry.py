@@ -401,17 +401,14 @@ class Domain:
         if self.space is not SpaceForm.HYPERBOLIC:
             return
         for arc in self.arcs():
-            ts = np.linspace(0.0, 1.0, 65)
-            ys = np.asarray(arc.point(ts))[:, 1]
-            ymin = ys.min()
+            # an arc's lowest point is one of its ends, or a circle's bottom
+            # (angle -pi/2) when the span contains it
+            ys = [arc.point(0.0)[1], arc.point(1.0)[1]]
             if isinstance(arc, CircleArc):
-                # exact angular minimum if -pi/2 lies in the span
                 lo, hi = sorted((arc.phi0, arc.phi1))
-                for k in range(-2, 3):
-                    a = -math.pi / 2 + 2 * math.pi * k
-                    if lo <= a <= hi:
-                        ymin = min(ymin, arc.center[1] - arc.radius)
-            if ymin <= 0.0:
+                if any(lo <= -math.pi / 2 + 2 * math.pi * k <= hi for k in range(-2, 3)):
+                    ys.append(arc.center[1] - arc.radius)
+            if min(ys) <= 0.0:
                 raise GeometryError(
                     "hyperbolic domain boundary leaves the open upper half-plane"
                 )
@@ -902,10 +899,10 @@ def spherical_law_of_cosines(alpha_i, alpha_j, alpha_k) -> float:
     return math.acos(arg)
 
 
-def _great_circle_root(t: float, beta: float, larger: bool = True) -> float:
+def _great_circle_root(t: float, beta: float) -> float:
+    # the larger root of the side circle on the u-axis
     s = t * math.sin(beta)
-    d = math.hypot(s, 2.0)
-    return s + d if larger else s - d
+    return s + math.hypot(s, 2.0)
 
 
 def _circle_intersection_upper(c1, r1, c2, r2):

@@ -385,10 +385,7 @@ def euler_characteristic(mesh: Mesh) -> int:
 def _arc_distance(arc: Arc, p: np.ndarray) -> np.ndarray:
     if isinstance(arc, CircleArc):
         return np.abs(np.linalg.norm(p - np.asarray(arc.center), axis=1) - arc.radius)
-    a = np.asarray(arc.p0, dtype=float)
-    d = np.asarray(arc.p1, dtype=float) - a
-    t = np.clip((p - a) @ d / (d @ d), 0.0, 1.0)
-    return np.linalg.norm(p - (a + t[:, None] * d), axis=1)
+    return _dist_to_segments(p, np.asarray([arc.p0], float), np.asarray([arc.p1], float))
 
 
 def validate_mesh(mesh: Mesh) -> None:
@@ -442,7 +439,8 @@ def save_mesh(mesh: Mesh, path) -> None:
 
 
 def load_mesh(path) -> Mesh:
-    with open(path, "r", encoding="ascii") as fh:
+    # a non-ASCII byte becomes U+FFFD, which fails a header or table check below
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
         lines = fh.read().splitlines()
     pos = 0
 

@@ -4,8 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from curvspec import analysis, eigensolve
+from curvspec import analysis, eigensolve, fem, meshing
 from curvspec.cli import RunConfig, main, run_analyze, run_report, run_solve
+from curvspec.configio import load_domain_config
 
 from conftest import CONFIG_DIR
 
@@ -37,6 +38,23 @@ def test_solve_outputs(solved_triangle):
     spec = eigensolve.read_spectrum_file(res["spectrum_path"])
     assert spec.level_ids == [0, 1, 2, 3]
     assert len(spec.predicted) == 6
+
+
+def test_third_finest_level_caps_the_eigenvalue_count(tmp_path):
+    # with 2 refinements level 0 is the third-finest level; its free nodes,
+    # fewer than the 600 asked for, are the count of every level
+    path = _cfg("right_isosceles_dirichlet.yaml")
+    domain_cfg = load_domain_config(path)
+    mesh = meshing.triangulate(domain_cfg.domain, domain_cfg.target_h)
+    free = fem.assemble(mesh, fem.ConformalWeight(domain_cfg.domain.space)).dimension
+    assert 1 <= free < 600
+    out = tmp_path / "capped"
+    argv = ["solve", "--config", path, "--out", str(out), "--refinements", "2", "--num-eigs", "600"]
+    assert main(argv + ["--quiet"]) == 0
+    spec = eigensolve.read_spectrum_file(out / "spectrum.csv")
+    assert [len(v) for v in spec.levels] == [free] * 3
+    assert len((out / "spectrum.csv").read_text().splitlines()) == 1 + free
+    assert len((out / "table.txt").read_text().splitlines()) == 1 + free
 
 
 def test_solve_refinements_validated():

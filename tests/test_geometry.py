@@ -466,6 +466,14 @@ def test_hyperbolic_domain_must_stay_in_upper_half_plane():
         )
 
 
+def test_hyperbolic_arc_dipping_below_the_axis_between_its_ends_is_rejected():
+    # both ends at y = 0.3, the bottom of the circle (inside the span) at y = -0.2
+    arc = geo.CircleArc((0.0, 0.8), 1.0, -5 * math.pi / 6, -math.pi / 6)
+    chord = geo.LineSegment(tuple(arc.point(1.0)), tuple(arc.point(0.0)))
+    with pytest.raises(geo.GeometryError, match="upper half-plane"):
+        geo.Domain(geo.SpaceForm.HYPERBOLIC, [arc, chord])
+
+
 def _square(lo, hi):
     return [(lo, lo), (hi, lo), (hi, hi), (lo, hi)]
 

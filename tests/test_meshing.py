@@ -181,6 +181,16 @@ def test_load_mesh_malformed_header_names_path_line_and_tag(tmp_path, disc_domai
         meshing.load_mesh(bad)
 
 
+@pytest.mark.parametrize("encoding", ["utf-8", "latin-1"])
+def test_load_mesh_non_ascii_byte_names_path_and_line(tmp_path, disc_domain, encoding):
+    lines = _saved_lines(tmp_path, disc_domain)
+    lines[1] = lines[1].replace("vertices", "vertic\u00e9s")
+    bad = tmp_path / "accent.mesh"
+    bad.write_bytes(("\n".join(lines) + "\n").encode(encoding))
+    with pytest.raises(meshing.MeshError, match=r"accent\.mesh:2: expected 'vertices'"):
+        meshing.load_mesh(bad)
+
+
 def test_target_h_validation(disc_domain):
     with pytest.raises(meshing.MeshError):
         meshing.triangulate(disc_domain, -1.0)

@@ -6,18 +6,21 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from curvspec import fem
 from curvspec import geometry as geo
 from curvspec import meshing
 
 _MIN = 0.5  # smallest corner angle (rad)
 _PROPERTY_SETTINGS = settings(max_examples=20, deadline=None, derandomize=True, database=None)
+_SIDE_BCS = st.lists(st.sampled_from("DN"), min_size=3, max_size=3)
 
 
 @st.composite
 def flat_triangles(draw):
     a = draw(st.floats(_MIN, math.pi - 2 * _MIN))
     b = draw(st.floats(_MIN, math.pi - _MIN - a))
-    return geo.euclidean_polygon(geo.triangle_from_angles(a, b, math.pi - a - b))
+    verts = geo.triangle_from_angles(a, b, math.pi - a - b)
+    return geo.euclidean_polygon(verts, bc=draw(_SIDE_BCS))
 
 
 @st.composite
@@ -26,7 +29,7 @@ def hyperbolic_triangles(draw):
     b = draw(st.floats(_MIN, math.pi - _MIN - 0.1 - a))
     c = draw(st.floats(_MIN, math.pi - 0.1 - a - b))
     spec = geo.HyperbolicTriangleSpec(angles=(a, b, c))
-    return geo.build_hyperbolic_triangle(spec)[0]
+    return geo.build_hyperbolic_triangle(spec, draw(_SIDE_BCS))[0]
 
 
 @st.composite
@@ -42,7 +45,7 @@ def spherical_triangles(draw):
     assume(total > math.pi + 0.01)
     assume(all(total - 2.0 * x < math.pi - 0.01 for x in angles))
     spec = geo.SphericalTriangleSpec(angles=tuple(angles))
-    return geo.build_spherical_triangle(spec)[0]
+    return geo.build_spherical_triangle(spec, draw(_SIDE_BCS))[0]
 
 
 def _num_edges(mesh):
@@ -62,6 +65,9 @@ def _check_refinement_chain(domain):
         assert child.num_vertices == mesh.num_vertices + _num_edges(mesh)
         assert len(child.boundary_edges) == 2 * len(mesh.boundary_edges)
         assert np.array_equal(child.vertices[: mesh.num_vertices], mesh.vertices)
+        # every vertex keeps its boundary condition, so free-node counts never fall
+        child_d = fem.dirichlet_vertices(child)
+        assert np.array_equal(child_d[child_d < mesh.num_vertices], fem.dirichlet_vertices(mesh))
         if domain.space is geo.SpaceForm.EUCLIDEAN:
             area, child_area = mesh.signed_areas().sum(), child.signed_areas().sum()
             assert math.isclose(child_area, area, rel_tol=1e-12)
