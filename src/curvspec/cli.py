@@ -87,13 +87,18 @@ def run_solve(cfg: RunConfig) -> dict:
         k = min(m, problem.dimension)
         if lev == cfg.refinements - 2:
             if k < 1:
-                raise eigensolve.SolveError("finest meshes leave no free nodes to solve")
+                raise eigensolve.SolveError(
+                    f"refinement level {lev}, the third-finest, has "
+                    f"{problem.dimension} free nodes, and the last three levels "
+                    "need at least one: lower --target-h or raise --refinements"
+                )
             m = k
         if k < 1:
             slices.append(eigensolve.SpectrumSlice(np.array([]), lev, np.array([])))
             continue
         try:
-            sl = eigensolve.solve_lowest(problem, k, cfg.tol)
+            guide = slices[-1].eigenvalues if slices else None
+            sl = eigensolve.solve_lowest(problem, k, cfg.tol, guide=guide)
         except eigensolve.SolveError as exc:
             raise eigensolve.SolveError(
                 f"refinement level {lev}: {exc}", partial=exc.partial

@@ -1,15 +1,30 @@
 """Lowest eigenvalues of the assembled pencil and refinement extrapolation.
 
-Small problems go through dense LAPACK. The scale path is ARPACK shift-invert
-on a symmetric-mode (MMD, diagonal pivot) SuperLU factor of K - sigma*M, run
-to the residual gate's tol and certified complete by Sylvester inertia: a
-skipped eigenvalue raises SolveError instead of shifting every later index.
+Small problems go through dense LAPACK. Above that, ARPACK shift-invert runs
+to the residual gate's tol, and Sylvester inertia certifies the result
+complete: the negative pivots of a symmetric-mode (MMD, diagonal pivot)
+SuperLU factor of K - s*M count the eigenvalues below s, and a skipped
+eigenvalue raises SolveError instead of shifting every later index.
+
+Given the previous level's eigenvalues as a guide, a solve of m values is
+split into m // _WINDOW_EIGS windows (spectrum slicing). The edges sit in gaps
+of the guide; the inertia count at each edge fixes how many eigenvalues each
+window must return and certifies that none is missing. The windows run on a
+spawned worker pool, one BLAS thread per worker, each from a fixed start
+vector, and merge in window order, so the result does not depend on the core
+count. Without a guide, one window shifts below the spectrum and one count
+above its top certifies it.
+
 Extrapolation fits the last three refinement values to x_n = x + c*r^n.
 """
 
 from __future__ import annotations
 
+import atexit
+import concurrent.futures
 import math
+import multiprocessing
+import os
 import re
 from dataclasses import dataclass
 
@@ -21,6 +36,10 @@ from . import textio
 from .fem import EigenProblem
 
 _DENSE_LIMIT = 1200
+_WINDOW_EIGS = 37  # fewest eigenvalues per window: a solve has m // _WINDOW_EIGS windows
+_SEED = 7151  # window i starts ARPACK from the uniform v0 of seed _SEED + i
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+_POOL = None  # see _window_pool
 _TRUST_RATIO = 0.5
 _TRUST_JUMP = 0.02
 
@@ -79,45 +98,165 @@ def _factor(problem: EigenProblem, sigma: float):
     return spla.splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options=opts)
 
 
-def _shift_invert(problem: EigenProblem, m: int, sigma: float, v0, ncv: int, tol: float):
-    # the factor dies with this frame, before the certificate builds its own
-    lu = _factor(problem, sigma)
-    op = spla.LinearOperator(lu.shape, matvec=lu.solve, dtype=float)
-    return spla.eigsh(
-        problem.stiffness, k=m, M=problem.mass, sigma=sigma, v0=v0, ncv=ncv, tol=tol, OPinv=op
-    )
-
-
-def _certify(problem: EigenProblem, sl: SpectrumSlice, floor: float, tol: float) -> None:
-    """Raise SolveError unless inertia confirms that no eigenvalue was skipped.
-
-    The check shift s sits mid-way in the topmost gap of [floor, *eigenvalues]
-    wider than 10*tol relative (1e-8 at the default tol); floor lies below the
-    spectrum, so m == 1 and a fully clustered top still have that gap. K - s*M
-    must have exactly one negative pivot per computed eigenvalue below s.
-    """
-    v = np.concatenate(([floor], sl.eigenvalues))
-    wide = np.diff(v) > 10.0 * tol * np.maximum(1.0, v[1:])
-    wide[0] = True  # floor lies below the spectrum
-    j = int(np.flatnonzero(wide)[-1])
-    s = 0.5 * (v[j] + v[j + 1])
+def _count_below(problem: EigenProblem, shift: float) -> int:
+    """Number of eigenvalues below shift, by Sylvester inertia."""
     try:
-        lu = _factor(problem, s)
+        lu = _factor(problem, shift)
     except RuntimeError:
-        raise SolveError(f"inertia factorization failed at shift {s:.6g}", partial=sl) from None
+        raise SolveError(f"inertia factorization failed at shift {shift:.6g}") from None
     if not np.array_equal(lu.perm_r, lu.perm_c):
-        raise SolveError("inertia factor lost its symmetric ordering", partial=sl)
-    below = int(np.count_nonzero(lu.U.diagonal() < 0))
-    if below != j:
-        msg = f"inertia counts {below} eigenvalues below {s:.6g} but the solve found {j}"
-        raise SolveError(msg, partial=sl)
+        raise SolveError(f"inertia factor at shift {shift:.6g} lost its symmetric ordering")
+    return int(np.count_nonzero(lu.U.diagonal() < 0))
 
 
-def solve_lowest(problem: EigenProblem, m: int, tol: float = 1e-9) -> SpectrumSlice:
+def _solve_window(problem: EigenProblem, k: int, shifts, seed: int, tol: float):
+    """The k eigenvalues nearest the first of shifts whose factor succeeds,
+    ascending, with their residual norms and that shift. Runs in a pool
+    worker or in-process: v0 comes from seed.
+
+    Negative shifts lie below the spectrum and use _factor. A shift inside the
+    spectrum makes K - shift*M indefinite, where _factor's unpivoted L D L^T
+    grows its pivots (solve backward error ~1e-15 against ~1e-18) and the
+    residuals stall near the gate, so it gets a partially pivoted LU.
+    """
+    for shift in shifts:
+        try:
+            if shift < 0.0:
+                lu = _factor(problem, shift)
+            else:
+                lu = spla.splu((problem.stiffness - shift * problem.mass).tocsc())
+            break
+        except RuntimeError:
+            continue  # a shift further from the spectrum may factor
+    else:
+        raise SolveError("shifted factorization failed repeatedly")
+    n = problem.dimension
+    v0 = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+    op = spla.LinearOperator(lu.shape, matvec=lu.solve, dtype=float)
+    ncv = min(max(2 * k + 1, 20), n)  # eigsh's default subspace size
+    for attempt in range(3):
+        try:
+            vals, vecs = spla.eigsh(
+                problem.stiffness, k=k, M=problem.mass, sigma=shift, v0=v0, ncv=ncv,
+                tol=tol, OPinv=op,
+            )
+            break
+        except spla.ArpackNoConvergence as exc:
+            if attempt == 2:
+                got = np.sort(exc.eigenvalues)
+                raise SolveError(
+                    f"eigensolver converged only {len(got)}/{k} eigenvalues",
+                    partial=SpectrumSlice(got, level=-1, residual_norms=np.array([])),
+                ) from exc
+            ncv = min(2 * ncv, n)  # retry with a larger Krylov subspace
+    del op, lu  # free the factor before the residual products
+    order = np.argsort(vals)
+    vals, vecs = vals[order], vecs[:, order]
+    return vals, _residuals(problem, vals, vecs), shift
+
+
+def _window_edges(guide, m: int, tol: float) -> list[float]:
+    """Upper edges of the m // _WINDOW_EIGS windows; [] means one window.
+
+    guide holds the previous level's eigenvalues. Interior edge i sits mid-way
+    in the widest relative gap of guide within m/(16W) indices of i*m/W (one
+    window if that gap is not wider than 10*tol); the top edge sits half the
+    top window's mean spacing above guide[m-1]. The edges only need to sit in
+    gaps: inertia counts, not the guide, decide what each window holds.
+    """
+    w = m // _WINDOW_EIGS
+    if guide is None or len(guide) < m or w < 2:
+        return []
+    g = np.asarray(guide, dtype=float)[:m]
+    r = max(1, m // (16 * w))  # small: the slowest window sets the wall time
+    gap = np.diff(g) / np.maximum(g[1:], 1e-300)  # gap[j] lies between g[j] and g[j+1]
+    edges = []
+    for i in range(1, w):
+        q = i * m // w - 1 - r
+        j = q + int(np.argmax(gap[q : q + 2 * r + 1]))
+        if gap[j] <= 10.0 * tol:
+            return []
+        edges.append(0.5 * (g[j] + g[j + 1]))
+    span = m // w
+    edges.append(g[-1] + 0.5 * (g[-1] - g[-1 - span]) / span)
+    return edges
+
+
+def _solve_windows(problem: EigenProblem, m: int, tol: float, low_shifts, edges):
+    """Solve [-inf, e1), [e1, e2), ... up to the top edge, one window per task.
+
+    Returns the merged ascending eigenvalues (the lowest m and any others below
+    the top edge), their residuals and the (edge, inertia count) pairs that
+    certify them.
+    """
+    edges = list(edges)
+    counts = _map(_count_below, [(problem, e) for e in edges])
+    while counts[-1] < m:  # the spectrum lies above the guide: widen the top window
+        edges[-1] += edges[-1] - edges[-2]
+        counts[-1] = _map(_count_below, [(problem, edges[-1])])[0]
+    # the first window shifts below the spectrum, the others to their centres;
+    # edges sit in gaps, so a window's eigenvalues are the ones nearest its shift
+    shifts = [low_shifts] + [(0.5 * (lo + hi),) for lo, hi in zip(edges, edges[1:])]
+    sizes = np.diff(counts, prepend=0)
+    tasks = [(problem, int(k), s, _SEED + i, tol)
+             for i, (k, s) in enumerate(zip(sizes, shifts)) if k > 0]
+    results = _map(_solve_window, tasks)
+    vals = np.concatenate([r[0] for r in results])
+    res = np.concatenate([r[1] for r in results])
+    return vals, res, list(zip(edges, counts))
+
+
+def _map(fn, tasks) -> list:
+    """fn(*task) for each task, in order, on the window pool if there is one."""
+    pool = _window_pool(len(tasks))
+    if pool is None:
+        return [fn(*t) for t in tasks]
+    saved = {v: os.environ.get(v) for v in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:  # workers spawn inside submit and read their BLAS threads from this
+        futures = [pool.submit(fn, *t) for t in tasks]
+    finally:
+        for var, value in saved.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
+    try:
+        return [f.result() for f in futures]
+    except concurrent.futures.BrokenExecutor:
+        _close_pool()
+        raise SolveError("a window worker died") from None
+
+
+def _window_pool(windows: int):
+    """The spawned window pool, started at first use and shut down at exit;
+    None in a process that is itself a worker (of this pool or of --jobs)."""
+    global _POOL
+    if multiprocessing.parent_process() is not None:
+        return None
+    if _POOL is None:
+        workers = min(windows, len(os.sched_getaffinity(0)))
+        _POOL = concurrent.futures.ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("spawn")
+        )
+        atexit.register(_close_pool)
+    return _POOL
+
+
+def _close_pool() -> None:
+    global _POOL
+    if _POOL is not None:
+        _POOL.shutdown()
+        _POOL = None
+
+
+def solve_lowest(problem: EigenProblem, m: int, tol: float = 1e-9, guide=None) -> SpectrumSlice:
     """The m smallest eigenvalues of K v = lambda M v.
 
     Residuals ||Kv - lambda Mv|| / ||Mv|| must come out below tol*max(1, lambda);
     eigenvalues within tol of zero are reported as exactly 0 (Neumann mode).
+    guide, the previous refinement level's eigenvalues, splits a sparse solve
+    into windows when it holds at least m values (see _window_edges).
     """
     n = problem.dimension
     if m < 1:
@@ -127,60 +266,61 @@ def solve_lowest(problem: EigenProblem, m: int, tol: float = 1e-9) -> SpectrumSl
     if not 0.0 < tol <= 1e-6:
         raise SolveError(f"tol must lie in (0, 1e-6], got {tol}")
 
+    checks = []  # (shift, inertia count of eigenvalues below it)
+    one_window = False
     if n <= _DENSE_LIMIT:
-        k_dense = problem.stiffness.toarray()
-        m_dense = problem.mass.toarray()
-        vals, vecs = sla.eigh(k_dense, m_dense)
+        vals, vecs = sla.eigh(problem.stiffness.toarray(), problem.mass.toarray())
         vals, vecs = vals[:m], vecs[:, :m]
+        res = _residuals(problem, vals, vecs)
+        del vecs
     elif m >= n - 1:
         raise SolveError(
             f"nearly full spectrum ({m} of {n}) is outside the iterative solver's "
             "range; refine less or request fewer eigenvalues"
         )
     else:
-        # shift below the spectrum, scaled by the Weyl estimate of lambda_1
+        # shift below the spectrum, scaled by the Weyl estimate of lambda_1,
+        # then further below while K - sigma*M fails to factor
         area = problem.mass.sum()
         sigma = -0.5 * max(4.0 * math.pi / area, 1e-8)
-        rng = np.random.default_rng(7151)
-        v0 = rng.uniform(-1.0, 1.0, n)
-        ncv = min(max(2 * m + 1, 20), n)  # eigsh's default subspace size
-        for attempt in range(3):
-            try:
-                vals, vecs = _shift_invert(problem, m, sigma, v0, ncv, tol)
-                break
-            except spla.ArpackNoConvergence as exc:
-                if attempt == 2:
-                    got = np.sort(exc.eigenvalues)
-                    raise SolveError(
-                        f"eigensolver converged only {len(got)}/{m} eigenvalues",
-                        partial=SpectrumSlice(got, level=-1, residual_norms=np.array([])),
-                    ) from exc
-                ncv = min(2 * ncv, n)  # retry with a larger Krylov subspace
-            except RuntimeError:
-                if attempt == 2:
-                    raise SolveError("shifted factorization failed repeatedly") from None
-                sigma *= 4.0  # retry with a pivot further from the spectrum
+        shifts = (sigma, 4.0 * sigma, 16.0 * sigma)
+        edges = _window_edges(guide, m, tol)
+        if edges:
+            vals, res, checks = _solve_windows(problem, m, tol, shifts, edges)
+        else:
+            one_window = True
+            vals, res, sigma = _solve_window(problem, m, shifts, _SEED, tol)
 
-    order = np.argsort(vals)
-    vals = np.asarray(vals)[order]
-    vecs = np.asarray(vecs)[:, order]
-    res = _residuals(problem, vals, vecs)
-
-    scale = max(1.0, float(abs(vals[-1])))
+    scale = max(1.0, float(abs(vals[m - 1])))
     if np.any(vals < -tol * scale):
         raise SolveError(f"negative eigenvalue {vals.min():.3e} beyond tolerance")
     vals = np.where(np.abs(vals) < tol * scale, 0.0, vals)
 
-    sl = SpectrumSlice(eigenvalues=vals, level=-1, residual_norms=res)
+    sl = SpectrumSlice(eigenvalues=vals[:m], level=-1, residual_norms=res[:m])
     bad = res > tol * np.maximum(1.0, np.abs(vals))
     if np.any(bad):
         worst = float(res[bad].max())
         raise SolveError(
             f"{int(bad.sum())} residuals exceed tolerance (worst {worst:.3e})", partial=sl
         )
-    if n > _DENSE_LIMIT:
-        del vecs  # make room for the certificate's factor
-        _certify(problem, sl, sigma, tol)
+    if one_window:
+        # count below the topmost gap of [sigma, *vals] wider than 10*tol
+        # relative (1e-8 at the default tol); sigma lies below the spectrum,
+        # so m == 1 and a fully clustered top still have that gap
+        v = np.concatenate(([sigma], vals))
+        wide = np.diff(v) > 10.0 * tol * np.maximum(1.0, v[1:])
+        wide[0] = True
+        j = int(np.flatnonzero(wide)[-1])
+        s = 0.5 * (v[j] + v[j + 1])
+        try:
+            checks.append((s, _count_below(problem, s)))
+        except SolveError as exc:
+            raise SolveError(str(exc), partial=sl) from None
+    for s, count in checks:
+        found = int(np.count_nonzero(vals < s))
+        if found != count:
+            msg = f"inertia counts {count} eigenvalues below {s:.6g} but the solve found {found}"
+            raise SolveError(msg, partial=sl)
     return sl
 
 

@@ -57,6 +57,35 @@ def test_third_finest_level_caps_the_eigenvalue_count(tmp_path):
     assert len((out / "table.txt").read_text().splitlines()) == 1 + free
 
 
+def test_third_finest_level_without_free_nodes_is_named(tmp_path, capsys):
+    # at its target_h, region_between_triangles has 0 free nodes at level 0
+    # (the third-finest with 2 refinements) but 27 and 162 at levels 1 and 2
+    argv = ["solve", "--config", _cfg("region_between_triangles.yaml"),
+            "--out", str(tmp_path / "o"), "--refinements", "2", "--quiet"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "refinement level 0, the third-finest, has 0 free nodes" in err
+    assert "lower --target-h or raise --refinements" in err
+
+
+def test_each_level_is_guided_by_the_previous_levels_eigenvalues(tmp_path, monkeypatch):
+    real = eigensolve.solve_lowest
+    guides = []
+
+    def recording(problem, m, tol, guide=None):
+        guides.append(guide)
+        return real(problem, m, tol, guide=guide)
+
+    monkeypatch.setattr(eigensolve, "solve_lowest", recording)
+    cfg = RunConfig(config_path=_cfg("right_isosceles_dirichlet.yaml"), out_dir=str(tmp_path),
+                    refinements=3, num_eigs=6, target_h=0.35, quiet=True)
+    slices = run_solve(cfg)["slices"]
+    assert len(guides) == len(slices) == 4
+    assert guides[0] is None
+    for guide, previous in zip(guides[1:], slices):
+        np.testing.assert_array_equal(guide, previous.eigenvalues)
+
+
 def test_solve_refinements_validated():
     with pytest.raises(Exception, match="refinements"):
         RunConfig(config_path="x", out_dir="y", refinements=1)

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +15,10 @@ from curvspec import eigensolve, exact, fem
 from curvspec import geometry as geo
 from curvspec import meshing
 from curvspec.geometry import SpaceForm
+
+from conftest import CONFIG_DIR
+
+SRC_DIR = os.path.normpath(os.path.join(CONFIG_DIR, "..", "src"))
 
 
 def _problem_from(k_mat, m_mat):
@@ -326,11 +333,17 @@ def _diagonal_problem(diag):
     return _problem_from(np.diag(diag), np.eye(len(diag)))
 
 
-def _exact_diagonal_eigsh(diag, skip=None):
-    # returns the k smallest exact eigenpairs of diag(d) v = lambda v
-    def eigsh(*args, k, **kwargs):
-        idx = [i for i in range(k + (skip is not None)) if i != skip]
-        return np.asarray(diag, dtype=float)[idx], np.eye(len(diag))[:, idx]
+def _exact_diagonal_eigsh(diag, skip=None, calls=None):
+    # the k exact eigenpairs of diag(d) v = lambda v nearest sigma, ascending
+    # (the k smallest for a shift below the spectrum); skip drops one of k + 1
+    diag = np.asarray(diag, dtype=float)
+
+    def eigsh(*args, k, sigma, **kwargs):
+        near = np.sort(np.argsort(np.abs(diag - sigma), kind="stable")[: k + (skip is not None)])
+        idx = near if skip is None else np.delete(near, skip)
+        if calls is not None:
+            calls.append(diag[idx])
+        return diag[idx], np.eye(len(diag))[:, idx]
 
     return eigsh
 
@@ -349,6 +362,132 @@ def test_certificate_catches_member_skipped_from_cluster(monkeypatch):
     monkeypatch.setattr(eigensolve.spla, "eigsh", _exact_diagonal_eigsh(diag, skip=1))
     with pytest.raises(eigensolve.SolveError, match="inertia counts 3 .* found 2"):
         eigensolve.solve_lowest(_diagonal_problem(diag), 3)
+
+
+# ---------------------------------------------------------------------------
+# windowed solves: edges from a guide spectrum, certified by inertia counts
+
+
+@pytest.fixture
+def in_process(monkeypatch):
+    # run every window in this process, where eigsh and _factor can be patched
+    monkeypatch.setattr(eigensolve, "_window_pool", lambda windows: None)
+
+
+@pytest.mark.parametrize("m", [74, 150])
+def test_windows_match_dense(disc_above_dense, in_process, m):
+    problem, dense = disc_above_dense
+    guide = dense[:m] * 1.001  # the coarser level lies a little higher
+    assert len(eigensolve._window_edges(guide, m, 1e-9)) == m // eigensolve._WINDOW_EIGS >= 2
+    sl = eigensolve.solve_lowest(problem, m, guide=guide)
+    np.testing.assert_allclose(sl.eigenvalues, dense[:m], rtol=1e-10)
+    assert len(sl.residual_norms) == m
+
+
+def test_pooled_windows_bit_identical_to_in_process(disc_above_dense, monkeypatch):
+    problem, dense = disc_above_dense
+    guide = dense[:80] * 1.001
+    before = {v: os.environ.get(v) for v in eigensolve._BLAS_THREAD_VARS}
+    try:
+        pooled = eigensolve.solve_lowest(problem, 80, guide=guide)
+        assert eigensolve._POOL is not None
+        # workers run with one BLAS thread and start no pool of their own
+        threads = eigensolve._map(os.getenv, [("OPENBLAS_NUM_THREADS",), ("OMP_NUM_THREADS",)])
+        assert threads == ["1", "1"]
+        assert eigensolve._map(eigensolve._window_pool, [(2,)]) == [None]
+        assert {v: os.environ.get(v) for v in before} == before
+    finally:
+        eigensolve._close_pool()
+    assert eigensolve._POOL is None
+    monkeypatch.setattr(eigensolve, "_window_pool", lambda windows: None)
+    local = eigensolve.solve_lowest(problem, 80, guide=guide)
+    assert pooled.eigenvalues.tobytes() == local.eigenvalues.tobytes()
+    assert pooled.residual_norms.tobytes() == local.residual_norms.tobytes()
+
+
+def _ladder(n, double_at=None):
+    # an uneven ladder, so no window shift lands on an eigenvalue; double_at
+    # makes values double_at and double_at + 1 (0-based) one double eigenvalue
+    diag = np.arange(1.0, n + 1.0) ** 1.05
+    if double_at is not None:
+        diag[double_at + 1] = diag[double_at]
+    return diag
+
+
+def test_double_eigenvalue_at_quantile_stays_in_one_window(in_process, monkeypatch):
+    m = 150
+    w = m // eigensolve._WINDOW_EIGS
+    q = m // w - 1  # the first window's last index
+    diag = _ladder(eigensolve._DENSE_LIMIT + 200, q)
+    calls = []
+    monkeypatch.setattr(eigensolve.spla, "eigsh", _exact_diagonal_eigsh(diag, calls=calls))
+    sl = eigensolve.solve_lowest(_diagonal_problem(diag), m, guide=diag[:m])
+    assert sl.eigenvalues.tolist() == diag[:m].tolist()
+    assert len(calls) == w
+    double = diag[q]
+    assert [int(np.count_nonzero(c == double)) for c in calls].count(2) == 1
+
+
+def test_eigenvalue_dropped_from_second_window_fails_inertia(
+    disc_above_dense, in_process, monkeypatch
+):
+    problem, dense = disc_above_dense
+    real = spla.eigsh
+    calls = []
+
+    def dropping(*args, k, sigma, **kwargs):
+        calls.append(sigma)
+        if len(calls) != 2:
+            return real(*args, k=k, sigma=sigma, **kwargs)
+        vals, vecs = real(*args, k=k + 1, sigma=sigma, **kwargs)
+        keep = np.delete(np.argsort(np.abs(vals - sigma)), 0)  # lose the one nearest sigma
+        return vals[keep], vecs[:, keep]
+
+    monkeypatch.setattr(eigensolve.spla, "eigsh", dropping)
+    with pytest.raises(eigensolve.SolveError, match="inertia counts") as info:
+        eigensolve.solve_lowest(problem, 80, guide=dense[:80])
+    assert calls[0] < 0.0 < calls[1]
+    assert len(info.value.partial) == 80
+
+
+def test_low_top_edge_is_raised_until_it_counts_m(in_process, monkeypatch):
+    m = 80
+    diag = _ladder(eigensolve._DENSE_LIMIT + 100)
+    monkeypatch.setattr(eigensolve.spla, "eigsh", _exact_diagonal_eigsh(diag))
+    real = eigensolve._count_below
+    counted = []
+
+    def recording(problem, shift):
+        count = real(problem, shift)
+        counted.append((shift, count))
+        return count
+
+    monkeypatch.setattr(eigensolve, "_count_below", recording)
+    guide = 0.8 * diag[:m]  # a guide below the level: its top edge counts fewer than m
+    top = eigensolve._window_edges(guide, m, 1e-9)[-1]
+    sl = eigensolve.solve_lowest(_diagonal_problem(diag), m, guide=guide)
+    assert sl.eigenvalues.tolist() == diag[:m].tolist()
+    tops = [c for s, c in counted if s >= top]
+    assert tops[0] < m <= tops[-1] and len(tops) >= 2
+
+
+def test_dense_and_oracle_runs_start_no_window_pool(tmp_path):
+    script = f"""
+import multiprocessing
+from curvspec import cli, eigensolve
+disc, tri = {os.path.join(CONFIG_DIR, "unit_disc_dirichlet.yaml")!r}, {os.path.join(CONFIG_DIR, "right_isosceles_dirichlet.yaml")!r}
+assert cli.main(["analyze", "--use-oracle", "--num-eigs", "200", "--samples", "128", "--quiet",
+                 "--config", disc, "--out", {str(tmp_path / "a")!r}]) == 0
+assert cli.main(["solve", "--refinements", "2", "--num-eigs", "600", "--quiet",
+                 "--config", tri, "--out", {str(tmp_path / "s")!r}]) == 0
+print(eigensolve._POOL is None, multiprocessing.active_children() == [])
+"""
+    env = dict(os.environ, PYTHONPATH=SRC_DIR + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["True", "True"]
 
 
 # ---------------------------------------------------------------------------
