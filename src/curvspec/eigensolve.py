@@ -10,20 +10,20 @@ Given the previous level's eigenvalues as a guide, a solve of m values is
 split into m // _WINDOW_EIGS windows (spectrum slicing). The edges sit in gaps
 of the guide; the inertia count at each edge fixes how many eigenvalues each
 window must return and certifies that none is missing. The windows run on a
-spawned worker pool, one BLAS thread per worker, each from a fixed start
-vector, and merge in window order, so the result does not depend on the core
-count. Without a guide, one window shifts below the spectrum and one count
-above its top certifies it.
+spawned worker pool, one BLAS thread per worker (one worker inside a --jobs
+worker), each from a fixed start vector, so the result depends on neither the
+core count nor --jobs. Without a guide, one window shifts below the spectrum
+and one count above its top certifies it.
 
 Extrapolation fits the last three refinement values to x_n = x + c*r^n.
 """
 
 from __future__ import annotations
 
-import atexit
 import concurrent.futures
 import math
 import multiprocessing
+import multiprocessing.util
 import os
 import re
 from dataclasses import dataclass
@@ -109,37 +109,39 @@ def _count_below(problem: EigenProblem, shift: float) -> int:
     return int(np.count_nonzero(lu.U.diagonal() < 0))
 
 
-def _solve_window(problem: EigenProblem, k: int, shifts, seed: int, tol: float):
-    """The k eigenvalues nearest the first of shifts whose factor succeeds,
-    ascending, with their residual norms and that shift. Runs in a pool
-    worker or in-process: v0 comes from seed.
+def _shift_invert(problem: EigenProblem, k: int, shift: float, v0, ncv: int, tol: float):
+    """eigsh for the k eigenvalues nearest shift; the factor dies with this frame.
 
     Negative shifts lie below the spectrum and use _factor. A shift inside the
     spectrum makes K - shift*M indefinite, where _factor's unpivoted L D L^T
     grows its pivots (solve backward error ~1e-15 against ~1e-18) and the
     residuals stall near the gate, so it gets a partially pivoted LU.
     """
-    for shift in shifts:
-        try:
-            if shift < 0.0:
-                lu = _factor(problem, shift)
-            else:
-                lu = spla.splu((problem.stiffness - shift * problem.mass).tocsc())
-            break
-        except RuntimeError:
-            continue  # a shift further from the spectrum may factor
+    if shift < 0.0:
+        lu = _factor(problem, shift)
     else:
-        raise SolveError("shifted factorization failed repeatedly")
+        lu = spla.splu((problem.stiffness - shift * problem.mass).tocsc())
+    op = spla.LinearOperator(lu.shape, matvec=lu.solve, dtype=float)
+    return spla.eigsh(
+        problem.stiffness, k=k, M=problem.mass, sigma=shift, v0=v0, ncv=ncv, tol=tol, OPinv=op
+    )
+
+
+def _solve_window(problem: EigenProblem, k: int, shifts, seed: int, tol: float):
+    """The k eigenvalues nearest a shift, ascending, with their residual norms
+    and that shift. Runs in a pool worker or in-process: v0 comes from seed.
+
+    A failed factorization or ARPACK error moves on to the next of shifts; a
+    window inside the spectrum has only one.
+    """
     n = problem.dimension
     v0 = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
-    op = spla.LinearOperator(lu.shape, matvec=lu.solve, dtype=float)
     ncv = min(max(2 * k + 1, 20), n)  # eigsh's default subspace size
+    shifts = iter(shifts)
+    shift = next(shifts)
     for attempt in range(3):
         try:
-            vals, vecs = spla.eigsh(
-                problem.stiffness, k=k, M=problem.mass, sigma=shift, v0=v0, ncv=ncv,
-                tol=tol, OPinv=op,
-            )
+            vals, vecs = _shift_invert(problem, k, shift, v0, ncv, tol)
             break
         except spla.ArpackNoConvergence as exc:
             if attempt == 2:
@@ -149,7 +151,12 @@ def _solve_window(problem: EigenProblem, k: int, shifts, seed: int, tol: float):
                     partial=SpectrumSlice(got, level=-1, residual_norms=np.array([])),
                 ) from exc
             ncv = min(2 * ncv, n)  # retry with a larger Krylov subspace
-    del op, lu  # free the factor before the residual products
+        except RuntimeError as exc:  # a singular factor or another ArpackError
+            failed, shift = shift, next(shifts, None)
+            if attempt == 2 or shift is None:
+                raise SolveError(
+                    f"shift-invert solve for {k} eigenvalues at shift {failed:.6g} failed: {exc}"
+                ) from None
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
     return vals, _residuals(problem, vals, vecs), shift
@@ -203,7 +210,10 @@ def _solve_windows(problem: EigenProblem, m: int, tol: float, low_shifts, edges)
     results = _map(_solve_window, tasks)
     vals = np.concatenate([r[0] for r in results])
     res = np.concatenate([r[1] for r in results])
-    return vals, res, list(zip(edges, counts))
+    # ascending when each window returned its own values; the inertia check
+    # catches the other case, and sorting keeps its partial slice the lowest m
+    order = np.argsort(vals, kind="stable")
+    return vals[order], res[order], list(zip(edges, counts))
 
 
 def _map(fn, tasks) -> list:
@@ -229,17 +239,25 @@ def _map(fn, tasks) -> list:
 
 
 def _window_pool(windows: int):
-    """The spawned window pool, started at first use and shut down at exit;
-    None in a process that is itself a worker (of this pool or of --jobs)."""
+    """The spawned window pool, started at first use and shut down at exit.
+
+    A process that is itself a worker (of --jobs) shares the cores with its
+    siblings and gets a pool of one. Window arithmetic thus always runs in a
+    spawned one-BLAS-thread process, and dense and single-window solves in the
+    caller's, so outputs do not depend on --jobs either.
+    """
     global _POOL
-    if multiprocessing.parent_process() is not None:
-        return None
     if _POOL is None:
-        workers = min(windows, len(os.sched_getaffinity(0)))
+        cores = len(os.sched_getaffinity(0))
+        if multiprocessing.parent_process() is not None:
+            cores = 1
         _POOL = concurrent.futures.ProcessPoolExecutor(
-            workers, mp_context=multiprocessing.get_context("spawn")
+            min(windows, cores), mp_context=multiprocessing.get_context("spawn")
         )
-        atexit.register(_close_pool)
+        # a multiprocessing child skips atexit and joins its children before
+        # concurrent.futures stops their pools; finalizers run before that
+        # join, highest priority first, and the pool's queues close at 10
+        multiprocessing.util.Finalize(None, _close_pool, exitpriority=100)
     return _POOL
 
 
@@ -248,6 +266,14 @@ def _close_pool() -> None:
     if _POOL is not None:
         _POOL.shutdown()
         _POOL = None
+
+
+def _forget_pool() -> None:
+    global _POOL
+    _POOL = None  # a forked child cannot use its parent's pool
+
+
+os.register_at_fork(after_in_child=_forget_pool)
 
 
 def solve_lowest(problem: EigenProblem, m: int, tol: float = 1e-9, guide=None) -> SpectrumSlice:

@@ -86,6 +86,39 @@ def test_each_level_is_guided_by_the_previous_levels_eigenvalues(tmp_path, monke
         np.testing.assert_array_equal(guide, previous.eigenvalues)
 
 
+def test_arpack_error_exits_3_naming_the_level(tmp_path, monkeypatch, capsys):
+    def no_shifts(*args, **kwargs):
+        raise eigensolve.spla.ArpackError(3, {3: "No shifts could be applied"})
+
+    monkeypatch.setattr(eigensolve.spla, "eigsh", no_shifts)
+    # level 3 has 1377 free nodes, the first above the dense limit
+    argv = ["solve", "--config", _cfg("right_isosceles_dirichlet.yaml"), "--out",
+            str(tmp_path / "o"), "--refinements", "3", "--num-eigs", "6", "--quiet"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "refinement level 3" in err and "ARPACK error 3" in err
+
+
+def test_solve_jobs_gives_identical_outputs(tmp_path):
+    # the spherical triangle's level 3 (1961 free nodes, 80 eigenvalues) is
+    # solved as windows: on the window pool here, and on a one-process pool
+    # inside each --jobs worker, while dense levels stay in the calling process
+    args = ["solve", "--refinements", "3", "--num-eigs", "80", "--quiet",
+            "--config", _cfg("right_isosceles_dirichlet.yaml"),
+            "--config", _cfg("spherical_right_triangle.yaml")]
+    try:
+        assert main(args + ["--jobs", "1", "--out", str(tmp_path / "1")]) == 0
+        assert eigensolve._POOL is not None
+    finally:
+        eigensolve._close_pool()
+    assert main(args + ["--jobs", "2", "--out", str(tmp_path / "2")]) == 0
+    assert eigensolve._POOL is None
+    for name in ("right_isosceles_dirichlet", "spherical_right_triangle"):
+        for f in ("spectrum.csv", "table.txt"):
+            a = (tmp_path / "1" / name / f).read_bytes()
+            assert a == (tmp_path / "2" / name / f).read_bytes(), (name, f)
+
+
 def test_solve_refinements_validated():
     with pytest.raises(Exception, match="refinements"):
         RunConfig(config_path="x", out_dir="y", refinements=1)

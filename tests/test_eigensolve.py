@@ -1,7 +1,11 @@
+import concurrent.futures
 import math
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -276,6 +280,41 @@ def test_no_convergence_on_every_attempt_attaches_partial(disc_above_dense, monk
     assert info.value.partial.eigenvalues.tolist() == [5.0, 9.0]
 
 
+def _arpack_error():
+    return spla.ArpackError(3, {3: "No shifts could be applied during a cycle"})
+
+
+def test_arpack_error_retries_further_shift(disc_above_dense, monkeypatch):
+    problem, dense = disc_above_dense
+    real = spla.eigsh
+    shifts = []
+
+    def no_shifts_once(*args, sigma, **kwargs):
+        shifts.append(sigma)
+        if len(shifts) == 1:
+            raise _arpack_error()
+        return real(*args, sigma=sigma, **kwargs)
+
+    monkeypatch.setattr(eigensolve.spla, "eigsh", no_shifts_once)
+    sl = eigensolve.solve_lowest(problem, 6)
+    assert shifts[1] == 4.0 * shifts[0] < 0.0
+    np.testing.assert_allclose(sl.eigenvalues, dense[:6], rtol=1e-10)
+
+
+def test_arpack_error_on_every_shift_is_a_solve_error(disc_above_dense, monkeypatch):
+    problem, _ = disc_above_dense
+    shifts = []
+
+    def no_shifts(*args, sigma, **kwargs):
+        shifts.append(sigma)
+        raise _arpack_error()
+
+    monkeypatch.setattr(eigensolve.spla, "eigsh", no_shifts)
+    with pytest.raises(eigensolve.SolveError, match="ARPACK error 3"):
+        eigensolve.solve_lowest(problem, 6)
+    assert shifts == [shifts[0], 4.0 * shifts[0], 16.0 * shifts[0]]
+
+
 def test_failed_factorization_retries_further_shift(disc_above_dense, monkeypatch):
     problem, dense = disc_above_dense
     real = eigensolve._factor
@@ -391,10 +430,9 @@ def test_pooled_windows_bit_identical_to_in_process(disc_above_dense, monkeypatc
     try:
         pooled = eigensolve.solve_lowest(problem, 80, guide=guide)
         assert eigensolve._POOL is not None
-        # workers run with one BLAS thread and start no pool of their own
+        # workers run with one BLAS thread
         threads = eigensolve._map(os.getenv, [("OPENBLAS_NUM_THREADS",), ("OMP_NUM_THREADS",)])
         assert threads == ["1", "1"]
-        assert eigensolve._map(eigensolve._window_pool, [(2,)]) == [None]
         assert {v: os.environ.get(v) for v in before} == before
     finally:
         eigensolve._close_pool()
@@ -403,6 +441,44 @@ def test_pooled_windows_bit_identical_to_in_process(disc_above_dense, monkeypatc
     local = eigensolve.solve_lowest(problem, 80, guide=guide)
     assert pooled.eigenvalues.tobytes() == local.eigenvalues.tobytes()
     assert pooled.residual_norms.tobytes() == local.residual_norms.tobytes()
+
+
+def _window_pool_in_a_worker():
+    # runs in a forked worker, as a --jobs worker does, and leaves the pool open
+    threads = eigensolve._map(os.getenv, [("OPENBLAS_NUM_THREADS",)] * 2)
+    return threads, eigensolve._POOL._max_workers, os.getpid()
+
+
+def test_jobs_worker_runs_windows_on_a_pool_of_one():
+    # windows then run with one BLAS thread there too, as on the top-level
+    # pool; the worker's open pool must not block the worker's exit
+    jobs = concurrent.futures.ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork"))
+    threads, workers, pid = jobs.submit(_window_pool_in_a_worker).result(timeout=60)
+    closer = threading.Thread(target=jobs.shutdown)  # joins the worker
+    closer.start()
+    closer.join(timeout=30)
+    stuck = closer.is_alive()
+    if stuck:
+        os.kill(pid, signal.SIGKILL)
+        closer.join()
+    assert not stuck
+    assert threads == ["1", "1"]
+    assert workers == 1
+    assert eigensolve._POOL is None
+
+
+def _pool_is_unset():
+    return eigensolve._POOL is None
+
+
+def test_forked_child_does_not_inherit_the_window_pool():
+    try:
+        assert eigensolve._window_pool(2) is not None  # its workers start at the first submit
+        fork = multiprocessing.get_context("fork")
+        with concurrent.futures.ProcessPoolExecutor(1, mp_context=fork) as jobs:
+            assert jobs.submit(_pool_is_unset).result(timeout=60)
+    finally:
+        eigensolve._close_pool()
 
 
 def _ladder(n, double_at=None):
@@ -448,6 +524,47 @@ def test_eigenvalue_dropped_from_second_window_fails_inertia(
         eigensolve.solve_lowest(problem, 80, guide=dense[:80])
     assert calls[0] < 0.0 < calls[1]
     assert len(info.value.partial) == 80
+
+
+def test_foreign_value_in_a_window_leaves_an_ascending_partial(in_process, monkeypatch):
+    m = 80
+    diag = _ladder(eigensolve._DENSE_LIMIT + 100)
+    exact = _exact_diagonal_eigsh(diag)
+    calls = []
+
+    def foreign(*args, **kwargs):
+        vals, vecs = exact(*args, **kwargs)
+        calls.append(kwargs["sigma"])
+        if len(calls) == 2:  # the second window swaps its lowest value for the spectrum's
+            vals[0], vecs[:, 0] = diag[0], np.eye(len(diag))[:, 0]
+        return vals, vecs
+
+    monkeypatch.setattr(eigensolve.spla, "eigsh", foreign)
+    with pytest.raises(eigensolve.SolveError, match="inertia counts") as info:
+        eigensolve.solve_lowest(_diagonal_problem(diag), m, guide=diag[:m])
+    partial = info.value.partial.eigenvalues
+    assert len(partial) == m
+    assert np.all(np.diff(partial) >= 0.0)
+
+
+def test_arpack_error_in_interior_window_is_a_solve_error(
+    disc_above_dense, in_process, monkeypatch
+):
+    problem, dense = disc_above_dense
+    real = spla.eigsh
+    calls = []
+
+    def failing_second(*args, k, sigma, **kwargs):
+        calls.append(sigma)
+        if len(calls) == 2:
+            raise _arpack_error()
+        return real(*args, k=k, sigma=sigma, **kwargs)
+
+    monkeypatch.setattr(eigensolve.spla, "eigsh", failing_second)
+    with pytest.raises(eigensolve.SolveError, match="ARPACK error 3") as info:
+        eigensolve.solve_lowest(problem, 80, guide=dense[:80])
+    assert f"at shift {calls[1]:.6g}" in str(info.value)
+    assert len(calls) == 2  # an interior window has no further shift to try
 
 
 def test_low_top_edge_is_raised_until_it_counts_m(in_process, monkeypatch):
