@@ -50,8 +50,8 @@ class RunConfig:
 
 
 def _log(cfg: RunConfig, msg: str) -> None:
-    if not cfg.quiet:
-        print(msg, file=sys.stderr, flush=True)
+    if not cfg.quiet:  # one write, so lines of concurrent --jobs threads stay whole
+        sys.stderr.write(msg + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +258,7 @@ def _add_common(p: argparse.ArgumentParser, solver: bool, graphs: bool) -> None:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--quiet", action="store_true")
     p.add_argument("--jobs", type=int, default=1,
-                   help="run multiple configs concurrently")
+                   help="run up to N configs at once, on threads")
     if solver:
         p.add_argument("--refinements", type=int)
         p.add_argument("--num-eigs", type=int)
@@ -293,7 +293,7 @@ def _per_config_out(args) -> list[tuple[str, str]]:
 def _run_many(args, runner) -> None:
     cfgs = [_make_run_config(args, c, o) for c, o in _per_config_out(args)]
     if args.jobs > 1 and len(cfgs) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
             list(pool.map(runner, cfgs))
     else:
         for cfg in cfgs:

@@ -9,11 +9,11 @@ eigenvalue raises SolveError instead of shifting every later index.
 Given the previous level's eigenvalues as a guide, a solve of m values is
 split into m // _WINDOW_EIGS windows (spectrum slicing). The edges sit in gaps
 of the guide; the inertia count at each edge fixes how many eigenvalues each
-window must return and certifies that none is missing. The windows run on a
-spawned worker pool, one BLAS thread per worker (one worker inside a --jobs
-worker), each from a fixed start vector, so the result depends on neither the
-core count nor --jobs. Without a guide, one window shifts below the spectrum
-and one count above its top certifies it.
+window must return and certifies that none is missing. The windows run on one
+spawned worker pool that every thread of the process shares, one BLAS thread
+per worker, each from a fixed start vector, so the result depends on neither
+the core count nor --jobs. Without a guide, one window shifts below the
+spectrum and one count above its top certifies it.
 
 Extrapolation fits the last three refinement values to x_n = x + c*r^n.
 """
@@ -26,6 +26,7 @@ import multiprocessing
 import multiprocessing.util
 import os
 import re
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,7 @@ _WINDOW_EIGS = 37  # fewest eigenvalues per window: a solve has m // _WINDOW_EIG
 _SEED = 7151  # window i starts ARPACK from the uniform v0 of seed _SEED + i
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 _POOL = None  # see _window_pool
+_LOCK = threading.Lock()  # see _map
 _TRUST_RATIO = 0.5
 _TRUST_JUMP = 0.02
 
@@ -217,40 +219,34 @@ def _solve_windows(problem: EigenProblem, m: int, tol: float, low_shifts, edges)
 
 
 def _map(fn, tasks) -> list:
-    """fn(*task) for each task, in order, on the window pool if there is one."""
-    pool = _window_pool(len(tasks))
-    if pool is None:
-        return [fn(*t) for t in tasks]
-    saved = {v: os.environ.get(v) for v in _BLAS_THREAD_VARS}
-    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
-    try:  # workers spawn inside submit and read their BLAS threads from this
-        futures = [pool.submit(fn, *t) for t in tasks]
-    finally:
-        for var, value in saved.items():
-            if value is None:
-                os.environ.pop(var, None)
-            else:
-                os.environ[var] = value
+    """fn(*task) for each task, in order, on the window pool. _LOCK covers the
+    pool's start, its workers' BLAS environment and the submits, not the wait:
+    the windows of solves on several threads queue on the same workers."""
     try:
+        with _LOCK:
+            pool = _window_pool(len(tasks))
+            saved = {v: os.environ.get(v) for v in _BLAS_THREAD_VARS}
+            os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+            try:  # workers spawn inside submit and read their BLAS threads from this
+                futures = [pool.submit(fn, *t) for t in tasks]
+            finally:
+                for var, value in saved.items():
+                    if value is None:
+                        os.environ.pop(var, None)
+                    else:
+                        os.environ[var] = value
         return [f.result() for f in futures]
     except concurrent.futures.BrokenExecutor:
-        _close_pool()
+        _close_pool(pool)
         raise SolveError("a window worker died") from None
 
 
 def _window_pool(windows: int):
-    """The spawned window pool, started at first use and shut down at exit.
-
-    A process that is itself a worker (of --jobs) shares the cores with its
-    siblings and gets a pool of one. Window arithmetic thus always runs in a
-    spawned one-BLAS-thread process, and dense and single-window solves in the
-    caller's, so outputs do not depend on --jobs either.
-    """
+    """The spawned window pool, started at first use and shut down at exit;
+    the caller holds _LOCK."""
     global _POOL
     if _POOL is None:
         cores = len(os.sched_getaffinity(0))
-        if multiprocessing.parent_process() is not None:
-            cores = 1
         _POOL = concurrent.futures.ProcessPoolExecutor(
             min(windows, cores), mp_context=multiprocessing.get_context("spawn")
         )
@@ -261,16 +257,18 @@ def _window_pool(windows: int):
     return _POOL
 
 
-def _close_pool() -> None:
+def _close_pool(pool=None) -> None:
+    """Shut the window pool down; given pool, only if that is still the one."""
     global _POOL
-    if _POOL is not None:
-        _POOL.shutdown()
-        _POOL = None
+    with _LOCK:
+        if _POOL is not None and pool in (None, _POOL):
+            _POOL.shutdown()
+            _POOL = None
 
 
 def _forget_pool() -> None:
-    global _POOL
-    _POOL = None  # a forked child cannot use its parent's pool
+    global _POOL, _LOCK
+    _POOL, _LOCK = None, threading.Lock()  # the parent's are no use in a forked child
 
 
 os.register_at_fork(after_in_child=_forget_pool)

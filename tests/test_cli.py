@@ -99,20 +99,26 @@ def test_arpack_error_exits_3_naming_the_level(tmp_path, monkeypatch, capsys):
     assert "refinement level 3" in err and "ARPACK error 3" in err
 
 
-def test_solve_jobs_gives_identical_outputs(tmp_path):
+def test_solve_jobs_gives_identical_outputs(tmp_path, monkeypatch):
     # the spherical triangle's level 3 (1961 free nodes, 80 eigenvalues) is
-    # solved as windows: on the window pool here, and on a one-process pool
-    # inside each --jobs worker, while dense levels stay in the calling process
+    # solved as windows on the window pool, which the --jobs threads share,
+    # while dense levels stay in the calling thread; nothing forks (the pool
+    # spawns its workers without os.fork)
     args = ["solve", "--refinements", "3", "--num-eigs", "80", "--quiet",
             "--config", _cfg("right_isosceles_dirichlet.yaml"),
             "--config", _cfg("spherical_right_triangle.yaml")]
+
+    def no_fork():
+        raise AssertionError("os.fork called")
+
+    monkeypatch.setattr(os, "fork", no_fork)
     try:
         assert main(args + ["--jobs", "1", "--out", str(tmp_path / "1")]) == 0
-        assert eigensolve._POOL is not None
+        eigensolve._close_pool()
+        assert main(args + ["--jobs", "2", "--out", str(tmp_path / "2")]) == 0
+        assert 1 <= eigensolve._POOL._max_workers <= len(os.sched_getaffinity(0))
     finally:
         eigensolve._close_pool()
-    assert main(args + ["--jobs", "2", "--out", str(tmp_path / "2")]) == 0
-    assert eigensolve._POOL is None
     for name in ("right_isosceles_dirichlet", "spherical_right_triangle"):
         for f in ("spectrum.csv", "table.txt"):
             a = (tmp_path / "1" / name / f).read_bytes()
@@ -293,12 +299,12 @@ def test_malformed_spectrum_header_is_a_solve_error(tmp_path, capsys, header, co
 def test_analyze_jobs_gives_identical_outputs(tmp_path, monkeypatch):
     pools = []
 
-    class Pool(concurrent.futures.ProcessPoolExecutor):
+    class Pool(concurrent.futures.ThreadPoolExecutor):
         def __init__(self, max_workers):
             pools.append(max_workers)
             super().__init__(max_workers)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
     args = ["analyze", "--use-oracle", "--num-eigs", "200", "--samples", "256", "--quiet",
             "--config", _cfg("unit_disc_dirichlet.yaml"),
             "--config", _cfg("spherical_right_triangle.yaml")]

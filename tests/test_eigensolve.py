@@ -6,6 +6,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -407,10 +408,14 @@ def test_certificate_catches_member_skipped_from_cluster(monkeypatch):
 # windowed solves: edges from a guide spectrum, certified by inertia counts
 
 
+def _in_process_map(fn, tasks):
+    return [fn(*t) for t in tasks]
+
+
 @pytest.fixture
 def in_process(monkeypatch):
     # run every window in this process, where eigsh and _factor can be patched
-    monkeypatch.setattr(eigensolve, "_window_pool", lambda windows: None)
+    monkeypatch.setattr(eigensolve, "_map", _in_process_map)
 
 
 @pytest.mark.parametrize("m", [74, 150])
@@ -437,23 +442,64 @@ def test_pooled_windows_bit_identical_to_in_process(disc_above_dense, monkeypatc
     finally:
         eigensolve._close_pool()
     assert eigensolve._POOL is None
-    monkeypatch.setattr(eigensolve, "_window_pool", lambda windows: None)
+    monkeypatch.setattr(eigensolve, "_map", _in_process_map)
     local = eigensolve.solve_lowest(problem, 80, guide=guide)
     assert pooled.eigenvalues.tobytes() == local.eigenvalues.tobytes()
     assert pooled.residual_norms.tobytes() == local.residual_norms.tobytes()
 
 
+def test_threads_share_one_window_pool(disc_above_dense, monkeypatch):
+    # solves on more threads than cores, as under --jobs, start one pool of at
+    # most cores workers and each get the bytes of a solve on its own
+    problem, dense = disc_above_dense
+    sizes = (74, 80, 111)  # 2, 2 and 3 windows: a swapped result shows
+    pools = []
+
+    class Pool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            pools.append(max_workers)
+            time.sleep(0.2)  # time for another thread to start a pool of its own
+            super().__init__(max_workers, **kwargs)
+
+    def solve(m):
+        return eigensolve.solve_lowest(problem, m, guide=dense[:m] * 1.001)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    before = {v: os.environ.get(v) for v in eigensolve._BLAS_THREAD_VARS}
+    together = {}
+    threads = [threading.Thread(target=lambda m=m: together.update({m: solve(m)}), daemon=True)
+               for m in sizes]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+        alone = {m: solve(m) for m in sizes}
+    finally:
+        sys.setswitchinterval(interval)
+        eigensolve._close_pool()
+    assert len(pools) == 1 and pools[0] <= len(os.sched_getaffinity(0))
+    assert {v: os.environ.get(v) for v in before} == before
+    assert sorted(together) == list(sizes)
+    for m in sizes:
+        assert together[m].eigenvalues.tobytes() == alone[m].eigenvalues.tobytes()
+        assert together[m].residual_norms.tobytes() == alone[m].residual_norms.tobytes()
+
+
 def _window_pool_in_a_worker():
-    # runs in a forked worker, as a --jobs worker does, and leaves the pool open
+    # runs in a forked worker, as a library caller's may, and leaves the pool open
     threads = eigensolve._map(os.getenv, [("OPENBLAS_NUM_THREADS",)] * 2)
-    return threads, eigensolve._POOL._max_workers, os.getpid()
+    return threads, os.getpid()
 
 
-def test_jobs_worker_runs_windows_on_a_pool_of_one():
-    # windows then run with one BLAS thread there too, as on the top-level
-    # pool; the worker's open pool must not block the worker's exit
+def test_forked_worker_runs_windows_with_one_blas_thread():
+    # as on the pool of the calling process; the worker's open pool must not
+    # block the worker's exit
     jobs = concurrent.futures.ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork"))
-    threads, workers, pid = jobs.submit(_window_pool_in_a_worker).result(timeout=60)
+    threads, pid = jobs.submit(_window_pool_in_a_worker).result(timeout=60)
     closer = threading.Thread(target=jobs.shutdown)  # joins the worker
     closer.start()
     closer.join(timeout=30)
@@ -463,7 +509,6 @@ def test_jobs_worker_runs_windows_on_a_pool_of_one():
         closer.join()
     assert not stuck
     assert threads == ["1", "1"]
-    assert workers == 1
     assert eigensolve._POOL is None
 
 

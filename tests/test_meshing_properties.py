@@ -1,6 +1,8 @@
 """Property tests of triangulate + refine on random triangles of all three geometries."""
 
 import math
+import os
+import tempfile
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -54,10 +56,24 @@ def _num_edges(mesh):
     return len(np.unique(pairs, axis=0))
 
 
+def _check_round_trip(mesh):
+    # save_mesh then load_mesh gives bit-identical tables and equal arcs
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.mesh")
+        meshing.save_mesh(mesh, path)
+        loaded = meshing.load_mesh(path)
+    assert loaded.level == mesh.level
+    for table in ("vertices", "triangles", "boundary_edges"):
+        a, b = getattr(mesh, table), getattr(loaded, table)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), table
+    assert loaded.arcs == mesh.arcs
+
+
 def _check_refinement_chain(domain):
     mesh = meshing.triangulate(domain)
     meshing.validate_mesh(mesh)
     assert meshing.euler_characteristic(mesh) == 1
+    _check_round_trip(mesh)
     for _ in range(2):
         child = meshing.refine(mesh)
         meshing.validate_mesh(child)
@@ -71,6 +87,7 @@ def _check_refinement_chain(domain):
         if domain.space is geo.SpaceForm.EUCLIDEAN:
             area, child_area = mesh.signed_areas().sum(), child.signed_areas().sum()
             assert math.isclose(child_area, area, rel_tol=1e-12)
+        _check_round_trip(child)
         mesh = child
 
 
