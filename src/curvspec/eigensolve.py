@@ -2,9 +2,15 @@
 
 Small problems go through dense LAPACK. Above that, ARPACK shift-invert runs
 to the residual gate's tol, and Sylvester inertia certifies the result
-complete: the negative pivots of a symmetric-mode (MMD, diagonal pivot)
-SuperLU factor of K - s*M count the eigenvalues below s, and a skipped
-eigenvalue raises SolveError instead of shifting every later index.
+complete: the negative pivots of a symmetric-mode (diagonal pivot) SuperLU
+factor of K - s*M count the eigenvalues below s, and a skipped eigenvalue
+raises SolveError instead of shifting every later index.
+
+A sparse level is put once into a coordinate nested-dissection order of its
+nodes, and every factor of that level keeps that order (SuperLU's NATURAL
+column order): the inertia counts and the window below the spectrum factor
+symmetrically with diagonal pivots, windows inside the spectrum with partial
+pivoting.
 
 Given the previous level's eigenvalues as a guide, a solve of m values is
 split into m // _WINDOW_EIGS windows (spectrum slicing). The edges sit in gaps
@@ -27,7 +33,7 @@ import multiprocessing.util
 import os
 import re
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -38,6 +44,7 @@ from .fem import EigenProblem
 
 _DENSE_LIMIT = 1200
 _WINDOW_EIGS = 37  # fewest eigenvalues per window: a solve has m // _WINDOW_EIGS windows
+_LEAF = 16  # nested dissection leaves parts of at most this many nodes whole
 _SEED = 7151  # window i starts ARPACK from the uniform v0 of seed _SEED + i
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 _POOL = None  # see _window_pool
@@ -91,13 +98,79 @@ def _residuals(problem: EigenProblem, vals, vecs) -> np.ndarray:
     return np.linalg.norm(kv - mv * vals, axis=0) / np.linalg.norm(mv, axis=0)
 
 
+def _nested_dissection(points, graph) -> np.ndarray:
+    """Coordinate nested dissection (George 1973): q such that A[q][:, q]
+    factors with little fill in its natural order, for A with graph's pattern.
+
+    All parts of one depth split at once: at the median of the part's longer
+    coordinate extent, into a left side, a right side and a separator, the
+    right-side nodes that touch the left side; they are ordered in that order.
+    Parts of at most _LEAF nodes stay whole. Ties go to the lower node index.
+    """
+    n = len(points)
+    g = graph.tocoo()
+    up = g.row < g.col
+    u, v = g.row[up], g.col[up]  # each edge once, while both ends share an open part
+    by = np.argsort(points.T, kind="stable")
+    coord = np.take_along_axis(points.T, by, 1)  # each axis sorted
+    rank = np.empty_like(by)  # rank[i, node]: the node's place along axis i
+    np.put_along_axis(rank, by, np.arange(n), 1)
+    path = np.zeros(n, dtype=np.int64)  # base 3, a digit a depth: left 0, right 1, separator 2
+    act = np.arange(n)  # nodes of the open parts, grouped by part
+    part = np.zeros(n, dtype=np.int64)  # the part of each act entry, ascending
+    while act.size:
+        first = np.flatnonzero(np.diff(part, prepend=-1))
+        size = np.diff(first, append=act.size)
+        seg = np.repeat(np.arange(first.size), size)
+        x, y = rank[0, act], rank[1, act]
+        ext = [coord[i, np.maximum.reduceat(r, first)] - coord[i, np.minimum.reduceat(r, first)]
+               for i, r in enumerate((x, y))]
+        act = act[np.argsort(seg * n + np.where((ext[1] > ext[0])[seg], y, x))]
+        right = np.arange(act.size) - first[seg] >= (size // 2)[seg]
+        side = np.zeros(n, dtype=bool)
+        side[act[right]] = True
+        su, sv = side[u], side[v]
+        cut = np.zeros(n, dtype=bool)
+        cut[np.where(su, u, v)[su != sv]] = True  # right ends of the edges across
+        split = (size > _LEAF)[seg]
+        digit = np.where(cut[act], 2, right) * split
+        path *= 3
+        path[act] += digit
+        stay = split & (digit < 2)
+        act, part = act[stay], (2 * seg + right)[stay]
+        live = np.zeros(n, dtype=bool)
+        live[act] = True
+        keep = (su == sv) & live[u] & live[v]
+        u, v = u[keep], v[keep]
+    return np.argsort(path, kind="stable")
+
+
+def _ordered(problem: EigenProblem) -> EigenProblem:
+    """problem in the nested-dissection order of its points, which the result
+    drops: every factor keeps the order of a problem without points."""
+    if problem.points is None:
+        return problem
+    q = _nested_dissection(problem.points, problem.mass)  # M holds every mesh edge
+    free = problem.free_nodes[q]
+    node_index = problem.node_index.copy()
+    node_index[free] = np.arange(len(q))
+    return replace(
+        problem,
+        stiffness=problem.stiffness[q][:, q],
+        mass=problem.mass[q][:, q],
+        free_nodes=free,
+        node_index=node_index,
+        points=None,
+    )
+
+
 def _factor(problem: EigenProblem, sigma: float):
-    """Sparse LU of K - sigma*M in one symmetric ordering with diagonal pivots:
+    """Sparse LU of K - sigma*M in the problem's order with diagonal pivots:
     with perm_r == perm_c it is L D L^T, D = diag(U), so the negative entries of
     diag(U) count the eigenvalues below sigma (Sylvester inertia)."""
     a = (problem.stiffness - sigma * problem.mass).tocsc()
     opts = {"SymmetricMode": True}
-    return spla.splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options=opts)
+    return spla.splu(a, permc_spec="NATURAL", diag_pivot_thresh=0.0, options=opts)
 
 
 def _count_below(problem: EigenProblem, shift: float) -> int:
@@ -114,15 +187,17 @@ def _count_below(problem: EigenProblem, shift: float) -> int:
 def _shift_invert(problem: EigenProblem, k: int, shift: float, v0, ncv: int, tol: float):
     """eigsh for the k eigenvalues nearest shift; the factor dies with this frame.
 
-    Negative shifts lie below the spectrum and use _factor. A shift inside the
-    spectrum makes K - shift*M indefinite, where _factor's unpivoted L D L^T
-    grows its pivots (solve backward error ~1e-15 against ~1e-18) and the
-    residuals stall near the gate, so it gets a partially pivoted LU.
+    Both factors keep the problem's order (see _ordered). Negative shifts lie
+    below the spectrum and use _factor. A shift inside the spectrum makes
+    K - shift*M indefinite, where _factor's unpivoted L D L^T grows its pivots
+    (solve backward error ~1e-15 against ~1e-18) and the residuals stall near
+    the gate, so it gets partial pivoting.
     """
     if shift < 0.0:
         lu = _factor(problem, shift)
     else:
-        lu = spla.splu((problem.stiffness - shift * problem.mass).tocsc())
+        a = (problem.stiffness - shift * problem.mass).tocsc()
+        lu = spla.splu(a, permc_spec="NATURAL")
     op = spla.LinearOperator(lu.shape, matvec=lu.solve, dtype=float)
     return spla.eigsh(
         problem.stiffness, k=k, M=problem.mass, sigma=shift, v0=v0, ncv=ncv, tol=tol, OPinv=op
@@ -238,7 +313,11 @@ def _map(fn, tasks) -> list:
         return [f.result() for f in futures]
     except concurrent.futures.BrokenExecutor:
         _close_pool(pool)
-        raise SolveError("a window worker died") from None
+        raise SolveError(
+            "a window worker died; a script that calls solve_lowest or run_solve "
+            'needs an `if __name__ == "__main__":` guard, or each spawned worker '
+            "re-imports it and starts a solve of its own"
+        ) from None
 
 
 def _window_pool(windows: int):
@@ -303,6 +382,7 @@ def solve_lowest(problem: EigenProblem, m: int, tol: float = 1e-9, guide=None) -
             "range; refine less or request fewer eigenvalues"
         )
     else:
+        problem = _ordered(problem)
         # shift below the spectrum, scaled by the Weyl estimate of lambda_1,
         # then further below while K - sigma*M fails to factor
         area = problem.mass.sum()

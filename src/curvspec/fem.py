@@ -40,13 +40,19 @@ class ConformalWeight:
 
 @dataclass
 class EigenProblem:
-    """Symmetric pencil (K, M) on the free nodes of a mesh."""
+    """Symmetric pencil (K, M) on the free nodes of a mesh.
+
+    points, the model coordinates of the free nodes, let the sparse solver
+    order the pencil by nested dissection; a problem without them is factored
+    in its own order.
+    """
 
     stiffness: sp.csr_matrix
     mass: sp.csr_matrix
     free_nodes: np.ndarray  # matrix index -> mesh vertex
     node_index: np.ndarray  # mesh vertex -> matrix index, -1 if constrained
     num_constrained: int
+    points: np.ndarray | None = None  # (dimension, 2), row i of matrix index i
 
     @property
     def dimension(self) -> int:
@@ -141,6 +147,7 @@ def assemble(mesh: Mesh, weight: ConformalWeight, bc_map=None) -> EigenProblem:
         free_nodes=free,
         node_index=node_index,
         num_constrained=len(constrained),
+        points=v[free],
     )
 
 

@@ -7,6 +7,8 @@ import subprocess
 import sys
 import threading
 import time
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -341,10 +343,35 @@ def test_factor_inertia_matches_dense_count(disc_above_dense):
     assert rel_gap[p] < 1e-4
     mids = 0.5 * (dense[:-1] + dense[1:])
     shifts = [-1.0, 0.5 * dense[0], mids[p - 1], mids[p], mids[p + 1], 100.0, mids[149]]
-    for s in shifts:
-        lu = eigensolve._factor(problem, s)
-        assert np.array_equal(lu.perm_r, lu.perm_c)
-        assert np.count_nonzero(lu.U.diagonal() < 0) == np.count_nonzero(dense < s), s
+    # in the assembled order and in the nested-dissection order the solver uses
+    for pencil in (problem, eigensolve._ordered(problem)):
+        for s in shifts:
+            lu = eigensolve._factor(pencil, s)
+            assert np.array_equal(lu.perm_r, lu.perm_c)
+            assert np.count_nonzero(lu.U.diagonal() < 0) == np.count_nonzero(dense < s), s
+
+
+def test_nested_dissection_is_a_deterministic_permutation(disc_above_dense):
+    problem, _ = disc_above_dense
+    q = eigensolve._nested_dissection(problem.points, problem.mass)
+    assert sorted(q.tolist()) == list(range(problem.dimension))
+    assert np.array_equal(q, eigensolve._nested_dissection(problem.points, problem.mass))
+    ordered = eigensolve._ordered(problem)
+    assert ordered.points is None  # its factors keep its order
+    assert np.array_equal(ordered.stiffness.toarray(), problem.stiffness.toarray()[q][:, q])
+    assert np.array_equal(ordered.node_index[ordered.free_nodes], np.arange(len(q)))
+
+
+def test_nested_dissection_factor_fills_less_than_colamd():
+    # an interior-window factor: partial pivoting, in the nested-dissection
+    # order against SuperLU's default COLAMD column order
+    mesh = meshing.refine(meshing.triangulate(geo.euclidean_disc(1.0), 0.09))
+    problem = fem.assemble(mesh, fem.ConformalWeight(SpaceForm.EUCLIDEAN))
+    ordered = eigensolve._ordered(problem)
+    shift = 200.0  # about the 40th eigenvalue
+    nd = spla.splu((ordered.stiffness - shift * ordered.mass).tocsc(), permc_spec="NATURAL")
+    colamd = spla.splu((problem.stiffness - shift * problem.mass).tocsc())
+    assert nd.L.nnz + nd.U.nnz < colamd.L.nnz + colamd.U.nnz
 
 
 @pytest.mark.parametrize("m", [1, 2, 40])
@@ -426,6 +453,27 @@ def test_windows_match_dense(disc_above_dense, in_process, m):
     sl = eigensolve.solve_lowest(problem, m, guide=guide)
     np.testing.assert_allclose(sl.eigenvalues, dense[:m], rtol=1e-10)
     assert len(sl.residual_norms) == m
+
+
+def test_windows_with_and_without_points_match_dense(disc_above_dense, in_process):
+    # with points the solver factors in nested-dissection order, without in
+    # the assembled order
+    problem, dense = disc_above_dense
+    guide = dense[:80] * 1.001
+    for pencil in (problem, replace(problem, points=None)):
+        sl = eigensolve.solve_lowest(pencil, 80, guide=guide)
+        np.testing.assert_allclose(sl.eigenvalues, dense[:80], rtol=1e-10)
+
+
+def test_dead_window_worker_names_the_main_guard(monkeypatch):
+    class BrokenPool:
+        def submit(self, fn, *args):
+            raise BrokenProcessPool("worker exited")
+
+    monkeypatch.setattr(eigensolve, "_window_pool", lambda windows: BrokenPool())
+    with pytest.raises(eigensolve.SolveError, match="a window worker died") as info:
+        eigensolve._map(os.getenv, [("HOME",)])
+    assert 'if __name__ == "__main__":' in str(info.value)
 
 
 def test_pooled_windows_bit_identical_to_in_process(disc_above_dense, monkeypatch):

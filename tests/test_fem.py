@@ -100,6 +100,8 @@ def test_constrained_dimension_dirichlet_disc():
     problem = fem.assemble(mesh, _euclid())
     v_boundary = len(np.unique(mesh.boundary_edges[:, :2]))
     assert fem.constrained_dimension(problem) == mesh.num_vertices - v_boundary
+    # the solver orders the pencil by these model coordinates, row for row
+    assert np.array_equal(problem.points, mesh.vertices[problem.free_nodes])
 
 
 def test_mixed_corner_vertex_constrained():
