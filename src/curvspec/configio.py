@@ -18,6 +18,7 @@ Schema (see configs/ for complete examples per geometry):
     target_h: h                        (optional: initial mesh size)
 
 Angles accept numbers or simple pi expressions ("pi/4", "-2*pi/3", "0.55*pi").
+A key the shape does not read (say `radius` on a polygon) is an error.
 Validation errors name the offending key.
 """
 
@@ -37,15 +38,17 @@ class ConfigError(ValueError):
     """Malformed domain configuration."""
 
 
-_SHAPES = (
-    "polygon",
-    "polygon_with_holes",
-    "disc",
-    "hyperbolic_triangle",
-    "hyperbolic_disc",
-    "spherical_triangle",
-    "spherical_disc",
-)
+# shape -> (the space it lives in, the shape-specific keys it reads)
+_SHAPES = {
+    "polygon": (geo.SpaceForm.EUCLIDEAN, ("vertices",)),
+    "polygon_with_holes": (geo.SpaceForm.EUCLIDEAN, ("outer", "holes", "hole_bc")),
+    "disc": (geo.SpaceForm.EUCLIDEAN, ("radius",)),
+    "hyperbolic_triangle": (geo.SpaceForm.HYPERBOLIC, ("angles", "circles")),
+    "hyperbolic_disc": (geo.SpaceForm.HYPERBOLIC, ("radius",)),
+    "spherical_triangle": (geo.SpaceForm.SPHERICAL, ("angles", "params")),
+    "spherical_disc": (geo.SpaceForm.SPHERICAL, ("radius",)),
+}
+_COMMON_KEYS = ("space", "shape", "bc", "oracle", "target_h")
 
 _PI_EXPR = re.compile(
     r"^\s*(-)?\s*(?:(\d+(?:\.\d+)?)\s*\*\s*)?pi\s*(?:/\s*(\d+(?:\.\d+)?))?\s*$"
@@ -134,13 +137,6 @@ def load_domain_config(path) -> DomainConfig:
 
 
 def build_domain(raw: dict, name: str = "<config>") -> DomainConfig:
-    known = {
-        "space", "shape", "bc", "hole_bc", "vertices", "outer", "holes",
-        "radius", "angles", "circles", "params", "oracle", "target_h",
-    }
-    for key in raw:
-        if key not in known:
-            raise ConfigError(f"key {key!r}: unknown configuration key")
     if "space" not in raw:
         raise ConfigError("key 'space': required")
     if "shape" not in raw:
@@ -150,8 +146,18 @@ def build_domain(raw: dict, name: str = "<config>") -> DomainConfig:
     except geo.GeometryError as exc:
         raise ConfigError(f"key 'space': {exc}") from None
     shape = raw["shape"]
-    if shape not in _SHAPES:
+    if not isinstance(shape, str) or shape not in _SHAPES:
         raise ConfigError(f"key 'shape': {shape!r} is not one of {', '.join(_SHAPES)}")
+    wanted, keys = _SHAPES[shape]
+    if space is not wanted:
+        raise ConfigError(
+            f"key 'space': shape {shape!r} requires space '{wanted.value}', got '{space.value}'"
+        )
+    for key in raw:
+        if key not in _COMMON_KEYS + keys:
+            known = any(key in k for _, k in _SHAPES.values())
+            why = f"not used by shape {shape!r}" if known else "unknown configuration key"
+            raise ConfigError(f"key {key!r}: {why}")
     bc = _bc_value(raw.get("bc", "D"))
 
     oracle = raw.get("oracle")
@@ -164,7 +170,7 @@ def build_domain(raw: dict, name: str = "<config>") -> DomainConfig:
         target_h = _number(raw, "target_h", positive=True)
 
     try:
-        domain, constants = _construct(space, shape, bc, raw)
+        domain, constants = _construct(shape, bc, raw)
     except ConfigError:
         raise
     except geo.GeometryError as exc:
@@ -174,13 +180,11 @@ def build_domain(raw: dict, name: str = "<config>") -> DomainConfig:
     )
 
 
-def _construct(space, shape, bc, raw):
+def _construct(shape, bc, raw):
     if shape == "polygon":
-        _need_space(space, geo.SpaceForm.EUCLIDEAN, shape)
         domain = geo.euclidean_polygon(_vertex_list(raw.get("vertices"), "vertices"), bc)
         return domain, geo.geometric_constants(domain)
     if shape == "polygon_with_holes":
-        _need_space(space, geo.SpaceForm.EUCLIDEAN, shape)
         outer = _vertex_list(raw.get("outer"), "outer")
         holes_raw = raw.get("holes")
         if not isinstance(holes_raw, list) or not holes_raw:
@@ -196,31 +200,19 @@ def _construct(space, shape, bc, raw):
         domain = geo.euclidean_polygon(outer, bc, holes=holes, hole_bc=hole_bc)
         return domain, geo.geometric_constants(domain)
     if shape == "disc":
-        _need_space(space, geo.SpaceForm.EUCLIDEAN, shape)
         domain = geo.euclidean_disc(_number(raw, "radius", positive=True), _single_bc(bc))
         return domain, geo.geometric_constants(domain)
     if shape == "hyperbolic_disc":
-        _need_space(space, geo.SpaceForm.HYPERBOLIC, shape)
         return geo.build_hyperbolic_disc(_number(raw, "radius", positive=True), _single_bc(bc))
     if shape == "spherical_disc":
-        _need_space(space, geo.SpaceForm.SPHERICAL, shape)
         return geo.build_spherical_disc(_number(raw, "radius", positive=True), _single_bc(bc))
     if shape == "hyperbolic_triangle":
-        _need_space(space, geo.SpaceForm.HYPERBOLIC, shape)
-        spec = _triangle_spec(raw, geo.HyperbolicTriangleSpec, ("angles", "circles"))
+        spec = _triangle_spec(raw, geo.HyperbolicTriangleSpec, _SHAPES[shape][1])
         return geo.build_hyperbolic_triangle(spec, bc)
     if shape == "spherical_triangle":
-        _need_space(space, geo.SpaceForm.SPHERICAL, shape)
-        spec = _triangle_spec(raw, geo.SphericalTriangleSpec, ("angles", "params"))
+        spec = _triangle_spec(raw, geo.SphericalTriangleSpec, _SHAPES[shape][1])
         return geo.build_spherical_triangle(spec, bc)
     raise ConfigError(f"key 'shape': unhandled shape {shape!r}")
-
-
-def _need_space(space, wanted, shape):
-    if space is not wanted:
-        raise ConfigError(
-            f"key 'space': shape {shape!r} requires space '{wanted.value}', got '{space.value}'"
-        )
 
 
 def _single_bc(bc):

@@ -299,7 +299,7 @@ def _map(fn, tasks) -> list:
     the windows of solves on several threads queue on the same workers."""
     try:
         with _LOCK:
-            pool = _window_pool(len(tasks))
+            pool = _window_pool()
             saved = {v: os.environ.get(v) for v in _BLAS_THREAD_VARS}
             os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
             try:  # workers spawn inside submit and read their BLAS threads from this
@@ -320,14 +320,14 @@ def _map(fn, tasks) -> list:
         ) from None
 
 
-def _window_pool(windows: int):
-    """The spawned window pool, started at first use and shut down at exit;
-    the caller holds _LOCK."""
+def _window_pool():
+    """The spawned window pool, one worker per usable core, created at first
+    use and shut down at exit; the caller holds _LOCK. A submit starts a
+    worker only when none is idle, so a solve starts no more than it uses."""
     global _POOL
     if _POOL is None:
-        cores = len(os.sched_getaffinity(0))
         _POOL = concurrent.futures.ProcessPoolExecutor(
-            min(windows, cores), mp_context=multiprocessing.get_context("spawn")
+            len(os.sched_getaffinity(0)), mp_context=multiprocessing.get_context("spawn")
         )
         # a multiprocessing child skips atexit and joins its children before
         # concurrent.futures stops their pools; finalizers run before that
@@ -359,7 +359,13 @@ def solve_lowest(problem: EigenProblem, m: int, tol: float = 1e-9, guide=None) -
     Residuals ||Kv - lambda Mv|| / ||Mv|| must come out below tol*max(1, lambda);
     eigenvalues within tol of zero are reported as exactly 0 (Neumann mode).
     guide, the previous refinement level's eigenvalues, splits a sparse solve
-    into windows when it holds at least m values (see _window_edges).
+    into windows when it holds at least m values (see _window_edges). The
+    inertia counts at the window edges certify that a windowed solve misses
+    no eigenvalue below its top edge. A sparse solve in one window (no guide,
+    m < 2 * _WINDOW_EIGS = 74, or a guide with no gap wider than 10*tol near a
+    window quantile) certifies only its values below the topmost gap wider
+    than 10*tol among its results; the top cluster above that gap, which is
+    every value when m == 1, is not certified.
     """
     n = problem.dimension
     if m < 1:

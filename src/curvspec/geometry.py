@@ -209,18 +209,6 @@ def arc_length(space: SpaceForm, arc: Arc) -> float:
     return _quad(f, "arc length")
 
 
-def _green_area_euclid(arc: Arc) -> float:
-    # contour integral of x dy, closed forms
-    if isinstance(arc, LineSegment):
-        return 0.5 * (arc.p0[0] + arc.p1[0]) * (arc.p1[1] - arc.p0[1])
-    cx = arc.center[0]
-    r = arc.radius
-    s0, s1 = math.sin(arc.phi0), math.sin(arc.phi1)
-    return cx * r * (s1 - s0) + r * r * (
-        0.5 * arc.span + 0.25 * (math.sin(2 * arc.phi1) - math.sin(2 * arc.phi0))
-    )
-
-
 def green_area(space: SpaceForm, arc: Arc) -> float:
     """Contribution of the arc to the intrinsic area, by Green's theorem.
 
@@ -229,18 +217,18 @@ def green_area(space: SpaceForm, arc: Arc) -> float:
     domain on the left (outer counterclockwise, holes clockwise).
     """
     if space is SpaceForm.EUCLIDEAN:
-        return _green_area_euclid(arc)
-    if space is SpaceForm.HYPERBOLIC:
+        # closed forms
         if isinstance(arc, LineSegment):
-            dx = arc.p1[0] - arc.p0[0]
-            dy = arc.p1[1] - arc.p0[1]
-            if dx == 0.0:
-                return 0.0
-            if abs(dy) <= 1e-14 * abs(arc.p0[1]):
-                return dx / arc.p0[1]
-            return dx * math.log1p(dy / arc.p0[1]) / dy
+            return 0.5 * (arc.p0[0] + arc.p1[0]) * (arc.p1[1] - arc.p0[1])
+        cx = arc.center[0]
+        r = arc.radius
+        s0, s1 = math.sin(arc.phi0), math.sin(arc.phi1)
+        return cx * r * (s1 - s0) + r * r * (
+            0.5 * arc.span + 0.25 * (math.sin(2 * arc.phi1) - math.sin(2 * arc.phi0))
+        )
+    if space is SpaceForm.HYPERBOLIC:
 
-        def f(t):
+        def f(t):  # exactly 0 on a vertical segment
             p = arc.point(t)
             v = arc.velocity(t)
             return v[0] / p[1]
@@ -255,6 +243,17 @@ def green_area(space: SpaceForm, arc: Arc) -> float:
     return _quad(f, "spherical area")
 
 
+def _curvature_density(space: SpaceForm, arc: Arc, t: float):
+    """(kappa_e - d(log rho)/dn, Euclidean speed, point) at t, with n the left
+    normal of the traversal; K1 = kappa_e - d(log rho)/dn over rho."""
+    p = np.asarray(arc.point(t), dtype=float).reshape(2)
+    v = np.asarray(arc.velocity(t), dtype=float).reshape(2)
+    speed = math.hypot(v[0], v[1])
+    nx, ny = -v[1] / speed, v[0] / speed
+    gx, gy = _grad_log_factor(space, p[0], p[1])
+    return arc.euclid_curvature() - (gx * nx + gy * ny), speed, p
+
+
 def curvature_integral(space: SpaceForm, arc: Arc) -> float:
     """Integral of the geodesic curvature K1 along the arc (intrinsic).
 
@@ -266,28 +265,17 @@ def curvature_integral(space: SpaceForm, arc: Arc) -> float:
     if space is SpaceForm.EUCLIDEAN:
         return 0.0 if isinstance(arc, LineSegment) else arc.span
 
-    kappa = arc.euclid_curvature()
-
     def f(t):
-        p = arc.point(t)
-        v = arc.velocity(t)
-        speed = math.hypot(v[0], v[1])
-        nx, ny = -v[1] / speed, v[0] / speed
-        gx, gy = _grad_log_factor(space, p[0], p[1])
-        return (kappa - (gx * nx + gy * ny)) * speed
+        k, speed, _ = _curvature_density(space, arc, t)
+        return k * speed
 
     return _quad(f, "boundary curvature")
 
 
 def geodesic_curvature(space: SpaceForm, arc: Arc, t: float) -> float:
     """Pointwise geodesic curvature K1, positive when curving into the domain."""
-    p = np.asarray(arc.point(t), dtype=float).reshape(2)
-    v = np.asarray(arc.velocity(t), dtype=float).reshape(2)
-    speed = math.hypot(v[0], v[1])
-    nx, ny = -v[1] / speed, v[0] / speed
-    gx, gy = _grad_log_factor(space, p[0], p[1])
-    rho = float(conformal_factor(space, p[0], p[1]))
-    return (arc.euclid_curvature() - (gx * nx + gy * ny)) / rho
+    k, _, p = _curvature_density(space, arc, t)
+    return k / float(conformal_factor(space, p[0], p[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -691,7 +679,24 @@ def _upper_arc(center, radius, p_from, p_to, bc) -> CircleArc:
     raise ConstructionError("no side arc stays in the closed upper half-plane")
 
 
-def _audit_triangle(domain: Domain, requested_angles, law_of_cosines) -> GeometricConstants:
+def law_of_cosines(curvature: float, alpha_i, alpha_j, alpha_k) -> float:
+    """Side length opposite alpha_i of the geodesic triangle with these angles
+    on the space form of curvature -1 (hyperbolic) or +1 (spherical)."""
+    arg = (math.cos(alpha_i) + math.cos(alpha_j) * math.cos(alpha_k)) / (
+        math.sin(alpha_j) * math.sin(alpha_k)
+    )
+    if curvature < 0.0:
+        if arg < 1.0:
+            raise ConstructionError(
+                f"no hyperbolic triangle with these angles (cosh L = {arg:.6f})"
+            )
+        return math.acosh(arg)
+    if not -1.0 <= arg <= 1.0:
+        raise ConstructionError(f"no spherical triangle with these angles (cos L = {arg:.6f})")
+    return math.acos(arg)
+
+
+def _audit_triangle(domain: Domain, requested_angles) -> GeometricConstants:
     """Exact constants of a geodesic triangle, cross-checked to 1e-9.
 
     The area is K (sum(theta) - pi), the angle defect (K = -1) or the
@@ -719,7 +724,8 @@ def _audit_triangle(domain: Domain, requested_angles, law_of_cosines) -> Geometr
         if max(abs(w - g) for w, g in pairs) > 1e-9:
             raise ConstructionError("constructed angles do not match the requested ones")
     per_locos = sum(
-        law_of_cosines(angles[i], angles[(i + 1) % 3], angles[(i + 2) % 3]) for i in range(3)
+        law_of_cosines(curvature, angles[i], angles[(i + 1) % 3], angles[(i + 2) % 3])
+        for i in range(3)
     )
     if abs(per_locos - gc.perimeter) > 1e-9 * (1.0 + per_locos):
         raise ConstructionError(
@@ -727,6 +733,19 @@ def _audit_triangle(domain: Domain, requested_angles, law_of_cosines) -> Geometr
         )
     c3 = curvature * area / (12.0 * math.pi)
     return replace(gc, area=area, boundary_curvature_integral=0.0, c2=0.0, c3=c3)
+
+
+def _geodesic_disc(space: SpaceForm, arc: CircleArc, area, per, k1, c2, c3):
+    """The disc bounded by arc, with its closed-form constants (no corners),
+    checked against Gauss-Bonnet."""
+    domain = Domain(space, [arc])
+    gc = GeometricConstants(
+        area=area, perimeter_d=per if arc.bc == DIRICHLET else 0.0,
+        perimeter_n=per if arc.bc == NEUMANN else 0.0, euler_characteristic=1,
+        boundary_curvature_integral=k1, c1=0.0, c2=c2, c3=c3,
+    )
+    _check_gauss_bonnet(domain, area, k1)
+    return domain, gc
 
 
 # ---------------------------------------------------------------------------
@@ -761,25 +780,13 @@ class HyperbolicTriangleSpec:
 def _hyperbolic_circles_from_angles(angles) -> tuple[float, float, float, float]:
     a1_, a2_, a3_ = angles
     # vertex C at (0, 1); L3 (side on the y-axis) from the hyperbolic law of cosines
-    length3 = hyperbolic_law_of_cosines(a3_, a1_, a2_)
+    length3 = law_of_cosines(-1.0, a3_, a1_, a2_)
     y1, y2 = 1.0, math.exp(length3)
     a1 = y1 / math.tan(a1_)
     r1 = y1 / math.sin(a1_)
     a2 = -y2 / math.tan(a2_)
     r2 = y2 / math.sin(a2_)
     return (a1, r1, a2, r2)
-
-
-def hyperbolic_law_of_cosines(alpha_i, alpha_j, alpha_k) -> float:
-    """Side length opposite alpha_i of the geodesic triangle with these angles."""
-    arg = (math.cos(alpha_j) * math.cos(alpha_k) + math.cos(alpha_i)) / (
-        math.sin(alpha_j) * math.sin(alpha_k)
-    )
-    if arg < 1.0:
-        raise ConstructionError(
-            f"no hyperbolic triangle with these angles (cosh L = {arg:.6f})"
-        )
-    return math.acosh(arg)
 
 
 def build_hyperbolic_triangle(
@@ -825,7 +832,7 @@ def build_hyperbolic_triangle(
         LineSegment(a_vert, c_vert, bcs[2]),
     ]
     domain = Domain(SpaceForm.HYPERBOLIC, loop)
-    return domain, _audit_triangle(domain, spec.angles, hyperbolic_law_of_cosines)
+    return domain, _audit_triangle(domain, spec.angles)
 
 
 def build_hyperbolic_disc(radius: float, bc: str = DIRICHLET) -> tuple[Domain, GeometricConstants]:
@@ -840,22 +847,11 @@ def build_hyperbolic_disc(radius: float, bc: str = DIRICHLET) -> tuple[Domain, G
     center = (0.0, 0.5 * (e2 + 1.0))
     r_e = 0.5 * (e2 - 1.0)
     arc = CircleArc(center, r_e, -math.pi / 2, 3.0 * math.pi / 2, _check_bc(bc))
-    domain = Domain(SpaceForm.HYPERBOLIC, [arc])
-    area = 4.0 * math.pi * math.sinh(0.5 * radius) ** 2
-    per = 2.0 * math.pi * math.sinh(radius)
-    k1_int = 2.0 * math.pi * math.cosh(radius)
-    gc = GeometricConstants(
-        area=area,
-        perimeter_d=per if bc == DIRICHLET else 0.0,
-        perimeter_n=per if bc == NEUMANN else 0.0,
-        euler_characteristic=1,
-        boundary_curvature_integral=k1_int,
-        c1=0.0,
-        c2=math.cosh(radius) / 6.0,
-        c3=-(math.cosh(radius) - 1.0) / 6.0,
+    return _geodesic_disc(
+        SpaceForm.HYPERBOLIC, arc, area=4.0 * math.pi * math.sinh(0.5 * radius) ** 2,
+        per=2.0 * math.pi * math.sinh(radius), k1=2.0 * math.pi * math.cosh(radius),
+        c2=math.cosh(radius) / 6.0, c3=-(math.cosh(radius) - 1.0) / 6.0,
     )
-    _check_gauss_bonnet(domain, gc.area, gc.boundary_curvature_integral)
-    return domain, gc
 
 
 # ---------------------------------------------------------------------------
@@ -887,16 +883,6 @@ class SphericalTriangleSpec:
                 raise GeometryError("spherical triangle angles must lie in (0, pi)")
             if not math.pi < sum(a) < 3.0 * math.pi:
                 raise GeometryError("spherical excess must be positive")
-
-
-def spherical_law_of_cosines(alpha_i, alpha_j, alpha_k) -> float:
-    """Side length opposite alpha_i of the spherical triangle with these angles."""
-    arg = (math.cos(alpha_i) + math.cos(alpha_j) * math.cos(alpha_k)) / (
-        math.sin(alpha_j) * math.sin(alpha_k)
-    )
-    if not -1.0 <= arg <= 1.0:
-        raise ConstructionError(f"no spherical triangle with these angles (cos L = {arg:.6f})")
-    return math.acos(arg)
 
 
 def _great_circle_root(t: float, beta: float) -> float:
@@ -963,7 +949,7 @@ def build_spherical_triangle(
             u2 = _great_circle_root(t2, b2)
     else:
         a1_, a2_, a3_ = spec.angles
-        length3 = spherical_law_of_cosines(a3_, a1_, a2_)
+        length3 = law_of_cosines(1.0, a3_, a1_, a2_)
         u1 = -2.0 * math.tan(length3 / 4.0)
         u2 = -u1
         c1, r1 = _sph_circle_from_vertex(u1, (math.cos(a1_), math.sin(a1_)))
@@ -981,7 +967,7 @@ def build_spherical_triangle(
     arc2 = _upper_arc(c2, r2, apex, (u2, 0.0), bcs[0])
     loop = [LineSegment((u2, 0.0), (u1, 0.0), bcs[2]), arc1, arc2]
     domain = Domain(SpaceForm.SPHERICAL, loop)
-    return domain, _audit_triangle(domain, spec.angles, spherical_law_of_cosines)
+    return domain, _audit_triangle(domain, spec.angles)
 
 
 def build_spherical_disc(radius: float, bc: str = DIRICHLET) -> tuple[Domain, GeometricConstants]:
@@ -990,19 +976,8 @@ def build_spherical_disc(radius: float, bc: str = DIRICHLET) -> tuple[Domain, Ge
         raise GeometryError(f"spherical disc radius must lie in (0, pi), got {radius}")
     r_e = 2.0 * math.tan(0.5 * radius)
     arc = CircleArc((0.0, 0.0), r_e, 0.0, 2.0 * math.pi, _check_bc(bc))
-    domain = Domain(SpaceForm.SPHERICAL, [arc])
-    area = 2.0 * math.pi * (1.0 - math.cos(radius))
-    per = 2.0 * math.pi * math.sin(radius)
-    k1_int = 2.0 * math.pi * math.cos(radius)
-    gc = GeometricConstants(
-        area=area,
-        perimeter_d=per if bc == DIRICHLET else 0.0,
-        perimeter_n=per if bc == NEUMANN else 0.0,
-        euler_characteristic=1,
-        boundary_curvature_integral=k1_int,
-        c1=0.0,
-        c2=math.cos(radius) / 6.0,
-        c3=(1.0 - math.cos(radius)) / 6.0,
+    return _geodesic_disc(
+        SpaceForm.SPHERICAL, arc, area=2.0 * math.pi * (1.0 - math.cos(radius)),
+        per=2.0 * math.pi * math.sin(radius), k1=2.0 * math.pi * math.cos(radius),
+        c2=math.cos(radius) / 6.0, c3=(1.0 - math.cos(radius)) / 6.0,
     )
-    _check_gauss_bonnet(domain, gc.area, gc.boundary_curvature_integral)
-    return domain, gc

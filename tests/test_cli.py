@@ -32,7 +32,8 @@ def solved_triangle(tmp_path_factory):
 def test_solve_outputs(solved_triangle):
     cfg, res = solved_triangle
     assert os.path.exists(res["spectrum_path"])
-    table = open(res["table_path"]).read().splitlines()
+    with open(res["table_path"]) as fh:
+        table = fh.read().splitlines()
     assert table[0].split() == ["Initial", "1", "2", "3", "Predicted", "True"]
     assert len(table) == 7
     spec = eigensolve.read_spectrum_file(res["spectrum_path"])
@@ -66,6 +67,22 @@ def test_third_finest_level_without_free_nodes_is_named(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "refinement level 0, the third-finest, has 0 free nodes" in err
     assert "lower --target-h or raise --refinements" in err
+
+
+def test_level_without_free_nodes_below_the_third_finest_is_all_zero(tmp_path):
+    # with 3 refinements the empty level 0 lies below the third-finest level
+    # (27 free nodes), which caps the count at 6; level 0 reports zeros
+    out = tmp_path / "o"
+    argv = ["solve", "--config", _cfg("region_between_triangles.yaml"), "--out", str(out),
+            "--refinements", "3", "--num-eigs", "6", "--quiet"]
+    assert main(argv) == 0
+    spec = eigensolve.read_spectrum_file(out / "spectrum.csv")
+    assert spec.level_ids == [0, 1, 2, 3]
+    assert len(spec.predicted) == 6
+    assert not np.any(spec.levels[0]) and np.all(spec.levels[1] > 0)
+    table = (out / "table.txt").read_text().splitlines()
+    assert table[0].split()[0] == "Initial"
+    assert [row.split()[1] for row in table[1:]] == ["0"] * 6
 
 
 def test_each_level_is_guided_by_the_previous_levels_eigenvalues(tmp_path, monkeypatch):
@@ -227,7 +244,8 @@ def test_gaps_subcommand(tmp_path):
     out = str(tmp_path / "gaps")
     rc = main(["gaps", "--spectrum", spectrum, "--out", out, "--bin-width", "1.0", "--quiet"])
     assert rc == 0
-    cdf = open(os.path.join(out, "gaps_cdf.csv")).read().splitlines()
+    with open(os.path.join(out, "gaps_cdf.csv")) as fh:
+        cdf = fh.read().splitlines()
     assert cdf[0] == "d,cdf"
     # hemisphere multiplicities put visible mass at zero difference
     first = cdf[1].split(",")
@@ -251,8 +269,10 @@ def test_end_to_end_determinism(tmp_path):
         run_report(cfg)
         outs.append(out)
     for name in sorted(os.listdir(outs[0])):
-        a = open(os.path.join(outs[0], name), "rb").read()
-        b = open(os.path.join(outs[1], name), "rb").read()
+        with open(os.path.join(outs[0], name), "rb") as fa:
+            a = fa.read()
+        with open(os.path.join(outs[1], name), "rb") as fb:
+            b = fb.read()
         assert a == b, f"{name} differs between identical runs"
 
 

@@ -85,6 +85,34 @@ def test_errors_name_offending_key():
         build_domain({"space": "euclidean", "shape": "hyperbolic_disc", "radius": 1.0})
 
 
+@pytest.mark.parametrize(
+    "raw, key, shape",
+    [
+        (
+            {"space": "euclidean", "shape": "polygon", "vertices": [[0, 0], [1, 0], [0, 1]],
+             "radius": 1.0, "hole_bc": "N"},
+            "radius",  # the first stray key in file order
+            "polygon",
+        ),
+        (
+            {"space": "spherical", "shape": "spherical_triangle",
+             "angles": ["pi/2", "pi/2", "pi/2"], "circles": [1, 2, -1, 2]},
+            "circles",
+            "spherical_triangle",
+        ),
+        (
+            {"space": "hyperbolic", "shape": "hyperbolic_triangle",
+             "angles": ["pi/4", "pi/4", "pi/4"], "params": [-1.5, 0.7, -2.0, -0.5]},
+            "params",
+            "hyperbolic_triangle",
+        ),
+    ],
+)
+def test_key_the_shape_does_not_read_is_an_error(raw, key, shape):
+    with pytest.raises(ConfigError, match=f"^key '{key}': not used by shape '{shape}'$"):
+        build_domain(raw)
+
+
 def test_triangle_spec_needs_exactly_one_form():
     with pytest.raises(ConfigError):
         build_domain(

@@ -455,6 +455,18 @@ def test_windows_match_dense(disc_above_dense, in_process, m):
     assert len(sl.residual_norms) == m
 
 
+def test_clustered_guide_solves_one_window(disc_above_dense):
+    # no gap of the guide near the middle quantile is wider than 10*tol, so
+    # the solve falls back to one window, which must still give the lowest m
+    problem, dense = disc_above_dense
+    m = 80
+    guide = dense[:m] * 1.001
+    guide[36:44] = guide[40]
+    assert m // eigensolve._WINDOW_EIGS == 2 and eigensolve._window_edges(guide, m, 1e-9) == []
+    sl = eigensolve.solve_lowest(problem, m, guide=guide)
+    np.testing.assert_allclose(sl.eigenvalues, dense[:m], rtol=1e-10)
+
+
 def test_windows_with_and_without_points_match_dense(disc_above_dense, in_process):
     # with points the solver factors in nested-dissection order, without in
     # the assembled order
@@ -470,7 +482,7 @@ def test_dead_window_worker_names_the_main_guard(monkeypatch):
         def submit(self, fn, *args):
             raise BrokenProcessPool("worker exited")
 
-    monkeypatch.setattr(eigensolve, "_window_pool", lambda windows: BrokenPool())
+    monkeypatch.setattr(eigensolve, "_window_pool", BrokenPool)
     with pytest.raises(eigensolve.SolveError, match="a window worker died") as info:
         eigensolve._map(os.getenv, [("HOME",)])
     assert 'if __name__ == "__main__":' in str(info.value)
@@ -566,10 +578,23 @@ def _pool_is_unset():
 
 def test_forked_child_does_not_inherit_the_window_pool():
     try:
-        assert eigensolve._window_pool(2) is not None  # its workers start at the first submit
+        assert eigensolve._window_pool() is not None  # its workers start at the first submit
         fork = multiprocessing.get_context("fork")
         with concurrent.futures.ProcessPoolExecutor(1, mp_context=fork) as jobs:
             assert jobs.submit(_pool_is_unset).result(timeout=60)
+    finally:
+        eigensolve._close_pool()
+
+
+def test_window_pool_is_sized_by_cores_and_starts_workers_on_demand(monkeypatch):
+    # the pool's size is fixed at its first use, so a first solve with fewer
+    # windows than cores must not cap the windows of later, wider solves
+    eigensolve._close_pool()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    try:
+        assert eigensolve._map(os.getenv, [("OPENBLAS_NUM_THREADS",)] * 2) == ["1", "1"]
+        assert eigensolve._POOL._max_workers == 8
+        assert 1 <= len(eigensolve._POOL._processes) <= 2
     finally:
         eigensolve._close_pool()
 

@@ -217,6 +217,18 @@ def test_hyperbolic_triangle_invalid():
         )
 
 
+@pytest.mark.parametrize(
+    "curvature, angles, geometry",
+    [
+        (-1.0, (math.pi / 2,) * 3, "hyperbolic"),  # angle sum above pi: cosh L = 0
+        (1.0, (0.1,) * 3, "spherical"),  # angle sum below pi: cos L > 1
+    ],
+)
+def test_law_of_cosines_rejects_impossible_angles(curvature, angles, geometry):
+    with pytest.raises(geo.ConstructionError, match=f"no {geometry} triangle with these angles"):
+        geo.law_of_cosines(curvature, *angles)
+
+
 def test_hyperbolic_disc_constants():
     for radius in (0.5, 1.0, 2.0):
         dom, gc = geo.build_hyperbolic_disc(radius)
