@@ -17,9 +17,10 @@ split into m // _WINDOW_EIGS windows (spectrum slicing). The edges sit in gaps
 of the guide; the inertia count at each edge fixes how many eigenvalues each
 window must return and certifies that none is missing. The windows run on one
 spawned worker pool that every thread of the process shares, one BLAS thread
-per worker, each from a fixed start vector, so the result depends on neither
-the core count nor --jobs. Without a guide, one window shifts below the
-spectrum and one count above its top certifies it.
+per worker, each from a fixed start vector, so a windowed level depends on
+neither the core count nor --jobs; dense and single-window levels use the
+caller's BLAS threads, whose number moves their last bits. Without a guide,
+one window shifts below the spectrum and one count above its top certifies it.
 
 Extrapolation fits the last three refinement values to x_n = x + c*r^n.
 """

@@ -16,7 +16,7 @@ import scipy.sparse as sp
 
 from . import textio
 from .geometry import DIRICHLET, SpaceForm, conformal_factor
-from .meshing import Mesh
+from .meshing import Mesh, edge_vectors
 
 
 class AssemblyError(ValueError):
@@ -104,29 +104,20 @@ def assemble(mesh: Mesh, weight: ConformalWeight, bc_map=None) -> EigenProblem:
     area = mesh.signed_areas()
     if np.any(area <= 0.0):
         raise AssemblyError("mesh contains nonpositively oriented triangles")
-    p = v[t]  # (T, 3, 2)
 
-    # P1 gradients: grad phi_i = rot90(p_k - p_j) / (2 area)
-    grads = np.empty((len(t), 3, 2))
-    for i in range(3):
-        e = p[:, (i + 2) % 3] - p[:, (i + 1) % 3]
-        grads[:, i, 0] = -e[:, 1]
-        grads[:, i, 1] = e[:, 0]
+    # P1 gradients: grad phi_i = rot90(p_{i+2} - p_{i+1}) / (2 area), the opposite edge
+    opposite = np.roll(edge_vectors(v, t), -1, axis=1)
+    grads = np.stack([-opposite[..., 1], opposite[..., 0]], axis=-1)
     grads /= 2.0 * area[:, None, None]
 
     k_loc = np.einsum("tia,tja->tij", grads, grads) * area[:, None, None]
     k_loc = 0.5 * (k_loc + np.swapaxes(k_loc, 1, 2))  # exact symmetry
 
-    # phi values at the edge midpoints are 1/2 on the edge's two vertices
-    w = _midpoint_weights(p, weight)
-    m_loc = np.zeros((len(t), 3, 3))
-    # vertex i touches midpoints of edges (i-1, i) and (i, i+1)
-    edge_verts = ((0, 1), (1, 2), (2, 0))
-    for e, (a, b) in enumerate(edge_verts):
-        m_loc[:, a, a] += w[:, e]
-        m_loc[:, b, b] += w[:, e]
-        m_loc[:, a, b] += w[:, e]
-        m_loc[:, b, a] += w[:, e]
+    # an edge's midpoint has phi = 1/2 at its two ends: an off-diagonal entry takes
+    # the shared edge's weight, vertex i the weights of edges i and i - 1
+    w = _midpoint_weights(v[t], weight)
+    m_loc = np.take(w, [[0, 0, 2], [0, 1, 1], [2, 1, 2]], axis=1)  # C order: reshape(-1) is a view
+    m_loc[:, [0, 1, 2], [0, 1, 2]] += np.roll(w, 1, axis=1)
     m_loc *= (area / 12.0)[:, None, None]
 
     rows = np.repeat(t, 3, axis=1).reshape(-1)

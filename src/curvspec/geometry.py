@@ -843,7 +843,10 @@ def build_hyperbolic_disc(radius: float, bc: str = DIRICHLET) -> tuple[Domain, G
     """
     if not radius > 0.0:
         raise GeometryError(f"hyperbolic disc radius must be positive, got {radius}")
-    e2 = math.exp(2.0 * radius)
+    try:
+        e2 = math.exp(2.0 * radius)
+    except OverflowError:
+        raise GeometryError(f"hyperbolic disc radius {radius} overflows e^(2R)") from None
     center = (0.0, 0.5 * (e2 + 1.0))
     r_e = 0.5 * (e2 - 1.0)
     arc = CircleArc(center, r_e, -math.pi / 2, 3.0 * math.pi / 2, _check_bc(bc))

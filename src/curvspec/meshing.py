@@ -77,33 +77,30 @@ class Mesh:
         return np.array([arc.bc for arc in self.arcs])[self.boundary_edges[:, 2]]
 
     def signed_areas(self) -> np.ndarray:
-        p = self.vertices[self.triangles]
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        # cross(p1 - p0, p2 - p0) with p2 - p0 = -e2
+        e = edge_vectors(self.vertices, self.triangles)
+        return 0.5 * (e[:, 2, 0] * e[:, 0, 1] - e[:, 2, 1] * e[:, 0, 0])
 
     def min_angle_deg(self) -> float:
         return float(np.degrees(_triangle_angles(self.vertices, self.triangles).min()))
 
     def max_edge_length(self) -> float:
-        p = self.vertices[self.triangles]
-        lengths = [
-            np.linalg.norm(p[:, i] - p[:, (i + 1) % 3], axis=1) for i in range(3)
-        ]
-        return float(np.max(lengths))
+        return float(np.linalg.norm(edge_vectors(self.vertices, self.triangles), axis=2).max())
+
+
+def edge_vectors(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
+    """Edge vectors (T, 3, 2) of each triangle: row i runs from corner i to corner i + 1."""
+    p = vertices[triangles]
+    return np.roll(p, -1, axis=1) - p
 
 
 def _triangle_angles(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    p = vertices[triangles]
-    angles = np.empty((len(triangles), 3))
-    for i in range(3):
-        a = p[:, (i + 1) % 3] - p[:, i]
-        b = p[:, (i + 2) % 3] - p[:, i]
-        na = np.linalg.norm(a, axis=1)
-        nb = np.linalg.norm(b, axis=1)
-        cosang = np.clip(np.einsum("ij,ij->i", a, b) / (na * nb), -1.0, 1.0)
-        angles[:, i] = np.arccos(cosang)
-    return angles
+    # corner i lies between edge i and the reversed edge i - 1
+    e = edge_vectors(vertices, triangles)
+    prev = np.roll(e, 1, axis=1)
+    lengths = np.linalg.norm(e, axis=2)
+    dots = -np.einsum("tij,tij->ti", e, prev)
+    return np.arccos(np.clip(dots / (lengths * np.roll(lengths, 1, axis=1)), -1.0, 1.0))
 
 
 def _edges(triangles: np.ndarray):
@@ -184,30 +181,28 @@ def _dist_to_segments(pts: np.ndarray, segs_a: np.ndarray, segs_b: np.ndarray):
 
 def _hex_lattice(bbox, pitch: float) -> np.ndarray:
     x0, y0, x1, y1 = bbox
-    rows = []
     row_h = pitch * math.sqrt(3.0) / 2.0
-    # fixed fractional offsets avoid lattice points landing on symmetric loci
-    y = y0 + 0.2137 * pitch
-    odd = False
-    while y < y1:
-        x_start = x0 + (0.3391 + (0.5 if odd else 0.0)) * pitch
-        xs = np.arange(x_start, x1, pitch)
-        if len(xs):
-            rows.append(np.column_stack([xs, np.full(len(xs), y)]))
-        y += row_h
-        odd = not odd
-    if not rows:
-        return np.empty((0, 2))
-    return np.concatenate(rows, axis=0)
+    # fixed fractional offsets avoid lattice points landing on symmetric loci;
+    # row heights are the running sum y0 + 0.2137 pitch + row_h + row_h + ...
+    y_start = y0 + 0.2137 * pitch
+    ys = np.cumsum(np.r_[y_start, np.full(max(0, int((y1 - y_start) / row_h) + 2), row_h)])
+    ys = ys[ys < y1]
+    row_xs = [np.arange(x0 + (0.3391 + off) * pitch, x1, pitch) for off in (0.0, 0.5)]
+    counts = np.resize([len(xs) for xs in row_xs], len(ys))  # even and odd rows alternate
+    xs = np.concatenate(row_xs * (len(ys) // 2 + 1))[: counts.sum()]
+    return np.column_stack([xs, np.repeat(ys, counts)])
 
 
 def _canonical_triangles(tris: np.ndarray) -> np.ndarray:
-    rolled = np.empty_like(tris)
-    argmin = np.argmin(tris, axis=1)
-    for r in range(3):
-        sel = argmin == r
-        rolled[sel] = np.roll(tris[sel], -r, axis=1)
-    return _sorted_rows(rolled)
+    # rotate each row to start at its smallest vertex, keeping the orientation
+    turn = (np.argmin(tris, axis=1)[:, None] + np.arange(3)) % 3
+    return _sorted_rows(np.take_along_axis(tris, turn, axis=1))
+
+
+def _drop_unused(points: np.ndarray, triangles: np.ndarray, n_keep: int):
+    """Points without the unused ones past the first n_keep, and the renumbered triangles."""
+    used = np.union1d(np.arange(n_keep), triangles)
+    return points[used], np.searchsorted(used, triangles)
 
 
 def triangulate(domain: Domain, target_h: float | None = None) -> Mesh:
@@ -224,14 +219,14 @@ def triangulate(domain: Domain, target_h: float | None = None) -> Mesh:
 
     h = float(target_h)
     last_angle = 0.0
-    for attempt in range(4):
+    for _ in range(4):
         mesh = _triangulate_once(domain, h)
         if mesh is not None:
-            if mesh.min_angle_deg() >= _MIN_ANGLE_DEG - 1e-9 and (
+            last_angle = mesh.min_angle_deg()
+            if last_angle >= _MIN_ANGLE_DEG - 1e-9 and (
                 mesh.max_edge_length() <= target_h * (1.0 + 1e-9)
             ):
                 return mesh
-            last_angle = mesh.min_angle_deg()
         h /= 1.4
     raise MeshQualityError(
         f"could not reach min angle {_MIN_ANGLE_DEG} deg / max edge {target_h}"
@@ -294,30 +289,20 @@ def _triangulate_once(domain: Domain, target_h: float) -> Mesh | None:
         points = points.copy()
         points[movable] = neigh_sum[movable] / neigh_cnt[movable, None]
 
-    # drop unused vertices (lattice points that ended up outside every kept triangle)
-    used = np.zeros(len(points), dtype=bool)
-    used[: n_boundary] = True
-    used[kept.ravel()] = True
-    remap = -np.ones(len(points), dtype=np.int64)
-    remap[used] = np.arange(int(used.sum()))
-    points = points[used]
-    kept = remap[kept]
-
-    # orient counterclockwise and order canonically
-    p = points[kept]
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    flip = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0] < 0
-    kept[flip] = kept[flip][:, [0, 2, 1]]
-    kept = _canonical_triangles(kept)
-
-    return Mesh(
-        vertices=points,
-        triangles=kept,
+    # drop lattice points that ended up outside every kept triangle
+    vertices, triangles = _drop_unused(points, kept, n_boundary)
+    mesh = Mesh(
+        vertices=vertices,
+        triangles=triangles,
         boundary_edges=boundary_edges,
         arcs=tuple(domain.arcs()),
         level=0,
     )
+    # orient counterclockwise and order canonically
+    flip = mesh.signed_areas() < 0
+    mesh.triangles[flip] = mesh.triangles[flip][:, [0, 2, 1]]
+    mesh.triangles = _canonical_triangles(mesh.triangles)
+    return mesh
 
 
 # ---------------------------------------------------------------------------

@@ -221,6 +221,14 @@ def test_solve_bad_config_exit_code(tmp_path, capsys):
     assert "radius" in capsys.readouterr().err
 
 
+def test_overflowing_hyperbolic_disc_exits_2(tmp_path, capsys):
+    bad = tmp_path / "big.yaml"
+    bad.write_text("space: hyperbolic\nshape: hyperbolic_disc\nradius: 400\n")
+    rc = main(["solve", "--config", str(bad), "--out", str(tmp_path / "o"), "--quiet"])
+    assert rc == 2
+    assert "radius 400" in capsys.readouterr().err
+
+
 def test_refinements_precondition_exit_code(tmp_path, capsys):
     rc = main(
         [

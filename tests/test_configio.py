@@ -194,6 +194,12 @@ def test_nested_holes_config_rejected():
         build_domain({**_HOLED, "holes": nested})
 
 
+def test_hyperbolic_disc_too_large_for_a_float_is_config_error():
+    # e^(2R) overflows above R = 354.9
+    with pytest.raises(ConfigError, match="radius 400"):
+        build_domain({"space": "hyperbolic", "shape": "hyperbolic_disc", "radius": 400})
+
+
 def test_malformed_config_exits_2_through_cli(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("space: hyperbolic\nshape: hyperbolic_triangle\ncircles: [1, null, -1, 2]\n")

@@ -5,6 +5,7 @@ import os
 import tempfile
 
 import numpy as np
+import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -69,11 +70,155 @@ def _check_round_trip(mesh):
     assert loaded.arcs == mesh.arcs
 
 
+# ---------------------------------------------------------------------------
+# Reference implementations: the per-corner and per-row loops the mesh kernels
+# replaced. The kernels must reproduce them bit for bit (tobytes, so that -0.0
+# against 0.0 counts as a difference).
+
+
+def _ref_signed_areas(v, t):
+    p = v[t]
+    d1 = p[:, 1] - p[:, 0]
+    d2 = p[:, 2] - p[:, 0]
+    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+
+
+def _ref_triangle_angles(v, t):
+    p = v[t]
+    angles = np.empty((len(t), 3))
+    for i in range(3):
+        a = p[:, (i + 1) % 3] - p[:, i]
+        b = p[:, (i + 2) % 3] - p[:, i]
+        na = np.linalg.norm(a, axis=1)
+        nb = np.linalg.norm(b, axis=1)
+        cosang = np.clip(np.einsum("ij,ij->i", a, b) / (na * nb), -1.0, 1.0)
+        angles[:, i] = np.arccos(cosang)
+    return angles
+
+
+def _ref_max_edge_length(v, t):
+    p = v[t]
+    lengths = [np.linalg.norm(p[:, i] - p[:, (i + 1) % 3], axis=1) for i in range(3)]
+    return float(np.max(lengths))
+
+
+def _ref_canonical_triangles(tris):
+    rolled = np.empty_like(tris)
+    argmin = np.argmin(tris, axis=1)
+    for r in range(3):
+        sel = argmin == r
+        rolled[sel] = np.roll(tris[sel], -r, axis=1)
+    return rolled[np.lexsort(rolled.T[::-1])]
+
+
+def _ref_hex_lattice(bbox, pitch):
+    x0, y0, x1, y1 = bbox
+    rows = []
+    row_h = pitch * math.sqrt(3.0) / 2.0
+    y = y0 + 0.2137 * pitch
+    odd = False
+    while y < y1:
+        x_start = x0 + (0.3391 + (0.5 if odd else 0.0)) * pitch
+        xs = np.arange(x_start, x1, pitch)
+        if len(xs):
+            rows.append(np.column_stack([xs, np.full(len(xs), y)]))
+        y += row_h
+        odd = not odd
+    if not rows:
+        return np.empty((0, 2))
+    return np.concatenate(rows, axis=0)
+
+
+def _ref_drop_unused(points, kept, n_boundary):
+    used = np.zeros(len(points), dtype=bool)
+    used[:n_boundary] = True
+    used[kept.ravel()] = True
+    remap = -np.ones(len(points), dtype=np.int64)
+    remap[used] = np.arange(int(used.sum()))
+    return points[used], remap[kept]
+
+
+def _ref_assemble(mesh, weight):
+    v, t = mesh.vertices, mesh.triangles
+    area = _ref_signed_areas(v, t)
+    p = v[t]
+    grads = np.empty((len(t), 3, 2))
+    for i in range(3):
+        e = p[:, (i + 2) % 3] - p[:, (i + 1) % 3]
+        grads[:, i, 0] = -e[:, 1]
+        grads[:, i, 1] = e[:, 0]
+    grads /= 2.0 * area[:, None, None]
+    k_loc = np.einsum("tia,tja->tij", grads, grads) * area[:, None, None]
+    k_loc = 0.5 * (k_loc + np.swapaxes(k_loc, 1, 2))
+    mids = 0.5 * (p + np.roll(p, -1, axis=1))
+    w = weight(mids[:, :, 0], mids[:, :, 1])
+    m_loc = np.zeros((len(t), 3, 3))
+    for e, (a, b) in enumerate(((0, 1), (1, 2), (2, 0))):
+        m_loc[:, a, a] += w[:, e]
+        m_loc[:, b, b] += w[:, e]
+        m_loc[:, a, b] += w[:, e]
+        m_loc[:, b, a] += w[:, e]
+    m_loc *= (area / 12.0)[:, None, None]
+    rows = np.repeat(t, 3, axis=1).reshape(-1)
+    cols = np.tile(t, (1, 3)).reshape(-1)
+    n = mesh.num_vertices
+    free = np.setdiff1d(np.arange(n, dtype=np.int64), fem.dirichlet_vertices(mesh))
+    return [
+        sp.coo_matrix((loc.reshape(-1), (rows, cols)), shape=(n, n)).tocsr()[free][:, free].tocsr()
+        for loc in (k_loc, m_loc)
+    ]
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _check_mesh_kernels(v, t):
+    mesh = meshing.Mesh(v, t, boundary_edges=np.empty((0, 3)), arcs=())
+    assert _same_bits(mesh.signed_areas(), _ref_signed_areas(v, t))
+    assert _same_bits(meshing._triangle_angles(v, t), _ref_triangle_angles(v, t))
+    assert _same_bits(mesh.max_edge_length(), _ref_max_edge_length(v, t))
+    # every row rotated by its index mod 3, so all three argmin cases occur
+    turned = np.take_along_axis(t, (np.arange(3) + np.arange(len(t))[:, None]) % 3, axis=1)
+    assert _same_bits(meshing._canonical_triangles(turned), _ref_canonical_triangles(turned))
+
+
+def _check_kernels_bitwise(mesh, space):
+    v, t = mesh.vertices, mesh.triangles
+    _check_mesh_kernels(v, t)
+    _check_mesh_kernels(v, np.ascontiguousarray(t[:, ::-1]))  # clockwise
+    # every other triangle leaves vertices unused, some of them before n_keep
+    n_keep = mesh.num_vertices // 3
+    for new, ref in zip(
+        meshing._drop_unused(v, t[::2], n_keep), _ref_drop_unused(v, t[::2], n_keep)
+    ):
+        assert _same_bits(new, ref)
+    weight = fem.ConformalWeight(space)
+    problem = fem.assemble(mesh, weight)
+    for new, ref in zip((problem.stiffness, problem.mass), _ref_assemble(mesh, weight)):
+        for part in ("data", "indices", "indptr"):
+            assert _same_bits(getattr(new, part), getattr(ref, part)), part
+
+
+def _check_hex_lattice_bitwise(domain):
+    h = 0.2 * domain.model_diameter()
+    x0, y0, x1, y1 = domain.bbox()
+    # the pitches of triangulate's four attempts, one that leaves a single row
+    # and one that leaves none
+    coarse = [2.0 * (y1 - y0), 5.0 * max(x1 - x0, y1 - y0)]
+    for pitch in [meshing._CHORD_FACTOR * h / 1.4**k for k in range(4)] + coarse:
+        lattice = meshing._hex_lattice((x0, y0, x1, y1), pitch)
+        assert _same_bits(lattice, _ref_hex_lattice((x0, y0, x1, y1), pitch))
+
+
 def _check_refinement_chain(domain):
     mesh = meshing.triangulate(domain)
     meshing.validate_mesh(mesh)
     assert meshing.euler_characteristic(mesh) == 1
     _check_round_trip(mesh)
+    _check_hex_lattice_bitwise(domain)
+    _check_kernels_bitwise(mesh, domain.space)
     for _ in range(2):
         child = meshing.refine(mesh)
         meshing.validate_mesh(child)
@@ -88,6 +233,7 @@ def _check_refinement_chain(domain):
             area, child_area = mesh.signed_areas().sum(), child.signed_areas().sum()
             assert math.isclose(child_area, area, rel_tol=1e-12)
         _check_round_trip(child)
+        _check_kernels_bitwise(child, domain.space)
         mesh = child
 
 
