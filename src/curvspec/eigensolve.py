@@ -22,12 +22,18 @@ neither the core count nor --jobs; dense and single-window levels use the
 caller's BLAS threads, whose number moves their last bits. Without a guide,
 one window shifts below the spectrum and one count above its top certifies it.
 
+A worker imports cli (the spawned main module), fem and this module, so of
+scipy only sparse and linalg: geometry, meshing and exact import scipy's
+integrate, spatial and special inside the functions that use them. After
+every task a worker hands the heap the task freed back to the OS.
+
 Extrapolation fits the last three refinement values to x_n = x + c*r^n.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import ctypes
 import math
 import multiprocessing
 import multiprocessing.util
@@ -52,6 +58,11 @@ _POOL = None  # see _window_pool
 _LOCK = threading.Lock()  # see _map
 _TRUST_RATIO = 0.5
 _TRUST_JUMP = 0.02
+try:  # libc's int malloc_trim(size_t), see _task; None where libc has none
+    _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
+    _MALLOC_TRIM.argtypes, _MALLOC_TRIM.restype = [ctypes.c_size_t], ctypes.c_int
+except (AttributeError, OSError, TypeError):  # macOS, Windows
+    _MALLOC_TRIM = None
 
 
 class SolveError(RuntimeError):
@@ -304,7 +315,7 @@ def _map(fn, tasks) -> list:
             saved = {v: os.environ.get(v) for v in _BLAS_THREAD_VARS}
             os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
             try:  # workers spawn inside submit and read their BLAS threads from this
-                futures = [pool.submit(fn, *t) for t in tasks]
+                futures = [pool.submit(_task, fn, *t) for t in tasks]
             finally:
                 for var, value in saved.items():
                     if value is None:
@@ -319,6 +330,16 @@ def _map(fn, tasks) -> list:
             'needs an `if __name__ == "__main__":` guard, or each spawned worker '
             "re-imports it and starts a solve of its own"
         ) from None
+
+
+def _task(fn, *args):
+    """fn(*args) in a window worker, then malloc_trim: glibc keeps tens of MB
+    of the heap a task frees, and the next task's factor would land on top."""
+    try:
+        return fn(*args)
+    finally:
+        if _MALLOC_TRIM is not None:
+            _MALLOC_TRIM(0)
 
 
 def _window_pool():

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 
 class OracleError(ValueError):
@@ -40,6 +39,7 @@ class OracleSpectrum:
 def bessel_j(k: int, x: float) -> float:
     if x <= 0.0:
         raise OracleError(f"Bessel evaluation needs x > 0, got {x}")
+    from scipy import special  # here and below, so a window worker never loads it
     return float(special.jv(k, x))
 
 
@@ -53,6 +53,7 @@ def bessel_zero(k: int, n: int, derivative: bool = False) -> float:
         raise OracleError(f"Bessel order must be a nonnegative integer, got {k}")
     if n < 1 or int(n) != n:
         raise OracleError(f"zero index must be a positive integer, got {n}")
+    from scipy import special
     zeros = special.jnp_zeros if derivative else special.jn_zeros
     return float(zeros(int(k), int(n))[-1])
 
@@ -117,6 +118,7 @@ def disc_spectrum(count: int, bc: str = "D") -> OracleSpectrum:
         raise OracleError("count must be >= 1")
     if bc not in ("D", "N"):
         raise OracleError(f"bc must be 'D' or 'N', got {bc!r}")
+    from scipy import special
     zeros = special.jnp_zeros if bc == "N" else special.jn_zeros
     radius = 2.0 * math.sqrt(count) + 2.0
     while True:

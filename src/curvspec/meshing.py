@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import Delaunay
 
 from . import textio
 from .geometry import (
@@ -236,6 +235,7 @@ def triangulate(domain: Domain, target_h: float | None = None) -> Mesh:
 
 
 def _triangulate_once(domain: Domain, target_h: float) -> Mesh | None:
+    from scipy.spatial import Delaunay  # here, so a window worker never loads it
     chord = _CHORD_FACTOR * target_h
     boundary, chords, polys = _discretize_boundary(domain, chord)
     outer_poly, hole_polys = polys[0], polys[1:]

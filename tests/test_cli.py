@@ -229,6 +229,15 @@ def test_overflowing_hyperbolic_disc_exits_2(tmp_path, capsys):
     assert "radius 400" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("radius", ["15.5", "19", "100"])
+def test_hyperbolic_disc_above_the_radius_limit_exits_2(tmp_path, capsys, radius):
+    bad = tmp_path / "big.yaml"
+    bad.write_text(f"space: hyperbolic\nshape: hyperbolic_disc\nradius: {radius}\n")
+    rc = main(["solve", "--config", str(bad), "--out", str(tmp_path / "o"), "--quiet"])
+    assert rc == 2
+    assert f"radius {float(radius)} exceeds the limit 15.0" in capsys.readouterr().err
+
+
 def test_refinements_precondition_exit_code(tmp_path, capsys):
     rc = main(
         [

@@ -195,7 +195,7 @@ def test_nested_holes_config_rejected():
 
 
 def test_hyperbolic_disc_too_large_for_a_float_is_config_error():
-    # e^(2R) overflows above R = 354.9
+    # e^(2R) overflows above R = 354.9; the radius limit stops it long before
     with pytest.raises(ConfigError, match="radius 400"):
         build_domain({"space": "hyperbolic", "shape": "hyperbolic_disc", "radius": 400})
 

@@ -2,6 +2,8 @@ import concurrent.futures
 import math
 import multiprocessing
 import os
+import pickle
+import platform
 import signal
 import subprocess
 import sys
@@ -723,6 +725,71 @@ print(eigensolve._POOL is None, multiprocessing.active_children() == [])
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["True", "True"]
+
+
+def test_window_worker_imports_no_unused_scipy(disc_above_dense, tmp_path):
+    # a spawned worker imports curvspec.cli and unpickles its tasks' problems;
+    # scipy.integrate (which loads scipy.optimize), scipy.spatial and
+    # scipy.special serve geometry, meshing and exact only
+    problem, _ = disc_above_dense
+    pickled = tmp_path / "problem.pkl"
+    pickled.write_bytes(pickle.dumps(problem))
+    script = f"""
+import pickle, sys
+import curvspec.cli
+from curvspec import eigensolve
+from curvspec.configio import load_domain_config
+problem = pickle.loads(open({str(pickled)!r}, "rb").read())
+eigensolve._task(eigensolve._count_below, problem, 10.0)
+eigensolve._task(eigensolve._solve_window, problem, 4, (-1.0,), 1, 1e-9)
+unused = ("scipy.integrate", "scipy.spatial", "scipy.special", "scipy.optimize")
+print(",".join(m for m in unused if m in sys.modules) or "none")
+load_domain_config({os.path.join(CONFIG_DIR, "hyperbolic_triangle_a.yaml")!r})
+print("scipy.integrate" in sys.modules)
+"""
+    env = dict(os.environ, PYTHONPATH=SRC_DIR + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["none", "True"]
+
+
+# ---------------------------------------------------------------------------
+# the worker-task wrapper: fn's result or exception, then malloc_trim
+
+
+def test_task_returns_the_result_and_trims_once(monkeypatch):
+    trims = []
+    monkeypatch.setattr(eigensolve, "_MALLOC_TRIM", trims.append)
+    assert eigensolve._task(divmod, 7, 2) == (3, 1)
+    assert trims == [0]
+
+
+def test_task_reraises_solve_error_with_its_partial(monkeypatch):
+    trims = []
+    monkeypatch.setattr(eigensolve, "_MALLOC_TRIM", trims.append)
+    partial = eigensolve.SpectrumSlice(np.array([1.0, 2.0]), level=-1, residual_norms=[])
+    error = eigensolve.SolveError("converged only 2/5", partial=partial)
+
+    def fails():
+        raise error
+
+    with pytest.raises(eigensolve.SolveError) as info:
+        eigensolve._task(fails)
+    assert info.value is error and info.value.partial is partial
+    assert info.value.partial.eigenvalues.tolist() == [1.0, 2.0]
+    assert trims == [0]
+
+
+def test_task_without_malloc_trim_is_a_no_op(monkeypatch):
+    monkeypatch.setattr(eigensolve, "_MALLOC_TRIM", None)
+    assert eigensolve._task(os.getenv, "NO_SUCH_VARIABLE_SET", "fallback") == "fallback"
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="malloc_trim is glibc's")
+def test_malloc_trim_is_found_in_glibc():
+    assert eigensolve._MALLOC_TRIM(0) in (0, 1)
 
 
 # ---------------------------------------------------------------------------

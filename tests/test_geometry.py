@@ -266,6 +266,21 @@ def test_hyperbolic_disc_flat_limit():
     assert gc.area / (math.pi * 1e-8) == pytest.approx(1.0, rel=1e-7)
 
 
+def test_hyperbolic_disc_builds_at_its_radius_limit():
+    limit = geo._HYPERBOLIC_DISC_MAX_RADIUS
+    _, gc = geo.build_hyperbolic_disc(limit)
+    assert gc.area == pytest.approx(4 * math.pi * math.sinh(limit / 2) ** 2, rel=1e-14)
+
+
+@pytest.mark.parametrize("radius", [math.nextafter(15.0, math.inf), 15.25, 16.0, 17.0, 19.0, 100.0])
+def test_hyperbolic_disc_above_its_radius_limit_names_radius_and_limit(radius):
+    # 16 and 17 failed the Gauss-Bonnet audit, 19 and 100 claimed to leave
+    # the upper half-plane
+    assert radius > geo._HYPERBOLIC_DISC_MAX_RADIUS == 15.0
+    with pytest.raises(geo.GeometryError, match=f"radius {radius} exceeds the limit 15.0"):
+        geo.build_hyperbolic_disc(radius)
+
+
 # ---------------------------------------------------------------------------
 # spherical builders
 
