@@ -354,7 +354,7 @@ def main(argv=None) -> int:
     except (ConfigError, exact.OracleError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
-    except (meshing.MeshError, eigensolve.SolveError, GeometryError) as exc:
+    except (eigensolve.SolveError, GeometryError) as exc:  # MeshError is a GeometryError
         print(f"solver error: {exc}", file=sys.stderr)
         return _EXIT_SOLVER
     except analysis.AnalysisError as exc:

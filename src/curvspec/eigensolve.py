@@ -23,9 +23,9 @@ caller's BLAS threads, whose number moves their last bits. Without a guide,
 one window shifts below the spectrum and one count above its top certifies it.
 
 A worker imports cli (the spawned main module), fem and this module, so of
-scipy only sparse and linalg: geometry, meshing and exact import scipy's
-integrate, spatial and special inside the functions that use them. After
-every task a worker hands the heap the task freed back to the OS.
+scipy only sparse and linalg: meshing and exact import scipy's spatial and
+special inside the functions that use them, and geometry integrates without
+scipy. After every task a worker hands the heap the task freed back to the OS.
 
 Extrapolation fits the last three refinement values to x_n = x + c*r^n.
 """

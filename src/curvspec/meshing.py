@@ -413,13 +413,13 @@ def save_mesh(mesh: Mesh, path) -> None:
             arcs.append("arc %.17g %.17g %.17g %.17g %.17g %s" % fields)
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"mesh level {mesh.level}\n")
-        # one table at a time: that bounds the row strings held in memory
+        # one table at a time: that bounds the text held in memory
         for tag, table, fmt in (
             ("vertices", mesh.vertices, "%.17g %.17g"),
             ("triangles", mesh.triangles, "%d %d %d"),
             ("boundary_edges", mesh.boundary_edges, "%d %d %d"),
         ):
-            fh.write("\n".join([f"{tag} {len(table)}", *textio.format_rows(fmt, *table.T)]) + "\n")
+            fh.write(f"{tag} {len(table)}\n" + textio.format_rows(fmt + "\n", *table.T, sep=""))
         fh.write("\n".join(arcs) + "\n")
 
 

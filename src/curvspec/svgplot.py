@@ -14,8 +14,8 @@ _ML, _MR, _MT, _MB = 64, 16, 34, 44
 
 
 def _nice_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
+    # a step of at least 4 float spacings of the values, so that t += step advances
+    hi = max(hi if hi > lo else lo + 1.0, lo + 4 * n * math.ulp(max(abs(lo), abs(hi))))
     raw = (hi - lo) / n
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
@@ -105,7 +105,7 @@ def render_line_plot(path, title: str, x, y, xlabel: str = "t") -> None:
             f'<line x1="{_ML}" y1="{zy:.2f}" x2="{_ML + pw}" y2="{zy:.2f}" '
             f'stroke="#bbbbbb" stroke-width="1" stroke-dasharray="4 3"/>'
         )
-    pts = " ".join(textio.format_rows("%.2f,%.2f", sx(x), sy(y)))
+    pts = textio.format_rows("%.2f,%.2f", sx(x), sy(y), sep=" ")
     parts.append(
         f'<polyline points="{pts}" fill="none" stroke="#1f4e9c" stroke-width="1.2"/>'
     )

@@ -1,6 +1,7 @@
 """Plain-text tables: the row formatter and CSV reader of every file curvspec
 writes or reads back. Rows are `fmt % row` over the columns' `.tolist()`
-scalars; `%.17g` prints every float, -0, nan and inf as `{v:.17g}` does.
+scalars, formatted for the whole table by one `%`; `%.17g` prints every
+float, -0, nan and inf as `{v:.17g}` does.
 """
 
 from __future__ import annotations
@@ -8,15 +9,20 @@ from __future__ import annotations
 import numpy as np
 
 
-def format_rows(fmt: str, *columns) -> list[str]:
-    """One `fmt % row` string per row of the equal-length columns."""
-    return [fmt % row for row in zip(*(np.asarray(c).tolist() for c in columns))]
+def format_rows(fmt: str, *columns, sep: str = "\n") -> str:
+    """The `fmt % row` of every row of the equal-length columns, joined by sep."""
+    cols = [np.asarray(c).tolist() for c in columns]
+    n, k = len(cols[0]), len(cols)
+    flat = [None] * (n * k)  # row-major: the arguments of one `%` over the table
+    for j, col in enumerate(cols):
+        flat[j::k] = col
+    return ((fmt + sep) * (n - 1) + fmt) % tuple(flat) if n else ""
 
 
 def write_table(path, header: str, fmt: str, *columns) -> None:
     """A header line, then one `fmt % row` line per row of the columns."""
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join([header, *format_rows(fmt, *columns)]) + "\n")
+        fh.write(header + "\n" + format_rows(fmt + "\n", *columns, sep=""))
 
 
 def read_csv(path, what: str, header_ok, error) -> tuple[list[str], np.ndarray]:

@@ -729,8 +729,8 @@ print(eigensolve._POOL is None, multiprocessing.active_children() == [])
 
 def test_window_worker_imports_no_unused_scipy(disc_above_dense, tmp_path):
     # a spawned worker imports curvspec.cli and unpickles its tasks' problems;
-    # scipy.integrate (which loads scipy.optimize), scipy.spatial and
-    # scipy.special serve geometry, meshing and exact only
+    # scipy.spatial and scipy.special serve meshing and exact only, and no
+    # module needs scipy.integrate or scipy.optimize
     problem, _ = disc_above_dense
     pickled = tmp_path / "problem.pkl"
     pickled.write_bytes(pickle.dumps(problem))
@@ -745,14 +745,35 @@ eigensolve._task(eigensolve._solve_window, problem, 4, (-1.0,), 1, 1e-9)
 unused = ("scipy.integrate", "scipy.spatial", "scipy.special", "scipy.optimize")
 print(",".join(m for m in unused if m in sys.modules) or "none")
 load_domain_config({os.path.join(CONFIG_DIR, "hyperbolic_triangle_a.yaml")!r})
-print("scipy.integrate" in sys.modules)
+print(",".join(m for m in ("scipy.integrate", "scipy.optimize") if m in sys.modules) or "none")
 """
     env = dict(os.environ, PYTHONPATH=SRC_DIR + os.pathsep + os.environ.get("PYTHONPATH", ""))
     out = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["none", "True"]
+    assert out.stdout.split() == ["none", "none"]
+
+
+def test_oracle_analyze_imports_neither_integrate_nor_optimize(tmp_path):
+    # loading a config and the oracle run need neither module (0.25 s and
+    # 20 MB per process together); the spherical triangle's constants take
+    # boundary quadrature, the disc's do not
+    script = f"""
+import sys
+from curvspec import cli
+assert cli.main(["analyze", "--use-oracle", "--num-eigs", "200", "--samples", "128", "--quiet",
+                 "--config", {os.path.join(CONFIG_DIR, "unit_disc_dirichlet.yaml")!r},
+                 "--config", {os.path.join(CONFIG_DIR, "spherical_right_triangle.yaml")!r},
+                 "--out", {str(tmp_path / "a")!r}]) == 0
+print(",".join(m for m in ("scipy.integrate", "scipy.optimize") if m in sys.modules) or "none")
+"""
+    env = dict(os.environ, PYTHONPATH=SRC_DIR + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["none"]
 
 
 # ---------------------------------------------------------------------------

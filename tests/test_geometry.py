@@ -1,10 +1,14 @@
 import math
+import os
 
 import numpy as np
 import pytest
-from scipy.integrate import dblquad
+from scipy.integrate import dblquad, quad
 
 from curvspec import geometry as geo
+from curvspec.configio import load_domain_config
+
+from conftest import CONFIG_DIR
 
 
 def test_corner_phi_values():
@@ -129,6 +133,64 @@ def test_isometry_invariance():
         assert a.area == pytest.approx(b.area, abs=1e-12)
         assert a.perimeter_d == pytest.approx(b.perimeter_d, abs=1e-12)
         assert a.c == pytest.approx(b.c, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the boundary quadrature
+
+
+def test_hyperbolic_nonvertical_segment_length():
+    p0, p1 = (0.3, 0.7), (2.1, 1.9)
+    seg = geo.LineSegment(p0, p1)
+    want = math.dist(p0, p1) * math.log(p1[1] / p0[1]) / (p1[1] - p0[1])
+    assert geo.arc_length(geo.SpaceForm.HYPERBOLIC, seg) == pytest.approx(want, rel=1e-14)
+    assert geo.arc_length(geo.SpaceForm.HYPERBOLIC, seg.reversed()) == pytest.approx(want, rel=1e-14)
+
+
+@pytest.mark.parametrize("radius", [0.5, 5.0, 15.0])
+def test_hyperbolic_disc_circumference_quadrature(radius):
+    # model circle from y = 1 to e^(2R): the length density peaks at its
+    # bottom (t = 0 and 1) with width ~ e^-R; y = 1 + 2 r sin^2(pi t) avoids
+    # the cancellation of the circle's own point(t) there
+    r = 0.5 * math.expm1(2.0 * radius)
+    want = 2.0 * math.pi * math.sinh(radius)
+
+    def density(t):
+        return 2.0 * math.pi * r / (1.0 + 2.0 * r * np.sin(math.pi * np.minimum(t, 1.0 - t)) ** 2)
+
+    assert geo._quad(density, "circumference") == pytest.approx(want, rel=1e-12)
+    if radius <= 5.0:  # along the circle itself, while point(t) keeps ~1e-13
+        dom, _ = geo.build_hyperbolic_disc(radius)
+        length = geo.arc_length(geo.SpaceForm.HYPERBOLIC, dom.outer_loop[0])
+        assert length == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("radius", [0.1, 1.0, math.pi / 2, 2.5])
+def test_spherical_cap_area_quadrature(radius):
+    dom, _ = geo.build_spherical_disc(radius)
+    area = geo.green_area(geo.SpaceForm.SPHERICAL, dom.outer_loop[0])
+    assert area == pytest.approx(2.0 * math.pi * (1.0 - math.cos(radius)), rel=1e-13)
+
+
+def test_shipped_boundary_integrals_match_quadpack(monkeypatch):
+    ours, pairs = geo._quad, []
+
+    def both(f, what):
+        ref, _ = quad(lambda t: float(f(t)), 0.0, 1.0, epsabs=1e-13, epsrel=1e-12, limit=400)
+        pairs.append((what, ours(f, what), ref))
+        return pairs[-1][1]
+
+    monkeypatch.setattr(geo, "_quad", both)
+    for name in sorted(os.listdir(CONFIG_DIR)):
+        load_domain_config(os.path.join(CONFIG_DIR, name))
+    assert len(pairs) == 32  # the arcs of the 4 hyperbolic and 2 spherical triangles
+    for what, val, ref in pairs:
+        assert val == pytest.approx(ref, rel=1e-14, abs=1e-300), what
+
+
+def test_divergent_integral_names_the_quantity():
+    with pytest.raises(geo.GeometryError, match="quadrature for 1/t did not converge"):
+        geo._quad(lambda t: 1.0 / t, "1/t")
 
 
 # ---------------------------------------------------------------------------

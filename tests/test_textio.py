@@ -3,6 +3,7 @@ it replaced, the CSV reader's errors, and write -> read round trips."""
 
 import math
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -25,16 +26,38 @@ _INT64 = np.iinfo(np.int64)
 
 def test_format_rows_matches_fstrings_on_extreme_values():
     x = np.array(_SPECIAL)
-    assert textio.format_rows("%.17g", x) == [f"{v:.17g}" for v in x]
+    assert textio.format_rows("%.17g", x) == "\n".join(f"{v:.17g}" for v in x)
     pairs = textio.format_rows("%.17g,%.2f", x, x[::-1])
-    assert pairs == [f"{a:.17g},{b:.2f}" for a, b in zip(x, x[::-1])]
+    assert pairs == "\n".join(f"{a:.17g},{b:.2f}" for a, b in zip(x, x[::-1]))
     ints = np.array([_INT64.min, _INT64.min + 1, -1, 0, 1, _INT64.max], dtype=np.int64)
-    assert textio.format_rows("%d %d", ints, ints[::-1]) == [
+    assert textio.format_rows("%d %d", ints, ints[::-1], sep=";") == ";".join(
         f"{a} {b}" for a, b in zip(ints, ints[::-1])
-    ]
+    )
     flags = np.array([True, False, True])
-    assert textio.format_rows("%d", flags) == ["1" if f else "0" for f in flags]
-    assert textio.format_rows("%d", np.array([], dtype=int)) == []
+    assert textio.format_rows("%d", flags) == "\n".join("1" if f else "0" for f in flags)
+    assert textio.format_rows("%d", np.array([], dtype=int)) == ""
+
+
+def test_format_rows_zero_and_one_row_and_mixed_types(tmp_path):
+    empty = np.array([])
+    assert textio.format_rows("%.17g,%d", empty, empty.astype(int), sep=" ") == ""
+    assert textio.format_rows("%.17g,%d", [0.1], [7], sep=" ") == "0.10000000000000001,7"
+    # one row mixing an int, a bool and a float column; sep only between rows
+    cols = (np.array([3, -2]), np.array([True, False]), np.array([-0.0, math.inf]))
+    assert textio.format_rows("%d|%d|%.17g", *cols, sep="") == "3|1|-0-2|0|inf"
+    assert textio.format_rows("%d|%d|%.17g", *(c[:1] for c in cols)) == "3|1|-0"
+    path = tmp_path / "t.csv"
+    textio.write_table(path, "a,b", "%d,%.17g", empty.astype(int), empty)
+    assert path.read_bytes() == b"a,b\n"
+    textio.write_table(path, "a,b", "%d,%.17g", [True], [2.5])
+    assert path.read_bytes() == b"a,b\n1,2.5\n"
+
+
+def test_svg_polyline_of_one_point(tmp_path):
+    path = tmp_path / "one.svg"
+    svgplot.render_line_plot(path, "one", [3.0], [-7.5])
+    # the lone point sits at the left edge, halfway up the widened y range
+    assert '<polyline points="64.00,195.00"' in path.read_text()
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +214,41 @@ def test_svg_polyline_matches_per_point_loop(tmp_path):
     path = tmp_path / "plot.svg"
     svgplot.render_line_plot(path, "walk", x, y)
     assert f'<polyline points="{_old_polyline(x, y)}"' in path.read_text()
+
+
+def _nice_ticks_or_timeout(lo, hi, seconds=5):
+    def stalled(signum, frame):
+        raise TimeoutError(f"_nice_ticks({lo!r}, {hi!r}) did not return in {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, stalled)
+    signal.alarm(seconds)
+    try:
+        return svgplot._nice_ticks(lo, hi)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (1e8, 1e8 + 1e-8),  # a step below the float spacing: t += step stalled
+    (1e17, 1e17),  # lo + 1.0 == lo: log10 of a zero range
+    (-1e17, -1e17),
+])
+def test_nice_ticks_return_on_ranges_below_float_spacing(lo, hi):
+    ticks = _nice_ticks_or_timeout(lo, hi)
+    assert 2 <= len(ticks) <= 6
+    assert all(a < b for a, b in zip(ticks, ticks[1:]))
+    assert lo <= ticks[0] and ticks[-1] <= max(hi, lo + 20 * math.ulp(lo))
+
+
+def test_nice_ticks_unchanged_on_ordinary_ranges():
+    # the ticks the accumulating loop gave before ranges were widened
+    assert svgplot._nice_ticks(0.0, 1.0) == [0.0, 0.2, 0.4, 0.6000000000000001, 0.8, 1.0]
+    assert svgplot._nice_ticks(-3.2, 7.9) == [-2.5, 0.0, 2.5, 5.0, 7.5]
+    assert svgplot._nice_ticks(5.0, 5.0) == [
+        5.0, 5.2, 5.4, 5.6000000000000005, 5.800000000000001, 6.000000000000001
+    ]
+    assert svgplot._nice_ticks(1e-9, 3e-9) == [1e-09, 1.5000000000000002e-09, 2e-09, 2.5e-09, 3e-09]
 
 
 # ---------------------------------------------------------------------------
