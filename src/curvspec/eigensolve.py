@@ -22,10 +22,10 @@ neither the core count nor --jobs; dense and single-window levels use the
 caller's BLAS threads, whose number moves their last bits. Without a guide,
 one window shifts below the spectrum and one count above its top certifies it.
 
-A worker imports cli (the spawned main module), fem and this module, so of
-scipy only sparse and linalg: meshing and exact import scipy's spatial and
-special inside the functions that use them, and geometry integrates without
-scipy. After every task a worker hands the heap the task freed back to the OS.
+Importing cli loads no scipy: each module imports it in the functions that use
+it. A worker imports cli (the spawned main module), gets scipy.sparse when it
+unpickles its first problem and sparse.linalg at its first factor, never
+spatial or special, and after every task hands the heap it freed to the OS.
 
 Extrapolation fits the last three refinement values to x_n = x + c*r^n.
 """
@@ -43,8 +43,6 @@ import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse.linalg as spla
 
 from . import textio
 from .fem import EigenProblem
@@ -180,6 +178,7 @@ def _factor(problem: EigenProblem, sigma: float):
     """Sparse LU of K - sigma*M in the problem's order with diagonal pivots:
     with perm_r == perm_c it is L D L^T, D = diag(U), so the negative entries of
     diag(U) count the eigenvalues below sigma (Sylvester inertia)."""
+    import scipy.sparse.linalg as spla  # on use, like every scipy import here
     a = (problem.stiffness - sigma * problem.mass).tocsc()
     opts = {"SymmetricMode": True}
     return spla.splu(a, permc_spec="NATURAL", diag_pivot_thresh=0.0, options=opts)
@@ -205,6 +204,7 @@ def _shift_invert(problem: EigenProblem, k: int, shift: float, v0, ncv: int, tol
     (solve backward error ~1e-15 against ~1e-18) and the residuals stall near
     the gate, so it gets partial pivoting.
     """
+    import scipy.sparse.linalg as spla
     if shift < 0.0:
         lu = _factor(problem, shift)
     else:
@@ -223,6 +223,7 @@ def _solve_window(problem: EigenProblem, k: int, shifts, seed: int, tol: float):
     A failed factorization or ARPACK error moves on to the next of shifts; a
     window inside the spectrum has only one.
     """
+    import scipy.sparse.linalg as spla
     n = problem.dimension
     v0 = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
     ncv = min(max(2 * k + 1, 20), n)  # eigsh's default subspace size
@@ -400,6 +401,7 @@ def solve_lowest(problem: EigenProblem, m: int, tol: float = 1e-9, guide=None) -
     checks = []  # (shift, inertia count of eigenvalues below it)
     one_window = False
     if n <= _DENSE_LIMIT:
+        import scipy.linalg as sla
         vals, vecs = sla.eigh(problem.stiffness.toarray(), problem.mass.toarray())
         vals, vecs = vals[:m], vecs[:, :m]
         res = _residuals(problem, vals, vecs)

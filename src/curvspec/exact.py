@@ -8,6 +8,7 @@ Functions, 1996).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -97,46 +98,51 @@ def equilateral_spectrum(count: int) -> OracleSpectrum:
     return _lattice_spectrum("equilateral", count, scale, lambda j, k: j * j + k * k + j * k, True)
 
 
-def _zeros_below(zeros, k: int, radius: float, nt: int) -> np.ndarray:
-    # ask for nt zeros, doubling nt until one lands at or past the radius
+@functools.lru_cache(maxsize=8)
+def _disc_spectra(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The count lowest Dirichlet and Neumann unit-disc eigenvalues, from one
+    scan: each JYZO call returns the zeros of J_k and of J_k' together.
+
+    All zeros below a radius are collected order by order; the radius starts
+    at the Weyl estimate sqrt(lambda_count) ~ 2 sqrt(count) and grows until
+    at least count eigenvalues of each kind lie below its square.
+    """
+    from scipy import special
+    radius = 2.0 * math.sqrt(count) + 2.0
     while True:
-        z = zeros(k, nt)
-        if z[-1] >= radius:
-            return z[z < radius]
-        nt *= 2
+        parts = ([], [np.zeros(1)])  # Dirichlet, Neumann with its zero mode
+        # zeros below the radius per order: at most one more than at the
+        # previous order, and (for k >= 1) none once j'_{k,1} < j_{k,1}
+        # passes it; order 0 cannot stop the scan since j'_{0,1} > j'_{1,1}
+        nt, k = int(radius / math.pi) + 2, 0
+        while True:
+            z = special.jnyn_zeros(k, nt)[:2]
+            while min(z[0][-1], z[1][-1]) < radius:  # until both pass the radius
+                nt *= 2
+                z = special.jnyn_zeros(k, nt)[:2]
+            z = [zk[zk < radius] for zk in z]
+            if k >= 1 and len(z[1]) == 0:
+                break
+            for part, zk in zip(parts, z):
+                part.append(np.repeat(zk * zk, 2 if k else 1))
+            nt, k = len(z[1]) + 2, k + 1
+        vals = [np.sort(np.concatenate(part)) for part in parts]
+        if min(len(v) for v in vals) >= count:
+            return vals[0][:count], vals[1][:count]
+        radius *= 1.25
 
 
 def disc_spectrum(count: int, bc: str = "D") -> OracleSpectrum:
     """Unit-disc spectrum: squares of Bessel zeros (Dirichlet) or of derivative
     zeros plus the zero mode (Neumann); multiplicity 1 for order 0, 2 otherwise.
 
-    All zeros below a radius are collected order by order; the radius starts
-    at the Weyl estimate sqrt(lambda_count) ~ 2 sqrt(count) and grows until
-    at least count eigenvalues lie below its square.
+    Both kinds come from one scan, cached per count; each call gets a copy.
     """
     if count < 1:
         raise OracleError("count must be >= 1")
     if bc not in ("D", "N"):
         raise OracleError(f"bc must be 'D' or 'N', got {bc!r}")
-    from scipy import special
-    zeros = special.jnp_zeros if bc == "N" else special.jn_zeros
-    radius = 2.0 * math.sqrt(count) + 2.0
-    while True:
-        parts = [np.zeros(1)] if bc == "N" else []
-        # zeros below the radius per order: at most one more than at the
-        # previous order, and (for k >= 1) none once the first zero passes
-        # it; order 0 cannot stop the scan since j'_{0,1} > j'_{1,1}
-        nt, k = int(radius / math.pi) + 2, 0
-        while True:
-            z = _zeros_below(zeros, k, radius, nt)
-            if k >= 1 and len(z) == 0:
-                break
-            parts.append(np.repeat(z * z, 2 if k else 1))
-            nt, k = len(z) + 2, k + 1
-        vals = np.sort(np.concatenate(parts))
-        if len(vals) >= count:
-            return OracleSpectrum(f"disc-{bc.lower()}", vals[:count])
-        radius *= 1.25
+    return OracleSpectrum(f"disc-{bc.lower()}", _disc_spectra(count)["DN".index(bc)].copy())
 
 
 def _staircase_spectrum(case: str, count: int, value) -> OracleSpectrum:

@@ -10,13 +10,16 @@ eliminated by row/column deletion; Neumann is natural.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import textio
 from .geometry import DIRICHLET, SpaceForm, conformal_factor
 from .meshing import Mesh, edge_vectors
+
+if TYPE_CHECKING:  # assemble imports scipy.sparse on use
+    import scipy.sparse as sp
 
 
 class AssemblyError(ValueError):
@@ -120,6 +123,7 @@ def assemble(mesh: Mesh, weight: ConformalWeight, bc_map=None) -> EigenProblem:
     m_loc[:, [0, 1, 2], [0, 1, 2]] += np.roll(w, 1, axis=1)
     m_loc *= (area / 12.0)[:, None, None]
 
+    import scipy.sparse as sp  # here, so that importing cli loads no scipy
     rows = np.repeat(t, 3, axis=1).reshape(-1)
     cols = np.tile(t, (1, 3)).reshape(-1)
     n = mesh.num_vertices

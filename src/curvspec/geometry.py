@@ -342,7 +342,7 @@ def _points_in_poly(poly: np.ndarray, pts) -> np.ndarray:
     px, py = poly[:, 0], poly[:, 1]
     qx, qy = np.roll(px, -1), np.roll(py, -1)
     cond = (py > y) != (qy > y)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):  # lanes that cond drops may divide by ~0
         xint = px + (y - py) * (qx - px) / (qy - py)
     return np.count_nonzero(cond & (x < xint), axis=1) % 2 == 1
 
@@ -461,11 +461,12 @@ class Domain:
         outside = ~_points_in_poly(polys[0], means)
         if outside.any():
             raise GeometryError(f"hole {int(np.argmax(outside))} is not inside the outer loop")
-        # no two chord segments may cross: one pass per segment a over all
-        # later segments b, which cross when orient(a0, a1, b0) * orient(a0, a1, b1)
-        # and orient(b0, b1, a0) * orient(b0, b1, a1) are both below -eps, with
-        # orient(p, q, r) = (q - p) x (r - p); two neighbours on a loop share an
-        # end, which makes one of their orientations exactly 0
+        # no two chord segments may cross: segments a < b cross when
+        # orient(a0, a1, b0) * orient(a0, a1, b1) and orient(b0, b1, a0) *
+        # orient(b0, b1, a1) are both below -eps, with orient(p, q, r) =
+        # (q - p) x (r - p); two neighbours on a loop share an end, which makes
+        # one of their orientations exactly 0. Each pass takes whole rows a,
+        # at most 2^20 pairs (one pass for every shipped config)
         scale = 1.0 + self.model_diameter()
         eps = (1e-12 * scale) ** 2
         loop_of = np.repeat(np.arange(len(polys)), [len(poly) for poly in polys])
@@ -473,17 +474,20 @@ class Domain:
         p1 = np.concatenate([np.roll(poly, -1, axis=0) for poly in polys])
         (x0, y0), (x1, y1) = p0.T, p1.T
         dx, dy = x1 - x0, y1 - y0
-        for a in range(len(p0) - 1):
-            b = slice(a + 1, None)
+        n = len(p0)
+        rows = max(1, 2**20 // n)
+        for first in range(0, n - 1, rows):
+            a, b = np.nonzero(np.arange(first, min(first + rows, n))[:, None] < np.arange(n))
+            a += first
             d1 = dx[a] * (y0[b] - y0[a]) - dy[a] * (x0[b] - x0[a])
             d2 = dx[a] * (y1[b] - y0[a]) - dy[a] * (x1[b] - x0[a])
             d3 = dx[b] * (y0[a] - y0[b]) - dy[b] * (x0[a] - x0[b])
             d4 = dx[b] * (y1[a] - y0[b]) - dy[b] * (x1[a] - x0[b])
             hit = np.flatnonzero((d1 * d2 < -eps) & (d3 * d4 < -eps))
             if hit.size:
-                lb = loop_of[a + 1 + hit[0]]
+                la, lb = loop_of[a[hit[0]]], loop_of[b[hit[0]]]
                 raise GeometryError(
-                    f"boundary loops are not simple/disjoint (loops {loop_of[a]} and {lb} cross)"
+                    f"boundary loops are not simple/disjoint (loops {la} and {lb} cross)"
                 )
         # holes must sit outside each other (checked at their chord means; of
         # two concentric holes, the smaller one is inside)

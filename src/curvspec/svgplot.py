@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -11,21 +10,31 @@ from . import textio
 
 _W, _H = 640, 400
 _ML, _MR, _MT, _MB = 64, 16, 34, 44
+_UNIT = 2048.0  # see _span
+_BIG = 1.7976931348623157e308  # the largest float
+
+
+def _span(lo, hi):
+    # (hi - lo) / _UNIT, with the same bits unless a value or the difference
+    # lies in (0, 1e-300), and finite for finite values, even times the width
+    return hi / _UNIT - lo / _UNIT
 
 
 def _nice_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    # a step of at least 4 float spacings of the values, so that t += step advances
-    hi = max(hi if hi > lo else lo + 1.0, lo + 4 * n * math.ulp(max(abs(lo), abs(hi))))
-    raw = (hi - lo) / n
+    # a step of at least 4 float spacings of the values, so that t += step
+    # advances; where that passes the largest float, the range grows down
+    gap = 4 * n * math.ulp(max(abs(lo), abs(hi)))
+    top = max(hi if hi > lo else lo + 1.0, lo + gap)
+    lo, hi = (lo, top) if top < math.inf else (min(lo, hi - gap), max(lo, hi))
+    raw = _span(lo, hi) / n * _UNIT
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:
             step = mult * mag
             break
-    first = math.ceil(lo / step) * step
     ticks = []
-    t = first
-    while t <= hi + 1e-12 * step:
+    t = math.ceil(lo / step) * step
+    while t <= min(hi + 1e-12 * step, _BIG):  # t = inf ends it
         ticks.append(0.0 if abs(t) < 1e-12 * step else t)
         t += step
     return ticks
@@ -41,6 +50,8 @@ def _fmt(v: float) -> str:
 
 def render_line_plot(path, title: str, x, y, xlabel: str = "t") -> None:
     """Single-series SVG line plot with axes, ticks and a zero line."""
+    title, xlabel = (s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+                     for s in (title, xlabel))
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     ok = np.isfinite(x) & np.isfinite(y)
@@ -50,27 +61,26 @@ def render_line_plot(path, title: str, x, y, xlabel: str = "t") -> None:
         y = np.array([0.0, 0.0])
     x_lo, x_hi = float(x.min()), float(x.max())
     y_lo, y_hi = float(y.min()), float(y.max())
-    if y_hi == y_lo:
-        y_lo -= 1.0
-        y_hi += 1.0
-    pad = 0.05 * (y_hi - y_lo)
-    y_lo -= pad
-    y_hi += pad
+    if y_hi == y_lo:  # at least 4 float spacings apart, as in _nice_ticks
+        d = max(1.0, 4 * math.ulp(y_lo))
+        y_lo, y_hi = y_lo - d, min(y_hi + d, _BIG)
+    pad = 0.05 * _UNIT * _span(y_lo, y_hi)
+    y_lo, y_hi = max(y_lo - pad, -_BIG), min(y_hi + pad, _BIG)
     pw = _W - _ML - _MR
     ph = _H - _MT - _MB
 
     def sx(v):
-        return _ML + pw * (v - x_lo) / (x_hi - x_lo if x_hi > x_lo else 1.0)
+        return _ML + pw * _span(x_lo, v) / (_span(x_lo, x_hi) if x_hi > x_lo else 1 / _UNIT)
 
     def sy(v):
-        return _MT + ph * (1.0 - (v - y_lo) / (y_hi - y_lo))
+        return _MT + ph * (1.0 - _span(y_lo, v) / _span(y_lo, y_hi))
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
         f'<text x="{_W / 2:.1f}" y="20" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{escape(title)}</text>',
+        f'font-family="sans-serif" font-size="14">{title}</text>',
     ]
     axis = f'stroke="black" stroke-width="1"'
     parts.append(
@@ -97,7 +107,7 @@ def render_line_plot(path, title: str, x, y, xlabel: str = "t") -> None:
         )
     parts.append(
         f'<text x="{_ML + pw / 2:.1f}" y="{_H - 8}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{escape(xlabel)}</text>'
+        f'font-family="sans-serif" font-size="12">{xlabel}</text>'
     )
     if y_lo < 0.0 < y_hi:
         zy = sy(0.0)

@@ -1,8 +1,11 @@
 import concurrent.futures
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from curvspec import analysis, eigensolve, fem, meshing
 from curvspec.cli import RunConfig, main, run_analyze, run_report, run_solve
@@ -105,9 +108,9 @@ def test_each_level_is_guided_by_the_previous_levels_eigenvalues(tmp_path, monke
 
 def test_arpack_error_exits_3_naming_the_level(tmp_path, monkeypatch, capsys):
     def no_shifts(*args, **kwargs):
-        raise eigensolve.spla.ArpackError(3, {3: "No shifts could be applied"})
+        raise spla.ArpackError(3, {3: "No shifts could be applied"})
 
-    monkeypatch.setattr(eigensolve.spla, "eigsh", no_shifts)
+    monkeypatch.setattr(spla, "eigsh", no_shifts)
     # level 3 has 1377 free nodes, the first above the dense limit
     argv = ["solve", "--config", _cfg("right_isosceles_dirichlet.yaml"), "--out",
             str(tmp_path / "o"), "--refinements", "3", "--num-eigs", "6", "--quiet"]
@@ -370,3 +373,46 @@ def test_run_analyze_reads_out_dir_spectrum_by_default(tmp_path):
     assert [os.path.basename(f) for f in files[:5]] == [
         "graph1_N.csv", "graph2_D.csv", "graph3_A.csv", "graph4_At2.csv", "graph5_runmean.csv"
     ]
+
+
+# ---------------------------------------------------------------------------
+# scipy loads where a command first needs it, never at import
+
+
+def _modules_after(code) -> set:
+    """The scipy* and urllib.request modules a fresh interpreter holds after code."""
+    src = os.path.normpath(os.path.join(CONFIG_DIR, "..", "src"))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    report = "\nprint(*(m for m in sys.modules if m.split('.')[0] == 'scipy' or m == 'urllib.request'))"
+    out = subprocess.run([sys.executable, "-c", "import sys\n" + code + report], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return set(out.stdout.split())
+
+
+def test_cli_import_and_every_config_load_no_scipy():
+    code = f"""
+import glob
+import curvspec.cli
+from curvspec.configio import load_domain_config
+configs = glob.glob({os.path.join(CONFIG_DIR, "*.yaml")!r})
+assert len(configs) == 22
+for c in configs:
+    load_domain_config(c)
+"""
+    assert _modules_after(code) == set()
+
+
+@pytest.mark.parametrize("name, special", [("equilateral_dirichlet", False),
+                                           ("unit_disc_dirichlet", True)])
+def test_oracle_analyze_loads_no_solver_scipy(tmp_path, name, special):
+    code = f"""
+from curvspec import cli
+assert cli.main(["analyze", "--use-oracle", "--num-eigs", "50", "--quiet",
+                 "--config", {_cfg(name + ".yaml")!r}, "--out", {str(tmp_path)!r}]) == 0
+"""
+    loaded = _modules_after(code)
+    assert ("scipy.special" in loaded) == special
+    assert not loaded & {"scipy.linalg", "scipy.sparse.linalg", "urllib.request"}
+    if not special:
+        assert loaded == set()

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+import types
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
@@ -264,7 +265,7 @@ def test_no_convergence_retries_with_doubled_ncv(disc_above_dense, monkeypatch):
             raise _no_convergence(problem.dimension)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(eigensolve.spla, "eigsh", flaky)
+    monkeypatch.setattr(spla, "eigsh", flaky)
     sl = eigensolve.solve_lowest(problem, 6)
     assert ncvs == [20, 40]
     np.testing.assert_allclose(sl.eigenvalues, dense[:6], rtol=1e-10)
@@ -278,7 +279,7 @@ def test_no_convergence_on_every_attempt_attaches_partial(disc_above_dense, monk
         ncvs.append(kwargs["ncv"])
         raise _no_convergence(problem.dimension)
 
-    monkeypatch.setattr(eigensolve.spla, "eigsh", stuck)
+    monkeypatch.setattr(spla, "eigsh", stuck)
     with pytest.raises(eigensolve.SolveError, match="2/6") as info:
         eigensolve.solve_lowest(problem, 6)
     assert ncvs == [20, 40, 80]
@@ -300,7 +301,7 @@ def test_arpack_error_retries_further_shift(disc_above_dense, monkeypatch):
             raise _arpack_error()
         return real(*args, sigma=sigma, **kwargs)
 
-    monkeypatch.setattr(eigensolve.spla, "eigsh", no_shifts_once)
+    monkeypatch.setattr(spla, "eigsh", no_shifts_once)
     sl = eigensolve.solve_lowest(problem, 6)
     assert shifts[1] == 4.0 * shifts[0] < 0.0
     np.testing.assert_allclose(sl.eigenvalues, dense[:6], rtol=1e-10)
@@ -314,7 +315,7 @@ def test_arpack_error_on_every_shift_is_a_solve_error(disc_above_dense, monkeypa
         shifts.append(sigma)
         raise _arpack_error()
 
-    monkeypatch.setattr(eigensolve.spla, "eigsh", no_shifts)
+    monkeypatch.setattr(spla, "eigsh", no_shifts)
     with pytest.raises(eigensolve.SolveError, match="ARPACK error 3"):
         eigensolve.solve_lowest(problem, 6)
     assert shifts == [shifts[0], 4.0 * shifts[0], 16.0 * shifts[0]]
@@ -392,7 +393,7 @@ def test_skipped_interior_eigenvalue_fails_certificate(disc_above_dense, monkeyp
         keep = np.delete(np.argsort(vals), 3)
         return vals[keep], vecs[:, keep]
 
-    monkeypatch.setattr(eigensolve.spla, "eigsh", skipping)
+    monkeypatch.setattr(spla, "eigsh", skipping)
     with pytest.raises(eigensolve.SolveError, match="inertia") as info:
         eigensolve.solve_lowest(problem, 10)
     assert len(info.value.partial) == 10
@@ -421,16 +422,54 @@ def _exact_diagonal_eigsh(diag, skip=None, calls=None):
 def test_certificate_below_fully_clustered_top(monkeypatch, m):
     # all requested values lie in one cluster: the check shift goes below it
     diag = np.concatenate(([5.0, 5.0, 5.0], np.arange(7.0, 7.0 + eigensolve._DENSE_LIMIT)))
-    monkeypatch.setattr(eigensolve.spla, "eigsh", _exact_diagonal_eigsh(diag))
+    monkeypatch.setattr(spla, "eigsh", _exact_diagonal_eigsh(diag))
     sl = eigensolve.solve_lowest(_diagonal_problem(diag), m)
     assert sl.eigenvalues.tolist() == [5.0] * m
 
 
 def test_certificate_catches_member_skipped_from_cluster(monkeypatch):
     diag = np.concatenate(([5.0, 5.0, 5.0], np.arange(7.0, 7.0 + eigensolve._DENSE_LIMIT)))
-    monkeypatch.setattr(eigensolve.spla, "eigsh", _exact_diagonal_eigsh(diag, skip=1))
+    monkeypatch.setattr(spla, "eigsh", _exact_diagonal_eigsh(diag, skip=1))
     with pytest.raises(eigensolve.SolveError, match="inertia counts 3 .* found 2"):
         eigensolve.solve_lowest(_diagonal_problem(diag), 3)
+
+
+def test_failed_inertia_factorization_attaches_the_partial(monkeypatch):
+    # the one-window certificate factors at a positive shift; make that fail
+    diag = np.arange(1.0, eigensolve._DENSE_LIMIT + 101.0)
+    monkeypatch.setattr(spla, "eigsh", _exact_diagonal_eigsh(diag))
+    real = eigensolve._factor
+
+    def singular_above_zero(problem, sigma):
+        if sigma > 0.0:
+            raise RuntimeError("Factor is exactly singular")
+        return real(problem, sigma)
+
+    monkeypatch.setattr(eigensolve, "_factor", singular_above_zero)
+    with pytest.raises(eigensolve.SolveError, match="inertia factorization failed at shift 4.5") as info:
+        eigensolve.solve_lowest(_diagonal_problem(diag), 5)
+    assert info.value.partial.eigenvalues.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+
+
+def test_inertia_factor_with_unequal_permutations_is_refused(monkeypatch):
+    real = eigensolve._factor
+
+    def reordered(problem, sigma):
+        lu = real(problem, sigma)
+        return types.SimpleNamespace(perm_r=lu.perm_r[::-1], perm_c=lu.perm_c, U=lu.U)
+
+    monkeypatch.setattr(eigensolve, "_factor", reordered)
+    problem = _diagonal_problem([1.0, 2.0, 3.0])
+    with pytest.raises(eigensolve.SolveError, match="at shift 2.5 lost its symmetric ordering"):
+        eigensolve._count_below(problem, 2.5)
+
+
+@pytest.mark.parametrize("spare", [0, 1])
+def test_nearly_full_sparse_spectrum_is_refused(spare):
+    n = eigensolve._DENSE_LIMIT + 2
+    m = n - spare
+    with pytest.raises(eigensolve.SolveError, match=rf"nearly full spectrum \({m} of {n}\)"):
+        eigensolve.solve_lowest(_diagonal_problem(np.arange(1.0, n + 1.0)), m)
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +655,7 @@ def test_double_eigenvalue_at_quantile_stays_in_one_window(in_process, monkeypat
     q = m // w - 1  # the first window's last index
     diag = _ladder(eigensolve._DENSE_LIMIT + 200, q)
     calls = []
-    monkeypatch.setattr(eigensolve.spla, "eigsh", _exact_diagonal_eigsh(diag, calls=calls))
+    monkeypatch.setattr(spla, "eigsh", _exact_diagonal_eigsh(diag, calls=calls))
     sl = eigensolve.solve_lowest(_diagonal_problem(diag), m, guide=diag[:m])
     assert sl.eigenvalues.tolist() == diag[:m].tolist()
     assert len(calls) == w
@@ -639,7 +678,7 @@ def test_eigenvalue_dropped_from_second_window_fails_inertia(
         keep = np.delete(np.argsort(np.abs(vals - sigma)), 0)  # lose the one nearest sigma
         return vals[keep], vecs[:, keep]
 
-    monkeypatch.setattr(eigensolve.spla, "eigsh", dropping)
+    monkeypatch.setattr(spla, "eigsh", dropping)
     with pytest.raises(eigensolve.SolveError, match="inertia counts") as info:
         eigensolve.solve_lowest(problem, 80, guide=dense[:80])
     assert calls[0] < 0.0 < calls[1]
@@ -659,7 +698,7 @@ def test_foreign_value_in_a_window_leaves_an_ascending_partial(in_process, monke
             vals[0], vecs[:, 0] = diag[0], np.eye(len(diag))[:, 0]
         return vals, vecs
 
-    monkeypatch.setattr(eigensolve.spla, "eigsh", foreign)
+    monkeypatch.setattr(spla, "eigsh", foreign)
     with pytest.raises(eigensolve.SolveError, match="inertia counts") as info:
         eigensolve.solve_lowest(_diagonal_problem(diag), m, guide=diag[:m])
     partial = info.value.partial.eigenvalues
@@ -680,7 +719,7 @@ def test_arpack_error_in_interior_window_is_a_solve_error(
             raise _arpack_error()
         return real(*args, k=k, sigma=sigma, **kwargs)
 
-    monkeypatch.setattr(eigensolve.spla, "eigsh", failing_second)
+    monkeypatch.setattr(spla, "eigsh", failing_second)
     with pytest.raises(eigensolve.SolveError, match="ARPACK error 3") as info:
         eigensolve.solve_lowest(problem, 80, guide=dense[:80])
     assert f"at shift {calls[1]:.6g}" in str(info.value)
@@ -690,7 +729,7 @@ def test_arpack_error_in_interior_window_is_a_solve_error(
 def test_low_top_edge_is_raised_until_it_counts_m(in_process, monkeypatch):
     m = 80
     diag = _ladder(eigensolve._DENSE_LIMIT + 100)
-    monkeypatch.setattr(eigensolve.spla, "eigsh", _exact_diagonal_eigsh(diag))
+    monkeypatch.setattr(spla, "eigsh", _exact_diagonal_eigsh(diag))
     real = eigensolve._count_below
     counted = []
 

@@ -194,6 +194,72 @@ def test_disc_spectrum_prefix_of_larger(disc_4000, m, bc):
     assert np.array_equal(exact.disc_spectrum(m, bc).eigenvalues, disc_4000[bc][:m])
 
 
+def _per_kind_disc_scan(count, bc):
+    """disc_spectrum as it was: one scan per kind, jn_zeros or jnp_zeros per order."""
+    from scipy import special
+
+    zeros = special.jnp_zeros if bc == "N" else special.jn_zeros
+    radius = 2.0 * math.sqrt(count) + 2.0
+    while True:
+        parts = [np.zeros(1)] if bc == "N" else []
+        nt, k = int(radius / math.pi) + 2, 0
+        while True:
+            while True:
+                z = zeros(k, nt)
+                if z[-1] >= radius:
+                    z = z[z < radius]
+                    break
+                nt *= 2
+            if k >= 1 and len(z) == 0:
+                break
+            parts.append(np.repeat(z * z, 2 if k else 1))
+            nt, k = len(z) + 2, k + 1
+        vals = np.sort(np.concatenate(parts))
+        if len(vals) >= count:
+            return vals[:count]
+        radius *= 1.25
+
+
+_SCAN_COUNTS = (1, 2, 3, 150, 600, 4000)
+
+
+@pytest.fixture(scope="module")
+def per_kind_scans():
+    return {(m, bc): _per_kind_disc_scan(m, bc) for m in _SCAN_COUNTS for bc in "DN"}
+
+
+@pytest.mark.parametrize("order", ["DN", "ND"])
+@pytest.mark.parametrize("m", _SCAN_COUNTS)
+def test_one_disc_scan_matches_per_kind_scans_bit_for_bit(per_kind_scans, monkeypatch, m, order):
+    from scipy import special
+
+    exact._disc_spectra.cache_clear()
+    real, calls = special.jnyn_zeros, []
+
+    def counting(k, nt):
+        calls.append(k)
+        return real(k, nt)
+
+    monkeypatch.setattr(special, "jnyn_zeros", counting)
+    for i, bc in enumerate(order):
+        got = exact.disc_spectrum(m, bc)
+        assert got.case == f"disc-{bc.lower()}"
+        assert got.eigenvalues.tobytes() == per_kind_scans[m, bc].tobytes()
+        if i == 0:
+            scanned = len(calls)
+    assert scanned > 0 and len(calls) == scanned  # the second kind came from the cache
+
+
+def test_disc_spectrum_returns_copies():
+    first = exact.disc_spectrum(40, "N")
+    want = first.eigenvalues.copy()
+    first.eigenvalues[:] = -1.0
+    again = exact.disc_spectrum(40, "N")
+    assert again.eigenvalues.tobytes() == want.tobytes()
+    again.eigenvalues[0] = 7.0
+    assert exact.disc_spectrum(40, "N").eigenvalues.tobytes() == want.tobytes()
+
+
 def test_spherical_right_triangle_spectrum():
     spec = exact.spherical_right_triangle_spectrum(10)
     assert spec.eigenvalues.tolist() == [12, 30, 30, 56, 56, 56, 90, 90, 90, 90]

@@ -3,6 +3,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 
 from curvspec import geometry as geo
@@ -651,3 +653,76 @@ def test_simplicity_check_matches_pairwise_reference():
     ]
     found = [_check_against_reference(_square(0, 10), holes) for holes in layouts]
     assert found == [None, None, (0, 1), (1, 2), (2, 3), (0, 1)]
+
+
+def _unvalidated_polygon(outer, holes):
+    # a flat polygon domain whose __post_init__ checks have not run
+    dom = object.__new__(geo.Domain)
+    dom.space = geo.SpaceForm.EUCLIDEAN
+    dom.outer_loop = geo.oriented(geo._polygon_loop(outer, "D"), ccw=True)
+    dom.holes = [geo.oriented(geo._polygon_loop(h, "D"), ccw=False) for h in holes]
+    return dom
+
+
+def _per_segment_first_crossing(dom):
+    """Domain._validate_simple's crossing pass as it was, one segment a at a
+    time over all later segments: the loops of the first crossing pair, or None."""
+    polys = [geo._chordize(loop) for loop in dom.loops()]
+    eps = (1e-12 * (1.0 + dom.model_diameter())) ** 2
+    loop_of = np.repeat(np.arange(len(polys)), [len(poly) for poly in polys])
+    p0 = np.concatenate(polys)
+    p1 = np.concatenate([np.roll(poly, -1, axis=0) for poly in polys])
+    (x0, y0), (x1, y1) = p0.T, p1.T
+    dx, dy = x1 - x0, y1 - y0
+    for a in range(len(p0) - 1):
+        b = slice(a + 1, None)
+        d1 = dx[a] * (y0[b] - y0[a]) - dy[a] * (x0[b] - x0[a])
+        d2 = dx[a] * (y1[b] - y0[a]) - dy[a] * (x1[b] - x0[a])
+        d3 = dx[b] * (y0[a] - y0[b]) - dy[b] * (x0[a] - x0[b])
+        d4 = dx[b] * (y1[a] - y0[b]) - dy[b] * (x1[a] - x0[b])
+        hit = np.flatnonzero((d1 * d2 < -eps) & (d3 * d4 < -eps))
+        if hit.size:
+            return int(loop_of[a]), int(loop_of[a + 1 + hit[0]])
+    return None
+
+
+def _crossing_message(dom):
+    try:
+        dom._validate_simple()
+    except geo.GeometryError as exc:
+        return str(exc)
+    return None
+
+
+def _assert_same_first_crossing(dom):
+    got = _crossing_message(dom)
+    if got is not None and "is not inside the outer loop" in got:
+        return  # rejected before the crossing pass
+    want = _per_segment_first_crossing(dom)
+    if want is None:
+        assert got is None or "cross)" not in got
+    else:
+        assert got == f"boundary loops are not simple/disjoint (loops {want[0]} and {want[1]} cross)"
+
+
+def _vertices(lo, hi, most):
+    coord = st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+    return st.lists(st.tuples(coord, coord), min_size=3, max_size=most, unique=True)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(outer=_vertices(-1.0, 1.0, 36), holes=st.lists(_vertices(-0.3, 0.3, 6), max_size=2))
+def test_blockwise_crossing_pass_matches_per_segment_loop(outer, holes):
+    _assert_same_first_crossing(_unvalidated_polygon(outer, holes))
+
+
+def test_crossing_pass_reaches_its_last_row_block():
+    # 48 sides give 1584 chord points and three blocks of at most 2^20 pairs;
+    # only the two holes, the last 264 points, cross
+    outer = [(10 * math.cos(math.pi * k / 20), 10 * math.sin(math.pi * k / 20)) for k in range(40)]
+    holes = [_square(-2, 1), _square(0.05, 3.05)]
+    dom = _unvalidated_polygon(outer, holes)
+    assert _per_segment_first_crossing(dom) == (1, 2)
+    _assert_same_first_crossing(dom)
+    with pytest.raises(geo.GeometryError, match=r"loops 1 and 2 cross"):
+        geo.euclidean_polygon(outer, holes=holes)

@@ -191,6 +191,25 @@ def test_load_mesh_non_ascii_byte_names_path_and_line(tmp_path, disc_domain, enc
         meshing.load_mesh(bad)
 
 
+def test_load_mesh_truncated_before_a_section_names_path_and_tag(tmp_path, disc_domain):
+    lines = _saved_lines(tmp_path, disc_domain)
+    tri = next(k for k, line in enumerate(lines) if line.startswith("triangles "))
+    bad = tmp_path / "cut.mesh"
+    bad.write_text("\n".join(lines[:tri]) + "\n")  # ends with the last vertex row
+    with pytest.raises(meshing.MeshError, match=r"cut\.mesh: truncated before 'triangles' section"):
+        meshing.load_mesh(bad)
+
+
+def test_load_mesh_unknown_arc_kind_names_path_and_line(tmp_path, disc_domain):
+    lines = _saved_lines(tmp_path, disc_domain)
+    assert lines[-1].startswith("arc ")
+    lines[-1] = "spline" + lines[-1][3:]
+    bad = tmp_path / "kind.mesh"
+    bad.write_text("\n".join(lines) + "\n")
+    with pytest.raises(meshing.MeshError, match=rf"kind\.mesh:{len(lines)}: unknown arc kind 'spline'"):
+        meshing.load_mesh(bad)
+
+
 def test_target_h_validation(disc_domain):
     with pytest.raises(meshing.MeshError):
         meshing.triangulate(disc_domain, -1.0)

@@ -4,6 +4,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from curvspec import analysis, eigensolve, exact, fem
 from curvspec import geometry as geo
@@ -146,14 +147,14 @@ def test_solver_failure_exit_code(tmp_path, capsys):
 def test_skipped_eigenvalue_exit_code(tmp_path, capsys, monkeypatch):
     # level 3 of the disc is the first on the ARPACK path; dropping one
     # eigenvalue there must fail the inertia certificate, not shift the table
-    real = eigensolve.spla.eigsh
+    real = spla.eigsh
 
     def skipping(*args, k, **kwargs):
         vals, vecs = real(*args, k=k + 1, **kwargs)
         keep = np.delete(np.argsort(vals), 4)
         return vals[keep], vecs[:, keep]
 
-    monkeypatch.setattr(eigensolve.spla, "eigsh", skipping)
+    monkeypatch.setattr(spla, "eigsh", skipping)
     config = os.path.join(CONFIG_DIR, "unit_disc_dirichlet.yaml")
     out = str(tmp_path / "o")
     rc = main(

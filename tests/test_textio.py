@@ -251,6 +251,45 @@ def test_nice_ticks_unchanged_on_ordinary_ranges():
     assert svgplot._nice_ticks(1e-9, 3e-9) == [1e-09, 1.5000000000000002e-09, 2e-09, 2.5e-09, 3e-09]
 
 
+_MAX = 1.7976931348623157e308  # the largest float
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (-1e308, 1e308),  # hi - lo overflows
+    (_MAX, _MAX),  # lo + 20 float spacings overflows
+    (-_MAX, _MAX),
+    (-_MAX, -_MAX),
+    (0.5 * _MAX, _MAX),
+])
+def test_nice_ticks_finite_on_ranges_at_the_float_limit(lo, hi):
+    ticks = _nice_ticks_or_timeout(lo, hi)
+    assert 2 <= len(ticks) <= 6
+    assert all(math.isfinite(t) for t in ticks)
+    assert all(a < b for a, b in zip(ticks, ticks[1:]))
+    if (lo, hi) == (-1e308, 1e308):
+        assert ticks == [-1e308, -5e307, 0.0, 5e307, 1e308]
+
+
+@pytest.mark.parametrize("x, y", [
+    ([0.0, 1.0], [-1e308, 1e308]),
+    ([-_MAX, _MAX], [-_MAX, _MAX]),
+    ([0.0, 1.0], [_MAX, _MAX]),
+    ([0.0, 1.0], [1e20, 1e20]),  # y +- 1.0 rounds back to y: the range was empty
+])
+def test_svg_of_values_at_the_float_limit_has_finite_coordinates(tmp_path, x, y):
+    path = tmp_path / "big.svg"
+    svgplot.render_line_plot(path, "a < b & c", x, y)
+    text = path.read_text()
+    assert "nan" not in text and "inf" not in text
+    assert ">a &lt; b &amp; c</text>" in text
+    points = text.split('<polyline points="')[1].split('"')[0].split()
+    for px, py in (p.split(",") for p in points):
+        assert svgplot._ML <= float(px) <= svgplot._W - svgplot._MR
+        assert svgplot._MT <= float(py) <= svgplot._H - svgplot._MB
+    if y[0] == -1e308:
+        assert ">-1.00e+308</text>" in text and ">1.00e+308</text>" in text
+
+
 # ---------------------------------------------------------------------------
 # the reader's errors
 
