@@ -112,8 +112,9 @@ def _disc_spectra(count: int) -> tuple[np.ndarray, np.ndarray]:
     while True:
         parts = ([], [np.zeros(1)])  # Dirichlet, Neumann with its zero mode
         # zeros below the radius per order: at most one more than at the
-        # previous order, and (for k >= 1) none once j'_{k,1} < j_{k,1}
-        # passes it; order 0 cannot stop the scan since j'_{0,1} > j'_{1,1}
+        # previous order, and (for k >= 1) none of either kind once j'_{k,1},
+        # the lower first zero, passes it; order 0 cannot stop the scan since
+        # j'_{0,1} > j'_{1,1}
         nt, k = int(radius / math.pi) + 2, 0
         while True:
             z = special.jnyn_zeros(k, nt)[:2]
