@@ -4,7 +4,8 @@ The stiffness matrix is the flat P1 gradient form (curvature enters only
 through the mass side); the mass matrix carries the conformal weight and is
 integrated with the 3-point edge-midpoint rule, which is exact for the flat
 case and second-order consistent for curved weights. Dirichlet nodes are
-eliminated by row/column deletion; Neumann is natural.
+eliminated by row/column deletion; Neumann is natural. K and then M are
+built from int32 COO triplets and equal the COO sum bit for bit.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ def _effective_bc(mesh: Mesh, bc_map) -> np.ndarray:
 
 def _midpoint_weights(p: np.ndarray, weight: ConformalWeight) -> np.ndarray:
     # the weight at each triangle's edge midpoints (m01, m12, m20), (T, 3)
-    mids = 0.5 * (p + np.roll(p, -1, axis=1))
+    mids = 0.5 * (p + p[:, [1, 2, 0]])
     return weight(mids[:, :, 0], mids[:, :, 1])
 
 
@@ -108,34 +109,41 @@ def assemble(mesh: Mesh, weight: ConformalWeight, bc_map=None) -> EigenProblem:
     if np.any(area <= 0.0):
         raise AssemblyError("mesh contains nonpositively oriented triangles")
 
-    # P1 gradients: grad phi_i = rot90(p_{i+2} - p_{i+1}) / (2 area), the opposite edge
-    opposite = np.roll(edge_vectors(v, t), -1, axis=1)
-    grads = np.stack([-opposite[..., 1], opposite[..., 0]], axis=-1)
-    grads /= 2.0 * area[:, None, None]
+    n = mesh.num_vertices
+    constrained = dirichlet_vertices(mesh, bc_map)
+    node_index = -np.ones(n, dtype=np.int64)
+    free = np.setdiff1d(np.arange(n, dtype=np.int64), constrained)
+    node_index[free] = np.arange(len(free))
 
-    k_loc = np.einsum("tia,tja->tij", grads, grads) * area[:, None, None]
-    k_loc = 0.5 * (k_loc + np.swapaxes(k_loc, 1, 2))  # exact symmetry
+    import scipy.sparse as sp  # here, so that importing cli loads no scipy
+    # int32 triplets (tocsr's own index dtype), row-major over each 3x3 block
+    rows = np.repeat(t.astype(np.int32), 3, axis=1).reshape(-1)
+    cols = rows.reshape(-1, 3, 3).swapaxes(1, 2).reshape(-1)
+
+    def free_block(loc):
+        whole = sp.coo_matrix((loc.reshape(-1), (rows, cols)), shape=(n, n)).tocsr()
+        return whole[free][:, free].tocsr()
+
+    # P1 gradients: grad phi_i = rot90(p_{i+2} - p_{i+1}) / (2 area), the opposite
+    # edge. k_ij sums the x products, then the y products, from +0.0 as einsum does
+    # (two -0.0 products give +0.0); rot90's sign cancels, and k_ij = k_ji exactly
+    g = edge_vectors(v, t[:, [1, 2, 0]]) / (2.0 * area[:, None, None])
+    k_loc = g[:, :, None, 1] * g[:, None, :, 1]
+    k_loc += 0.0
+    k_loc += g[:, :, None, 0] * g[:, None, :, 0]
+    k_loc *= area[:, None, None]
+    del g  # one matrix in flight at a time: K's arrays go before M's exist
+    stiffness = free_block(k_loc)
+    del k_loc
 
     # an edge's midpoint has phi = 1/2 at its two ends: an off-diagonal entry takes
     # the shared edge's weight, vertex i the weights of edges i and i - 1
     w = _midpoint_weights(v[t], weight)
     m_loc = np.take(w, [[0, 0, 2], [0, 1, 1], [2, 1, 2]], axis=1)  # C order: reshape(-1) is a view
-    m_loc[:, [0, 1, 2], [0, 1, 2]] += np.roll(w, 1, axis=1)
+    m_loc[:, [0, 1, 2], [0, 1, 2]] += w[:, [2, 0, 1]]
     m_loc *= (area / 12.0)[:, None, None]
-
-    import scipy.sparse as sp  # here, so that importing cli loads no scipy
-    rows = np.repeat(t, 3, axis=1).reshape(-1)
-    cols = np.tile(t, (1, 3)).reshape(-1)
-    n = mesh.num_vertices
-    stiffness = sp.coo_matrix((k_loc.reshape(-1), (rows, cols)), shape=(n, n)).tocsr()
-    mass = sp.coo_matrix((m_loc.reshape(-1), (rows, cols)), shape=(n, n)).tocsr()
-
-    constrained = dirichlet_vertices(mesh, bc_map)
-    node_index = -np.ones(n, dtype=np.int64)
-    free = np.setdiff1d(np.arange(n, dtype=np.int64), constrained)
-    node_index[free] = np.arange(len(free))
-    stiffness = stiffness[free][:, free].tocsr()
-    mass = mass[free][:, free].tocsr()
+    del w
+    mass = free_block(m_loc)
     return EigenProblem(
         stiffness=stiffness,
         mass=mass,

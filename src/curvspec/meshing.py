@@ -90,7 +90,7 @@ class Mesh:
 def edge_vectors(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     """Edge vectors (T, 3, 2) of each triangle: row i runs from corner i to corner i + 1."""
     p = vertices[triangles]
-    return np.roll(p, -1, axis=1) - p
+    return p[:, [1, 2, 0]] - p
 
 
 def _triangle_angles(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:

@@ -87,8 +87,9 @@ def render_line_plot(path, title: str, x, y, xlabel: str = "t") -> None:
         f'<line x1="{_ML}" y1="{_MT + ph}" x2="{_ML + pw}" y2="{_MT + ph}" {axis}/>'
     )
     parts.append(f'<line x1="{_ML}" y1="{_MT}" x2="{_ML}" y2="{_MT + ph}" {axis}/>')
-    for t in _nice_ticks(x_lo, x_hi):
-        px = sx(t)
+    for t in _nice_ticks(x_lo, x_hi):  # it widens tiny ranges: draw only ticks on the axis
+        if not _ML - 0.5 <= (px := sx(t)) <= _ML + pw + 0.5:
+            continue
         parts.append(
             f'<line x1="{px:.2f}" y1="{_MT + ph}" x2="{px:.2f}" y2="{_MT + ph + 5}" {axis}/>'
         )
@@ -97,7 +98,8 @@ def render_line_plot(path, title: str, x, y, xlabel: str = "t") -> None:
             f'font-family="sans-serif" font-size="11">{_fmt(t)}</text>'
         )
     for t in _nice_ticks(y_lo, y_hi):
-        py = sy(t)
+        if not _MT - 0.5 <= (py := sy(t)) <= _MT + ph + 0.5:
+            continue
         parts.append(
             f'<line x1="{_ML - 5}" y1="{py:.2f}" x2="{_ML}" y2="{py:.2f}" {axis}/>'
         )

@@ -451,6 +451,30 @@ def test_failed_inertia_factorization_attaches_the_partial(monkeypatch):
     assert info.value.partial.eigenvalues.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
 
 
+
+def test_residual_gate_attaches_the_lowest_m_as_partial(monkeypatch):
+    real = eigensolve._residuals
+
+    def one_stalled(problem, vals, vecs):
+        res = real(problem, vals, vecs)
+        res[1] = 1e-3
+        return res
+
+    monkeypatch.setattr(eigensolve, "_residuals", one_stalled)
+    problem = _diagonal_problem([4.0, 1.0, 3.0, 2.0])
+    with pytest.raises(eigensolve.SolveError, match=r"1 residuals exceed tolerance \(worst 1\.000e-03\)") as info:
+        eigensolve.solve_lowest(problem, 3)
+    partial = info.value.partial
+    assert partial.eigenvalues == pytest.approx([1.0, 2.0, 3.0], abs=1e-12)
+    assert partial.residual_norms[1] == 1e-3 and len(partial.residual_norms) == 3
+
+
+def test_indefinite_stiffness_is_a_negative_eigenvalue_error():
+    problem = _problem_from([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 5.0]], np.eye(3))
+    with pytest.raises(eigensolve.SolveError, match=r"negative eigenvalue -1\.000e\+00 beyond tolerance") as info:
+        eigensolve.solve_lowest(problem, 2)
+    assert info.value.partial is None
+
 def test_inertia_factor_with_unequal_permutations_is_refused(monkeypatch):
     real = eigensolve._factor
 

@@ -1,4 +1,6 @@
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +8,10 @@ import pytest
 from curvspec import eigensolve, fem
 from curvspec import geometry as geo
 from curvspec import meshing
+from curvspec.configio import load_domain_config
 from curvspec.geometry import SpaceForm
+
+from conftest import CONFIG_DIR
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +142,40 @@ def test_hyperbolic_assembly_rejects_lower_half_plane(square_domain):
     with pytest.raises(fem.AssemblyError):
         fem.assemble(shifted, fem.ConformalWeight(SpaceForm.HYPERBOLIC))
 
+
+
+@pytest.mark.parametrize("corners", [
+    [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0)],  # clockwise
+    [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)],  # zero area
+])
+def test_assembly_rejects_nonpositively_oriented_triangles(corners):
+    mesh = meshing.Mesh(corners, [[0, 1, 2]], boundary_edges=np.empty((0, 3)), arcs=())
+    with pytest.raises(fem.AssemblyError, match="nonpositively oriented triangles"):
+        fem.assemble(mesh, _euclid())
+
+
+@pytest.mark.parametrize("name, refinements", [
+    ("unit_disc_neumann", 3),  # 4800 triangles
+    ("hyperbolic_triangle_a", 4),  # 10496
+    ("spherical_right_triangle", 3),  # 4096
+])
+def test_assembly_holds_one_matrix_at_a_time(name, refinements):
+    # K is finished and its local blocks freed before M's exist, from int32
+    # triplets: about 355 bytes per triangle at the peak, where both matrices'
+    # blocks with int64 triplets took about 685
+    cfg = load_domain_config(os.path.join(CONFIG_DIR, f"{name}.yaml"))
+    mesh = meshing.triangulate(cfg.domain, cfg.target_h)
+    for _ in range(refinements):
+        mesh = meshing.refine(mesh)
+    weight = fem.ConformalWeight(cfg.domain.space)
+    fem.assemble(mesh, weight)  # imports and first-call caches stay out of the trace
+    tracemalloc.start()
+    try:
+        fem.assemble(mesh, weight)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 450 * mesh.num_triangles
 
 def test_galerkin_monotonicity_square(square_domain):
     mesh = meshing.triangulate(square_domain, 0.5)

@@ -233,3 +233,15 @@ def test_refine_rejects_boundary_edge_not_in_mesh(disc_domain):
     bad = meshing.Mesh(mesh.vertices, mesh.triangles, boundary, mesh.arcs)
     with pytest.raises(meshing.MeshError, match="not edges of the mesh"):
         meshing.refine(bad)
+
+
+def test_refine_rejects_snapped_midpoint_that_inverts_a_child():
+    # the chord (1, 0)-(0, 1) of the unit circle is a boundary edge of a thin
+    # triangle whose third corner (0.8, 0.8) lies inside the arc: the snapped
+    # midpoint (0.707, 0.707) passes the middle child's opposite edge
+    arc = geo.CircleArc((0.0, 0.0), 1.0, 0.0, 0.5 * math.pi, bc="N")
+    mesh = meshing.Mesh(
+        [(1.0, 0.0), (0.0, 1.0), (0.8, 0.8)], [[0, 2, 1]], boundary_edges=[[0, 1, 0]], arcs=(arc,)
+    )
+    with pytest.raises(meshing.MeshError, match="refinement produced 1 inverted triangles"):
+        meshing.refine(mesh)

@@ -138,7 +138,7 @@ def _ref_drop_unused(points, kept, n_boundary):
     return points[used], remap[kept]
 
 
-def _ref_assemble(mesh, weight):
+def _ref_assemble(mesh, weight, bc_map=None):
     v, t = mesh.vertices, mesh.triangles
     area = _ref_signed_areas(v, t)
     p = v[t]
@@ -162,7 +162,7 @@ def _ref_assemble(mesh, weight):
     rows = np.repeat(t, 3, axis=1).reshape(-1)
     cols = np.tile(t, (1, 3)).reshape(-1)
     n = mesh.num_vertices
-    free = np.setdiff1d(np.arange(n, dtype=np.int64), fem.dirichlet_vertices(mesh))
+    free = np.setdiff1d(np.arange(n, dtype=np.int64), fem.dirichlet_vertices(mesh, bc_map))
     return [
         sp.coo_matrix((loc.reshape(-1), (rows, cols)), shape=(n, n)).tocsr()[free][:, free].tocsr()
         for loc in (k_loc, m_loc)
@@ -195,10 +195,12 @@ def _check_kernels_bitwise(mesh, space):
     ):
         assert _same_bits(new, ref)
     weight = fem.ConformalWeight(space)
-    problem = fem.assemble(mesh, weight)
-    for new, ref in zip((problem.stiffness, problem.mass), _ref_assemble(mesh, weight)):
-        for part in ("data", "indices", "indptr"):
-            assert _same_bits(getattr(new, part), getattr(ref, part)), part
+    # the mesh's own BCs, then two mixed overrides that swap D and N on every arc
+    for bc_map in (None, *({a: "DN"[(a + s) % 2] for a in range(len(mesh.arcs))} for s in (0, 1))):
+        problem = fem.assemble(mesh, weight, bc_map)
+        for new, ref in zip((problem.stiffness, problem.mass), _ref_assemble(mesh, weight, bc_map)):
+            for part in ("data", "indices", "indptr"):
+                assert _same_bits(getattr(new, part), getattr(ref, part)), part
 
 
 def _check_hex_lattice_bitwise(domain):
@@ -253,3 +255,20 @@ def test_refinement_invariants_hyperbolic(domain):
 @given(spherical_triangles())
 def test_refinement_invariants_spherical(domain):
     _check_refinement_chain(domain)
+
+
+def test_axis_aligned_right_triangles_keep_the_reference_zero_sign():
+    # the stiffness entry across a right angle's hypotenuse is a sum of two
+    # zero products; a Neumann hypotenuse keeps it in the pencil, and with the
+    # legs on the axes both products are -0.0, so a sum that did not start
+    # from +0.0 (as einsum does) would store -0.0
+    domain = geo.euclidean_polygon([(0.0, 0.0), (0.0, -1.0), (1.0, 0.0)], bc="N")
+    mesh = meshing.Mesh(
+        [(0.0, 0.0), (0.0, -1.0), (1.0, 0.0)],
+        [[0, 1, 2]],
+        boundary_edges=[[0, 1, 0], [1, 2, 1], [0, 2, 2]],
+        arcs=tuple(domain.arcs()),
+    )
+    for _ in range(3):
+        _check_kernels_bitwise(mesh, geo.SpaceForm.EUCLIDEAN)
+        mesh = meshing.refine(mesh)

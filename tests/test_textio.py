@@ -3,6 +3,7 @@ it replaced, the CSV reader's errors, and write -> read round trips."""
 
 import math
 import os
+import re
 import signal
 
 import numpy as np
@@ -289,6 +290,25 @@ def test_svg_of_values_at_the_float_limit_has_finite_coordinates(tmp_path, x, y)
     if y[0] == -1e308:
         assert ">-1.00e+308</text>" in text and ">1.00e+308</text>" in text
 
+
+
+@pytest.mark.parametrize("x, y", [
+    ([0.0, 1.0], [1e20, 1e20]),  # y ticks at -46.5 and -288 px
+    ([_MAX, _MAX], [0.0, 1.0]),  # x ticks near -2e302 px
+])
+def test_svg_ticks_of_a_widened_range_stay_on_the_axes(tmp_path, x, y):
+    # _nice_ticks widens a range narrower than 20 float spacings upward; the
+    # plot scales by its own range, so the ticks beyond it are left out
+    path = tmp_path / "ticks.svg"
+    svgplot.render_line_plot(path, "t", x, y)
+    text = path.read_text()
+    bottom = svgplot._H - svgplot._MB
+    x_ticks = re.findall(rf'<line x1="([^"]+)" y1="{bottom}" x2="[^"]+" y2="{bottom + 5}"', text)
+    y_ticks = re.findall(rf'<line x1="{svgplot._ML - 5}" y1="([^"]+)"', text)
+    assert y_ticks and all(svgplot._MT <= float(py) <= bottom for py in y_ticks)
+    assert all(svgplot._ML <= float(px) <= svgplot._W - svgplot._MR for px in x_ticks)
+    labels = re.findall(r'font-size="11">', text)
+    assert len(labels) == len(x_ticks) + len(y_ticks)
 
 # ---------------------------------------------------------------------------
 # the reader's errors
