@@ -143,7 +143,6 @@ def test_hyperbolic_assembly_rejects_lower_half_plane(square_domain):
         fem.assemble(shifted, fem.ConformalWeight(SpaceForm.HYPERBOLIC))
 
 
-
 @pytest.mark.parametrize("corners", [
     [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0)],  # clockwise
     [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)],  # zero area
@@ -161,8 +160,8 @@ def test_assembly_rejects_nonpositively_oriented_triangles(corners):
 ])
 def test_assembly_holds_one_matrix_at_a_time(name, refinements):
     # K is finished and its local blocks freed before M's exist, from int32
-    # triplets: about 355 bytes per triangle at the peak, where both matrices'
-    # blocks with int64 triplets took about 685
+    # triplets: about 355 bytes per triangle at the peak; both matrices' blocks
+    # in flight with int64 triplets take about 685
     cfg = load_domain_config(os.path.join(CONFIG_DIR, f"{name}.yaml"))
     mesh = meshing.triangulate(cfg.domain, cfg.target_h)
     for _ in range(refinements):
@@ -176,6 +175,7 @@ def test_assembly_holds_one_matrix_at_a_time(name, refinements):
     finally:
         tracemalloc.stop()
     assert peak <= 450 * mesh.num_triangles
+
 
 def test_galerkin_monotonicity_square(square_domain):
     mesh = meshing.triangulate(square_domain, 0.5)
