@@ -90,7 +90,7 @@ def _effective_bc(mesh: Mesh, bc_map) -> np.ndarray:
 
 def _midpoint_weights(p: np.ndarray, weight: ConformalWeight) -> np.ndarray:
     # the weight at each triangle's edge midpoints (m01, m12, m20), (T, 3)
-    mids = 0.5 * (p + p[:, [1, 2, 0]])
+    mids = 0.5 * (p + np.take(p, [1, 2, 0], axis=1))
     return weight(mids[:, :, 0], mids[:, :, 1])
 
 
@@ -111,8 +111,8 @@ def assemble(mesh: Mesh, weight: ConformalWeight, bc_map=None) -> EigenProblem:
 
     n = mesh.num_vertices
     constrained = dirichlet_vertices(mesh, bc_map)
+    free = np.flatnonzero(np.bincount(constrained, minlength=n) == 0)
     node_index = -np.ones(n, dtype=np.int64)
-    free = np.setdiff1d(np.arange(n, dtype=np.int64), constrained)
     node_index[free] = np.arange(len(free))
 
     import scipy.sparse as sp  # here, so that importing cli loads no scipy
@@ -126,19 +126,21 @@ def assemble(mesh: Mesh, weight: ConformalWeight, bc_map=None) -> EigenProblem:
 
     # P1 gradients: grad phi_i = rot90(p_{i+2} - p_{i+1}) / (2 area), the opposite
     # edge. k_ij sums the x products, then the y products, from +0.0 as einsum does
-    # (two -0.0 products give +0.0); rot90's sign cancels, and k_ij = k_ji exactly
-    g = edge_vectors(v, t[:, [1, 2, 0]]) / (2.0 * area[:, None, None])
-    k_loc = g[:, :, None, 1] * g[:, None, :, 1]
+    # (two -0.0 products give +0.0); rot90's sign cancels, and k_ij = k_ji exactly.
+    # Products over (3, 3, T), with its long inner axis, beat those over (T, 3, 3)
+    gx, gy = np.ascontiguousarray(edge_vectors(v, t[:, [1, 2, 0]]).T) / (2.0 * area)
+    k_loc = gy[:, None] * gy
     k_loc += 0.0
-    k_loc += g[:, :, None, 0] * g[:, None, :, 0]
-    k_loc *= area[:, None, None]
-    del g  # one matrix in flight at a time: K's arrays go before M's exist
+    k_loc += gx[:, None] * gx
+    k_loc *= area
+    k_loc = np.ascontiguousarray(k_loc.transpose(2, 0, 1))
+    del gx, gy  # one matrix in flight at a time: K's arrays go before M's exist
     stiffness = free_block(k_loc)
     del k_loc
 
     # an edge's midpoint has phi = 1/2 at its two ends: an off-diagonal entry takes
     # the shared edge's weight, vertex i the weights of edges i and i - 1
-    w = _midpoint_weights(v[t], weight)
+    w = _midpoint_weights(np.take(v, t, axis=0), weight)
     m_loc = np.take(w, [[0, 0, 2], [0, 1, 1], [2, 1, 2]], axis=1)  # C order: reshape(-1) is a view
     m_loc[:, [0, 1, 2], [0, 1, 2]] += w[:, [2, 0, 1]]
     m_loc *= (area / 12.0)[:, None, None]
@@ -150,13 +152,13 @@ def assemble(mesh: Mesh, weight: ConformalWeight, bc_map=None) -> EigenProblem:
         free_nodes=free,
         node_index=node_index,
         num_constrained=len(constrained),
-        points=v[free],
+        points=np.take(v, free, axis=0),
     )
 
 
 def weighted_mesh_area(mesh: Mesh, weight: ConformalWeight) -> float:
     """Midpoint-rule integral of the weight over the mesh (equals sum of all mass entries)."""
-    w = _midpoint_weights(mesh.vertices[mesh.triangles], weight)
+    w = _midpoint_weights(np.take(mesh.vertices, mesh.triangles, axis=0), weight)
     return float(np.sum(mesh.signed_areas() / 3.0 * w.sum(axis=1)))
 
 

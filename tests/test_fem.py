@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -151,6 +152,18 @@ def test_assembly_rejects_nonpositively_oriented_triangles(corners):
     mesh = meshing.Mesh(corners, [[0, 1, 2]], boundary_edges=np.empty((0, 3)), arcs=())
     with pytest.raises(fem.AssemblyError, match="nonpositively oriented triangles"):
         fem.assemble(mesh, _euclid())
+
+
+@pytest.mark.parametrize("bc_map, bad", [
+    ({0: "D", 1: "X", 2: "N", 3: "N"}, "bc_map[1] must be 'D' or 'N', got 'X'"),
+    ({0: "D", 1: "N", 2: "N", 3: "d"}, "bc_map[3] must be 'D' or 'N', got 'd'"),
+    ({1: "D", 2: "N", 3: "N"}, "bc_map[0] must be 'D' or 'N', got None"),  # arc 0 missing
+    (["D", "N", "DN", "N"], "bc_map[2] must be 'D' or 'N', got 'DN'"),
+])
+def test_assembly_rejects_a_bc_map_value_other_than_d_or_n(square_domain, bc_map, bad):
+    mesh = meshing.triangulate(square_domain, 0.5)
+    with pytest.raises(fem.AssemblyError, match=re.escape(bad)):
+        fem.assemble(mesh, _euclid(), bc_map)
 
 
 @pytest.mark.parametrize("name, refinements", [

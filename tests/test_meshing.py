@@ -211,8 +211,75 @@ def test_load_mesh_unknown_arc_kind_names_path_and_line(tmp_path, disc_domain):
 
 
 def test_target_h_validation(disc_domain):
-    with pytest.raises(meshing.MeshError):
-        meshing.triangulate(disc_domain, -1.0)
+    for target_h in (-1.0, 0.0, math.nan):
+        with pytest.raises(meshing.MeshError, match="target_h must be positive"):
+            meshing.triangulate(disc_domain, target_h)
+
+
+@pytest.mark.parametrize("row, detail", [
+    ("arc 0 0 1", "3 fields"),  # a circle arc needs five numbers
+    ("segment 0 0 1 0 0 D", "6 fields"),
+    ("arc 0 0 one 0 6.28 D", "could not convert string to float: 'one'"),
+])
+def test_load_mesh_bad_arcs_row_names_path_and_row(tmp_path, disc_domain, row, detail):
+    lines = _saved_lines(tmp_path, disc_domain)
+    assert lines[-2] == "arcs 1"
+    lines[-1] = row
+    bad = tmp_path / "arcs.mesh"
+    bad.write_text("\n".join(lines) + "\n")
+    with pytest.raises(meshing.MeshError, match=rf"arcs\.mesh: bad 'arcs' table row 1: {detail}"):
+        meshing.load_mesh(bad)
+
+
+def _hand_mesh(vertices, triangles, boundary):
+    # every boundary edge (i, j) lies on its own segment from vertex i to vertex j
+    v = np.asarray(vertices, dtype=float)
+    arcs = tuple(geo.LineSegment(tuple(v[i]), tuple(v[j]), "D") for i, j in boundary)
+    rows = [(i, j, a) for a, (i, j) in enumerate(boundary)]
+    return meshing.Mesh(v, triangles, rows, arcs)
+
+
+def test_validate_mesh_rejects_a_clockwise_triangle():
+    mesh = _hand_mesh([(0, 0), (0, 1), (1, 0)], [[0, 1, 2]], [(0, 1), (1, 2), (2, 0)])
+    with pytest.raises(meshing.MeshError, match="mesh has nonpositively oriented triangles"):
+        meshing.validate_mesh(mesh)
+
+
+def test_validate_mesh_rejects_an_edge_on_three_triangles():
+    # counterclockwise triangles above, below and again above the edge (0, 1)
+    vertices = [(0, 0), (1, 0), (0.5, 1), (0.5, -1), (0.5, 2)]
+    triangles = [[0, 1, 2], [1, 0, 3], [0, 1, 4]]
+    mesh = _hand_mesh(vertices, triangles, [(1, 2), (2, 0), (0, 3), (3, 1)])
+    with pytest.raises(meshing.MeshError, match="mesh is not edge-manifold"):
+        meshing.validate_mesh(mesh)
+
+
+def test_validate_mesh_rejects_a_boundary_that_does_not_tile(disc_domain):
+    mesh = meshing.triangulate(disc_domain, 0.5)
+    mesh.boundary_edges = mesh.boundary_edges[1:]
+    with pytest.raises(meshing.MeshError, match="declared boundary edges do not tile the mesh boundary"):
+        meshing.validate_mesh(mesh)
+
+
+def test_validate_mesh_rejects_a_boundary_vertex_off_its_arc(disc_domain):
+    mesh = meshing.triangulate(disc_domain, 0.5)
+    k, _, a = mesh.boundary_edges[0]
+    mesh.vertices[k] *= 1.0 + 1e-6  # radially outward, triangles keep their orientation
+    with pytest.raises(meshing.MeshError, match=rf"boundary vertex {k} lies 1\.000e-06 away from arc {a}$"):
+        meshing.validate_mesh(mesh)
+
+
+@pytest.mark.parametrize("triangles, boundary", [
+    # two triangles that touch only at vertex 0, which has four boundary edges
+    ([[0, 1, 2], [0, 3, 4]], [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)]),
+    # one triangle with (1, 2) declared twice: vertices 1 and 2 have three
+    ([[0, 1, 2]], [(0, 1), (1, 2), (2, 0), (1, 2)]),
+])
+def test_validate_mesh_rejects_boundary_edges_that_are_not_closed_loops(triangles, boundary):
+    # every declared edge is a boundary edge of the mesh, so the tiling check passes
+    mesh = _hand_mesh([(0, 0), (1, 0), (0, 1), (-1, 0), (0, -1)], triangles, boundary)
+    with pytest.raises(meshing.MeshError, match="boundary edges do not form closed loops"):
+        meshing.validate_mesh(mesh)
 
 
 def test_spherical_triangle_junction_meshes():

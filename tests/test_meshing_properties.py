@@ -111,6 +111,35 @@ def _ref_canonical_triangles(tris):
     return rolled[np.lexsort(rolled.T[::-1])]
 
 
+def _ref_sorted_rows(table):
+    return table[np.lexsort(table.T[::-1])]
+
+
+def _ref_refine(mesh):
+    # vertices, triangles and boundary edges of the red refinement, gathered by
+    # fancy indexing, turned by np.roll and sorted by np.lexsort
+    v, t, b = mesh.vertices, mesh.triangles, mesh.boundary_edges
+    n = len(v)
+    nxt = np.roll(t, -1, axis=1)
+    keys, rows = np.unique(np.minimum(t, nxt) * n + np.maximum(t, nxt), return_inverse=True)
+    edges = np.column_stack([keys // n, keys % n])
+    mids = 0.5 * (v[edges[:, 0]] + v[edges[:, 1]])
+    b_ends = np.sort(b[:, :2], axis=1)
+    b_rows = np.searchsorted(keys, b_ends[:, 0] * n + b_ends[:, 1])
+    for a, arc in enumerate(mesh.arcs):
+        if isinstance(arc, geo.CircleArc):
+            sel = b_rows[b[:, 2] == a]
+            c = np.asarray(arc.center, dtype=float)
+            d = mids[sel] - c
+            mids[sel] = c + arc.radius * d / np.sqrt(d[:, None, :] @ d[:, :, None])[:, 0]
+    m = n + rows.reshape(t.shape)
+    corners = np.stack([t, m, np.roll(m, 1, axis=1)], axis=-1)
+    tris = np.concatenate([corners, m[:, None, :]], axis=1).reshape(-1, 3)
+    b_mid = n + b_rows
+    boundary = np.column_stack([b[:, :2].ravel(), np.repeat(b_mid, 2), np.repeat(b[:, 2], 2)])
+    return np.concatenate([v, mids]), _ref_canonical_triangles(tris), _ref_sorted_rows(boundary)
+
+
 def _ref_hex_lattice(bbox, pitch):
     x0, y0, x1, y1 = bbox
     rows = []
@@ -181,12 +210,15 @@ def _check_mesh_kernels(v, t):
     assert _same_bits(mesh.max_edge_length(), _ref_max_edge_length(v, t))
     # every row rotated by its index mod 3, so all three argmin cases occur
     turned = np.take_along_axis(t, (np.arange(3) + np.arange(len(t))[:, None]) % 3, axis=1)
-    assert _same_bits(meshing._canonical_triangles(turned), _ref_canonical_triangles(turned))
+    canonical = meshing._sorted_rows(meshing._turned_to_min(turned))
+    assert _same_bits(canonical, _ref_canonical_triangles(turned))
 
 
 def _check_kernels_bitwise(mesh, space):
     v, t = mesh.vertices, mesh.triangles
     _check_mesh_kernels(v, t)
+    b = mesh.boundary_edges
+    assert _same_bits(meshing._sorted_rows(b[::-1]), _ref_sorted_rows(b[::-1]))
     _check_mesh_kernels(v, np.ascontiguousarray(t[:, ::-1]))  # clockwise
     # every other triangle leaves vertices unused, some of them before n_keep
     n_keep = mesh.num_vertices // 3
@@ -223,6 +255,9 @@ def _check_refinement_chain(domain):
     _check_kernels_bitwise(mesh, domain.space)
     for _ in range(2):
         child = meshing.refine(mesh)
+        tables = (child.vertices, child.triangles, child.boundary_edges)
+        for table, ref in zip(tables, _ref_refine(mesh)):
+            assert _same_bits(table, ref)
         meshing.validate_mesh(child)
         assert meshing.euler_characteristic(child) == 1
         assert child.num_vertices == mesh.num_vertices + _num_edges(mesh)
@@ -272,3 +307,33 @@ def test_axis_aligned_right_triangles_keep_the_reference_zero_sign():
     for _ in range(3):
         _check_kernels_bitwise(mesh, geo.SpaceForm.EUCLIDEAN)
         mesh = meshing.refine(mesh)
+
+
+def _lexsorted_rows(table):
+    assert _same_bits(meshing._sorted_rows(table), _ref_sorted_rows(table))
+
+
+def test_sorted_rows_of_an_empty_table():
+    _lexsorted_rows(np.empty((0, 3), dtype=np.int64))
+
+
+def test_sorted_rows_of_boundary_edges_keep_lexsort_order():
+    # rows (v0, v1, arc_id), the arc id the third key; in a refined boundary
+    # each midpoint is v1 of two rows
+    mesh = meshing.refine(meshing.triangulate(geo.region_between_triangles()))
+    b = mesh.boundary_edges
+    _lexsorted_rows(b[::-1])
+    _lexsorted_rows(np.random.default_rng(1).permutation(b))
+    swapped = np.ascontiguousarray(b[:, [2, 1, 0]])  # arc ids first: many ties in col0
+    _lexsorted_rows(swapped)
+
+
+def test_sorted_rows_near_two_to_the_31_keep_lexsort_order():
+    # shuffled rows whose entries straddle 2**31; the key col1 * n + col2 then
+    # exceeds 2**62 and must still fit int64, and col0 ties many times
+    rng = np.random.default_rng(7)
+    base = 2**31 - 8
+    table = base + rng.integers(0, 16, size=(500, 3), dtype=np.int64)
+    table = np.unique(table, axis=0)
+    _lexsorted_rows(rng.permutation(table))
+    _lexsorted_rows(rng.permutation(np.concatenate([table, table[:50]])))  # repeated rows too
