@@ -4,7 +4,9 @@ Small problems go through dense LAPACK. Above that, ARPACK shift-invert runs
 to the residual gate's tol, and Sylvester inertia certifies the result
 complete: the negative pivots of a symmetric-mode (diagonal pivot) SuperLU
 factor of K - s*M count the eigenvalues below s, and a skipped eigenvalue
-raises SolveError instead of shifting every later index.
+raises SolveError instead of shifting every later index. Every solve runs on
+one spawned worker pool that every thread of the process shares, one BLAS
+thread per worker, so no level's bits depend on the core count or --jobs.
 
 A sparse level is put once into a coordinate nested-dissection order of its
 nodes, and every factor of that level keeps that order (SuperLU's NATURAL
@@ -12,20 +14,18 @@ column order): the inertia counts and the window below the spectrum factor
 symmetrically with diagonal pivots, windows inside the spectrum with partial
 pivoting.
 
-Given the previous level's eigenvalues as a guide, a solve of m values is
-split into m // _WINDOW_EIGS windows (spectrum slicing). The edges sit in gaps
-of the guide; the inertia count at each edge fixes how many eigenvalues each
-window must return and certifies that none is missing. The windows run on one
-spawned worker pool that every thread of the process shares, one BLAS thread
-per worker, each from a fixed start vector, so a windowed level depends on
-neither the core count nor --jobs; dense and single-window levels use the
-caller's BLAS threads, whose number moves their last bits. Without a guide,
-one window shifts below the spectrum and one count above its top certifies it.
+A sparse solve of m values is split into max(1, m // _WINDOW_EIGS) windows
+(spectrum slicing), each solved from a fixed start vector. The edges sit in
+gaps of the guide, the previous level's eigenvalues; without one, a lone top
+edge starts at Weyl's estimate 4*pi*m/area. The inertia count at each edge
+fixes how many eigenvalues each window must return and certifies that none is
+missing, and the top edge's count covers every value below it.
 
 Importing cli loads no scipy: each module imports it in the functions that use
 it. A worker imports cli (the spawned main module), gets scipy.sparse when it
-unpickles its first problem and sparse.linalg at its first factor, never
-spatial or special, and after every task hands the heap it freed to the OS.
+unpickles its first problem, linalg at its first dense solve and sparse.linalg
+at its first factor, never spatial or special, and after every task hands the
+heap it freed to the OS.
 
 Extrapolation fits the last three refinement values to x_n = x + c*r^n.
 """
@@ -48,7 +48,7 @@ from . import textio
 from .fem import EigenProblem
 
 _DENSE_LIMIT = 1200
-_WINDOW_EIGS = 37  # fewest eigenvalues per window: a solve has m // _WINDOW_EIGS windows
+_WINDOW_EIGS = 37  # fewest eigenvalues per window: a solve has max(1, m // _WINDOW_EIGS)
 _LEAF = 16  # nested dissection leaves parts of at most this many nodes whole
 _SEED = 7151  # window i starts ARPACK from the uniform v0 of seed _SEED + i
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
@@ -216,9 +216,17 @@ def _shift_invert(problem: EigenProblem, k: int, shift: float, v0, ncv: int, tol
     )
 
 
+def _solve_dense(problem: EigenProblem, m: int):
+    """The m lowest eigenvalues by dense LAPACK, with their residual norms."""
+    import scipy.linalg as sla
+    vals, vecs = sla.eigh(problem.stiffness.toarray(), problem.mass.toarray())
+    vals, vecs = vals[:m], vecs[:, :m]
+    return vals, _residuals(problem, vals, vecs)
+
+
 def _solve_window(problem: EigenProblem, k: int, shifts, seed: int, tol: float):
-    """The k eigenvalues nearest a shift, ascending, with their residual norms
-    and that shift. Runs in a pool worker or in-process: v0 comes from seed.
+    """The k eigenvalues nearest a shift, ascending, with their residual norms.
+    Runs in a pool worker or in-process: v0 comes from seed.
 
     A failed factorization or ARPACK error moves on to the next of shifts; a
     window inside the spectrum has only one.
@@ -249,21 +257,24 @@ def _solve_window(problem: EigenProblem, k: int, shifts, seed: int, tol: float):
                 ) from None
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
-    return vals, _residuals(problem, vals, vecs), shift
+    return vals, _residuals(problem, vals, vecs)
 
 
 def _window_edges(guide, m: int, tol: float) -> list[float]:
-    """Upper edges of the m // _WINDOW_EIGS windows; [] means one window.
+    """Upper edges of the windows of a solve of m values, ascending; [] when
+    guide, the previous level's eigenvalues, holds fewer than m or a zero
+    guide[m-1].
 
-    guide holds the previous level's eigenvalues. Interior edge i sits mid-way
-    in the widest relative gap of guide within m/(16W) indices of i*m/W (one
-    window if that gap is not wider than 10*tol); the top edge sits half the
-    top window's mean spacing above guide[m-1]. The edges only need to sit in
-    gaps: inertia counts, not the guide, decide what each window holds.
+    Of W = max(1, m // _WINDOW_EIGS) windows, interior edge i sits mid-way in
+    the widest relative gap of guide within m/(16W) indices of i*m/W, and is
+    dropped if that gap is not wider than 10*tol; the top edge sits half the
+    top window's mean spacing (from 0 for one window) above guide[m-1]. The
+    edges only need to sit in gaps: inertia counts, not the guide, decide what
+    each window holds.
     """
-    w = m // _WINDOW_EIGS
-    if guide is None or len(guide) < m or w < 2:
+    if guide is None or len(guide) < m or not guide[m - 1] > 0.0:
         return []
+    w = max(1, m // _WINDOW_EIGS)
     g = np.asarray(guide, dtype=float)[:m]
     r = max(1, m // (16 * w))  # small: the slowest window sets the wall time
     gap = np.diff(g) / np.maximum(g[1:], 1e-300)  # gap[j] lies between g[j] and g[j+1]
@@ -271,11 +282,11 @@ def _window_edges(guide, m: int, tol: float) -> list[float]:
     for i in range(1, w):
         q = i * m // w - 1 - r
         j = q + int(np.argmax(gap[q : q + 2 * r + 1]))
-        if gap[j] <= 10.0 * tol:
-            return []
-        edges.append(0.5 * (g[j] + g[j + 1]))
+        if gap[j] > 10.0 * tol:
+            edges.append(0.5 * (g[j] + g[j + 1]))
     span = m // w
-    edges.append(g[-1] + 0.5 * (g[-1] - g[-1 - span]) / span)
+    below = g[-1 - span] if span < m else 0.0
+    edges.append(g[-1] + 0.5 * (g[-1] - below) / span)
     return edges
 
 
@@ -288,9 +299,18 @@ def _solve_windows(problem: EigenProblem, m: int, tol: float, low_shifts, edges)
     """
     edges = list(edges)
     counts = _map(_count_below, [(problem, e) for e in edges])
-    while counts[-1] < m:  # the spectrum lies above the guide: widen the top window
-        edges[-1] += edges[-1] - edges[-2]
+    while counts[-1] < m:  # the spectrum lies above the top edge: widen the top window
+        # by the values it lacks at the density it holds, at most its width; a
+        # lone edge's window starts at 0
+        floor, below = (edges[-2], counts[-2]) if len(edges) > 1 else (0.0, 0)
+        held = max(counts[-1] - below, 1)
+        edges[-1] += (edges[-1] - floor) * min(1.0, (m - counts[-1]) / held)
         counts[-1] = _map(_count_below, [(problem, edges[-1])])[0]
+    if counts[-1] >= problem.dimension - 1:
+        raise SolveError(
+            f"nearly full spectrum ({counts[-1]} of {problem.dimension}) below the top "
+            f"edge {edges[-1]:.6g} is outside the iterative solver's range"
+        )
     # the first window shifts below the spectrum, the others to their centres;
     # edges sit in gaps, so a window's eigenvalues are the ones nearest its shift
     shifts = [low_shifts] + [(0.5 * (lo + hi),) for lo, hi in zip(edges, edges[1:])]
@@ -381,14 +401,14 @@ def solve_lowest(problem: EigenProblem, m: int, tol: float = 1e-9, guide=None) -
 
     Residuals ||Kv - lambda Mv|| / ||Mv|| must come out below tol*max(1, lambda);
     eigenvalues within tol of zero are reported as exactly 0 (Neumann mode).
-    guide, the previous refinement level's eigenvalues, splits a sparse solve
-    into windows when it holds at least m values (see _window_edges). The
-    inertia counts at the window edges certify that a windowed solve misses
-    no eigenvalue below its top edge. A sparse solve in one window (no guide,
-    m < 2 * _WINDOW_EIGS = 74, or a guide with no gap wider than 10*tol near a
-    window quantile) certifies only its values below the topmost gap wider
-    than 10*tol among its results; the top cluster above that gap, which is
-    every value when m == 1, is not certified.
+    guide, the previous refinement level's eigenvalues, places the window
+    edges of a sparse solve when it holds at least m values (see
+    _window_edges). The inertia counts at the edges certify that a sparse
+    solve misses no eigenvalue below its top edge, which lies above the m-th.
+
+    Every solve, dense or sparse, runs on the spawned window pool with one
+    BLAS thread per worker, so a script that calls this needs an
+    `if __name__ == "__main__":` guard around its work.
     """
     n = problem.dimension
     if m < 1:
@@ -399,13 +419,8 @@ def solve_lowest(problem: EigenProblem, m: int, tol: float = 1e-9, guide=None) -
         raise SolveError(f"tol must lie in (0, 1e-6], got {tol}")
 
     checks = []  # (shift, inertia count of eigenvalues below it)
-    one_window = False
     if n <= _DENSE_LIMIT:
-        import scipy.linalg as sla
-        vals, vecs = sla.eigh(problem.stiffness.toarray(), problem.mass.toarray())
-        vals, vecs = vals[:m], vecs[:, :m]
-        res = _residuals(problem, vals, vecs)
-        del vecs
+        [(vals, res)] = _map(_solve_dense, [(problem, m)])
     elif m >= n - 1:
         raise SolveError(
             f"nearly full spectrum ({m} of {n}) is outside the iterative solver's "
@@ -415,15 +430,11 @@ def solve_lowest(problem: EigenProblem, m: int, tol: float = 1e-9, guide=None) -
         problem = _ordered(problem)
         # shift below the spectrum, scaled by the Weyl estimate of lambda_1,
         # then further below while K - sigma*M fails to factor
-        area = problem.mass.sum()
-        sigma = -0.5 * max(4.0 * math.pi / area, 1e-8)
+        weyl = 4.0 * math.pi / problem.mass.sum()  # Weyl's eigenvalue spacing: 4*pi/area
+        sigma = -0.5 * max(weyl, 1e-8)
         shifts = (sigma, 4.0 * sigma, 16.0 * sigma)
-        edges = _window_edges(guide, m, tol)
-        if edges:
-            vals, res, checks = _solve_windows(problem, m, tol, shifts, edges)
-        else:
-            one_window = True
-            vals, res, sigma = _solve_window(problem, m, shifts, _SEED, tol)
+        edges = _window_edges(guide, m, tol) or [m * weyl]
+        vals, res, checks = _solve_windows(problem, m, tol, shifts, edges)
 
     scale = max(1.0, float(abs(vals[m - 1])))
     if np.any(vals < -tol * scale):
@@ -437,19 +448,6 @@ def solve_lowest(problem: EigenProblem, m: int, tol: float = 1e-9, guide=None) -
         raise SolveError(
             f"{int(bad.sum())} residuals exceed tolerance (worst {worst:.3e})", partial=sl
         )
-    if one_window:
-        # count below the topmost gap of [sigma, *vals] wider than 10*tol
-        # relative (1e-8 at the default tol); sigma lies below the spectrum,
-        # so m == 1 and a fully clustered top still have that gap
-        v = np.concatenate(([sigma], vals))
-        wide = np.diff(v) > 10.0 * tol * np.maximum(1.0, v[1:])
-        wide[0] = True
-        j = int(np.flatnonzero(wide)[-1])
-        s = 0.5 * (v[j] + v[j + 1])
-        try:
-            checks.append((s, _count_below(problem, s)))
-        except SolveError as exc:
-            raise SolveError(str(exc), partial=sl) from None
     for s, count in checks:
         found = int(np.count_nonzero(vals < s))
         if found != count:

@@ -111,6 +111,8 @@ def test_arpack_error_exits_3_naming_the_level(tmp_path, monkeypatch, capsys):
         raise spla.ArpackError(3, {3: "No shifts could be applied"})
 
     monkeypatch.setattr(spla, "eigsh", no_shifts)
+    # pool tasks run in this process, where eigsh is patched
+    monkeypatch.setattr(eigensolve, "_map", lambda fn, tasks: [fn(*t) for t in tasks])
     # level 3 has 1377 free nodes, the first above the dense limit
     argv = ["solve", "--config", _cfg("right_isosceles_dirichlet.yaml"), "--out",
             str(tmp_path / "o"), "--refinements", "3", "--num-eigs", "6", "--quiet"]
@@ -271,6 +273,25 @@ def test_gaps_subcommand(tmp_path):
     first = cdf[1].split(",")
     assert float(first[0]) == 0.0
     assert float(first[1]) > 0.5
+
+
+def test_solve_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # every level, dense or windowed, runs on pool workers with one BLAS thread
+    src = os.path.normpath(os.path.join(CONFIG_DIR, "..", "src"))
+    names = ("unit_disc_dirichlet", "hyperbolic_triangle_a")
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        argv = ["solve", "--refinements", "2", "--num-eigs", "30", "--quiet",
+                "--out", str(tmp_path / threads)]
+        for name in names:
+            argv += ["--config", _cfg(name + ".yaml")]
+        out = subprocess.run([sys.executable, "-m", "curvspec.cli", *argv], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+    for name in names:
+        one, two = (tmp_path / t / name / "spectrum.csv" for t in ("1", "2"))
+        assert one.read_bytes() == two.read_bytes(), name
 
 
 def test_end_to_end_determinism(tmp_path):

@@ -250,11 +250,21 @@ def disc_above_dense():
     return problem, dense
 
 
+def _in_process_map(fn, tasks):
+    return [fn(*t) for t in tasks]
+
+
+@pytest.fixture
+def in_process(monkeypatch):
+    # run every pool task in this process, where eigsh and _factor can be patched
+    monkeypatch.setattr(eigensolve, "_map", _in_process_map)
+
+
 def _no_convergence(n):
     return spla.ArpackNoConvergence("no convergence", np.array([9.0, 5.0]), np.zeros((n, 2)))
 
 
-def test_no_convergence_retries_with_doubled_ncv(disc_above_dense, monkeypatch):
+def test_no_convergence_retries_with_doubled_ncv(disc_above_dense, in_process, monkeypatch):
     problem, dense = disc_above_dense
     real = spla.eigsh
     ncvs = []
@@ -266,13 +276,14 @@ def test_no_convergence_retries_with_doubled_ncv(disc_above_dense, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(spla, "eigsh", flaky)
-    sl = eigensolve.solve_lowest(problem, 6)
+    # the guide's top edge lies between the 6th and 7th values: one window of 6
+    sl = eigensolve.solve_lowest(problem, 6, guide=dense[:6] * 1.001)
     assert ncvs == [20, 40]
     np.testing.assert_allclose(sl.eigenvalues, dense[:6], rtol=1e-10)
 
 
-def test_no_convergence_on_every_attempt_attaches_partial(disc_above_dense, monkeypatch):
-    problem, _ = disc_above_dense
+def test_no_convergence_on_every_attempt_attaches_partial(disc_above_dense, in_process, monkeypatch):
+    problem, dense = disc_above_dense
     ncvs = []
 
     def stuck(*args, **kwargs):
@@ -281,7 +292,7 @@ def test_no_convergence_on_every_attempt_attaches_partial(disc_above_dense, monk
 
     monkeypatch.setattr(spla, "eigsh", stuck)
     with pytest.raises(eigensolve.SolveError, match="2/6") as info:
-        eigensolve.solve_lowest(problem, 6)
+        eigensolve.solve_lowest(problem, 6, guide=dense[:6] * 1.001)
     assert ncvs == [20, 40, 80]
     assert info.value.partial.eigenvalues.tolist() == [5.0, 9.0]
 
@@ -290,7 +301,7 @@ def _arpack_error():
     return spla.ArpackError(3, {3: "No shifts could be applied during a cycle"})
 
 
-def test_arpack_error_retries_further_shift(disc_above_dense, monkeypatch):
+def test_arpack_error_retries_further_shift(disc_above_dense, in_process, monkeypatch):
     problem, dense = disc_above_dense
     real = spla.eigsh
     shifts = []
@@ -307,7 +318,7 @@ def test_arpack_error_retries_further_shift(disc_above_dense, monkeypatch):
     np.testing.assert_allclose(sl.eigenvalues, dense[:6], rtol=1e-10)
 
 
-def test_arpack_error_on_every_shift_is_a_solve_error(disc_above_dense, monkeypatch):
+def test_arpack_error_on_every_shift_is_a_solve_error(disc_above_dense, in_process, monkeypatch):
     problem, _ = disc_above_dense
     shifts = []
 
@@ -321,21 +332,22 @@ def test_arpack_error_on_every_shift_is_a_solve_error(disc_above_dense, monkeypa
     assert shifts == [shifts[0], 4.0 * shifts[0], 16.0 * shifts[0]]
 
 
-def test_failed_factorization_retries_further_shift(disc_above_dense, monkeypatch):
+def test_failed_factorization_retries_further_shift(disc_above_dense, in_process, monkeypatch):
     problem, dense = disc_above_dense
     real = eigensolve._factor
     shifts = []
 
     def singular_once(problem, sigma):
-        shifts.append(sigma)
-        if len(shifts) == 1:
-            raise RuntimeError("Factor is exactly singular")
+        if sigma < 0.0:  # the inertia counts factor at positive shifts
+            shifts.append(sigma)
+            if len(shifts) == 1:
+                raise RuntimeError("Factor is exactly singular")
         return real(problem, sigma)
 
     monkeypatch.setattr(eigensolve, "_factor", singular_once)
     sl = eigensolve.solve_lowest(problem, 6)
     assert shifts[1] == 4.0 * shifts[0] < 0.0
-    assert len(shifts) == 3  # failed, solved, certified
+    assert len(shifts) == 2  # failed, solved
     np.testing.assert_allclose(sl.eigenvalues, dense[:6], rtol=1e-10)
 
 
@@ -384,7 +396,7 @@ def test_arpack_path_matches_dense(disc_above_dense, m):
     np.testing.assert_allclose(sl.eigenvalues, dense[:m], rtol=1e-10)
 
 
-def test_skipped_interior_eigenvalue_fails_certificate(disc_above_dense, monkeypatch):
+def test_skipped_interior_eigenvalue_fails_certificate(disc_above_dense, in_process, monkeypatch):
     problem, _ = disc_above_dense
     real = spla.eigsh
 
@@ -419,23 +431,38 @@ def _exact_diagonal_eigsh(diag, skip=None, calls=None):
 
 
 @pytest.mark.parametrize("m", [1, 3])
-def test_certificate_below_fully_clustered_top(monkeypatch, m):
-    # all requested values lie in one cluster: the check shift goes below it
+def test_certificate_below_fully_clustered_top(in_process, monkeypatch, m):
+    # all requested values lie in one cluster, which the top edge's count covers
     diag = np.concatenate(([5.0, 5.0, 5.0], np.arange(7.0, 7.0 + eigensolve._DENSE_LIMIT)))
     monkeypatch.setattr(spla, "eigsh", _exact_diagonal_eigsh(diag))
     sl = eigensolve.solve_lowest(_diagonal_problem(diag), m)
     assert sl.eigenvalues.tolist() == [5.0] * m
 
 
-def test_certificate_catches_member_skipped_from_cluster(monkeypatch):
+def test_certificate_catches_member_skipped_from_cluster(in_process, monkeypatch):
+    # the guide's top edge, 5 + 0.5 * 5/3, counts the cluster of three
     diag = np.concatenate(([5.0, 5.0, 5.0], np.arange(7.0, 7.0 + eigensolve._DENSE_LIMIT)))
     monkeypatch.setattr(spla, "eigsh", _exact_diagonal_eigsh(diag, skip=1))
     with pytest.raises(eigensolve.SolveError, match="inertia counts 3 .* found 2"):
-        eigensolve.solve_lowest(_diagonal_problem(diag), 3)
+        eigensolve.solve_lowest(_diagonal_problem(diag), 3, guide=diag[:3])
 
 
-def test_failed_inertia_factorization_attaches_the_partial(monkeypatch):
-    # the one-window certificate factors at a positive shift; make that fail
+@pytest.mark.parametrize("m", [1, 4])
+def test_top_cluster_value_dropped_from_one_window_fails_inertia(in_process, monkeypatch, m):
+    # one window (no guide, m < 2 * _WINDOW_EIGS) returns the value above its
+    # largest in place of it: for m = 4 both lie in a cluster narrower than
+    # 10*tol, for m = 1 the window holds that value alone; the top edge's
+    # count catches the swap either way
+    cluster = 5.0 + 1e-8 * np.arange(4)
+    diag = np.concatenate(([1.0, 2.0], cluster, np.arange(7.0, 7.0 + eigensolve._DENSE_LIMIT)))
+    monkeypatch.setattr(spla, "eigsh", _exact_diagonal_eigsh(diag, skip=-2))
+    with pytest.raises(eigensolve.SolveError, match="inertia counts") as info:
+        eigensolve.solve_lowest(_diagonal_problem(diag), m)
+    assert len(info.value.partial) == m
+
+
+def test_failed_inertia_factorization_is_a_solve_error(in_process, monkeypatch):
+    # the counts come before any window, so there is no partial to attach
     diag = np.arange(1.0, eigensolve._DENSE_LIMIT + 101.0)
     monkeypatch.setattr(spla, "eigsh", _exact_diagonal_eigsh(diag))
     real = eigensolve._factor
@@ -446,13 +473,13 @@ def test_failed_inertia_factorization_attaches_the_partial(monkeypatch):
         return real(problem, sigma)
 
     monkeypatch.setattr(eigensolve, "_factor", singular_above_zero)
-    with pytest.raises(eigensolve.SolveError, match="inertia factorization failed at shift 4.5") as info:
-        eigensolve.solve_lowest(_diagonal_problem(diag), 5)
-    assert info.value.partial.eigenvalues.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+    with pytest.raises(eigensolve.SolveError, match="inertia factorization failed at shift 5.5") as info:
+        eigensolve.solve_lowest(_diagonal_problem(diag), 5, guide=diag[:5])
+    assert info.value.partial is None
 
 
 
-def test_residual_gate_attaches_the_lowest_m_as_partial(monkeypatch):
+def test_residual_gate_attaches_the_lowest_m_as_partial(in_process, monkeypatch):
     real = eigensolve._residuals
 
     def one_stalled(problem, vals, vecs):
@@ -496,18 +523,25 @@ def test_nearly_full_sparse_spectrum_is_refused(spare):
         eigensolve.solve_lowest(_diagonal_problem(np.arange(1.0, n + 1.0)), m)
 
 
+def test_zero_guide_takes_the_weyl_edge():
+    # a Neumann level asking for its zero mode alone: guide[0] == 0 gives no
+    # spacing, and an edge at 0 would factor the singular K
+    n = eigensolve._DENSE_LIMIT + 2
+    assert eigensolve._window_edges([0.0], 1, 1e-9) == []
+    sl = eigensolve.solve_lowest(_diagonal_problem(np.arange(0.0, n)), 1, guide=[0.0])
+    assert sl.eigenvalues.tolist() == [0.0]
+
+
+def test_top_edge_counting_nearly_every_value_is_refused():
+    # m = n - 2 passes the check above, but the top edge, widened from Weyl's
+    # estimate, counts at least n - 1 values, more than eigsh can return
+    n = eigensolve._DENSE_LIMIT + 2
+    with pytest.raises(eigensolve.SolveError, match=rf"nearly full spectrum \({n - 1} of {n}\) below the top edge"):
+        eigensolve.solve_lowest(_diagonal_problem(np.arange(1.0, n + 1.0)), n - 2)
+
+
 # ---------------------------------------------------------------------------
 # windowed solves: edges from a guide spectrum, certified by inertia counts
-
-
-def _in_process_map(fn, tasks):
-    return [fn(*t) for t in tasks]
-
-
-@pytest.fixture
-def in_process(monkeypatch):
-    # run every window in this process, where eigsh and _factor can be patched
-    monkeypatch.setattr(eigensolve, "_map", _in_process_map)
 
 
 @pytest.mark.parametrize("m", [74, 150])
@@ -522,12 +556,14 @@ def test_windows_match_dense(disc_above_dense, in_process, m):
 
 def test_clustered_guide_solves_one_window(disc_above_dense):
     # no gap of the guide near the middle quantile is wider than 10*tol, so
-    # the solve falls back to one window, which must still give the lowest m
+    # that edge is dropped and only the top edge stays: one window, which must
+    # still give the lowest m
     problem, dense = disc_above_dense
     m = 80
     guide = dense[:m] * 1.001
     guide[36:44] = guide[40]
-    assert m // eigensolve._WINDOW_EIGS == 2 and eigensolve._window_edges(guide, m, 1e-9) == []
+    edges = eigensolve._window_edges(guide, m, 1e-9)
+    assert m // eigensolve._WINDOW_EIGS == 2 and len(edges) == 1 and edges[0] > guide[-1]
     sl = eigensolve.solve_lowest(problem, m, guide=guide)
     np.testing.assert_allclose(sl.eigenvalues, dense[:m], rtol=1e-10)
 
@@ -771,23 +807,26 @@ def test_low_top_edge_is_raised_until_it_counts_m(in_process, monkeypatch):
     assert tops[0] < m <= tops[-1] and len(tops) >= 2
 
 
-def test_dense_and_oracle_runs_start_no_window_pool(tmp_path):
+def test_only_solves_start_the_window_pool(tmp_path):
+    # an oracle run solves nothing; a solve whose levels are all dense runs
+    # them on the pool too, one BLAS thread each
     script = f"""
 import multiprocessing
 from curvspec import cli, eigensolve
 disc, tri = {os.path.join(CONFIG_DIR, "unit_disc_dirichlet.yaml")!r}, {os.path.join(CONFIG_DIR, "right_isosceles_dirichlet.yaml")!r}
 assert cli.main(["analyze", "--use-oracle", "--num-eigs", "200", "--samples", "128", "--quiet",
                  "--config", disc, "--out", {str(tmp_path / "a")!r}]) == 0
+print(eigensolve._POOL is None, multiprocessing.active_children() == [])
 assert cli.main(["solve", "--refinements", "2", "--num-eigs", "600", "--quiet",
                  "--config", tri, "--out", {str(tmp_path / "s")!r}]) == 0
-print(eigensolve._POOL is None, multiprocessing.active_children() == [])
+print(eigensolve._POOL is None)
 """
     env = dict(os.environ, PYTHONPATH=SRC_DIR + os.pathsep + os.environ.get("PYTHONPATH", ""))
     out = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["True", "True"]
+    assert out.stdout.split() == ["True", "True", "False"]
 
 
 def test_window_worker_imports_no_unused_scipy(disc_above_dense, tmp_path):
@@ -795,8 +834,9 @@ def test_window_worker_imports_no_unused_scipy(disc_above_dense, tmp_path):
     # scipy.spatial and scipy.special serve meshing and exact only, and no
     # module needs scipy.integrate or scipy.optimize
     problem, _ = disc_above_dense
-    pickled = tmp_path / "problem.pkl"
+    pickled, small = tmp_path / "problem.pkl", tmp_path / "dense.pkl"
     pickled.write_bytes(pickle.dumps(problem))
+    small.write_bytes(pickle.dumps(_diagonal_problem(np.arange(1.0, 11.0))))
     script = f"""
 import pickle, sys
 import curvspec.cli
@@ -805,6 +845,7 @@ from curvspec.configio import load_domain_config
 problem = pickle.loads(open({str(pickled)!r}, "rb").read())
 eigensolve._task(eigensolve._count_below, problem, 10.0)
 eigensolve._task(eigensolve._solve_window, problem, 4, (-1.0,), 1, 1e-9)
+eigensolve._task(eigensolve._solve_dense, pickle.loads(open({str(small)!r}, "rb").read()), 4)
 unused = ("scipy.integrate", "scipy.spatial", "scipy.special", "scipy.optimize")
 print(",".join(m for m in unused if m in sys.modules) or "none")
 load_domain_config({os.path.join(CONFIG_DIR, "hyperbolic_triangle_a.yaml")!r})

@@ -155,6 +155,8 @@ def test_skipped_eigenvalue_exit_code(tmp_path, capsys, monkeypatch):
         return vals[keep], vecs[:, keep]
 
     monkeypatch.setattr(spla, "eigsh", skipping)
+    # pool tasks run in this process, where eigsh is patched
+    monkeypatch.setattr(eigensolve, "_map", lambda fn, tasks: [fn(*t) for t in tasks])
     config = os.path.join(CONFIG_DIR, "unit_disc_dirichlet.yaml")
     out = str(tmp_path / "o")
     rc = main(
