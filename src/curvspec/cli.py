@@ -47,6 +47,14 @@ class RunConfig:
             raise ConfigError("need >= 2 refinements for extrapolation")
         if self.num_eigs < 1:
             raise ConfigError("num_eigs must be >= 1")
+        if self.samples < 64:
+            raise ConfigError(f"samples must be >= 64, got {self.samples}")
+        if not 0.0 < self.tol <= 1e-6:
+            raise ConfigError(f"tol must lie in (0, 1e-6], got {self.tol}")
+        for name in ("bin_width", "target_h"):
+            value = getattr(self, name)
+            if value is not None and not value > 0.0:
+                raise ConfigError(f"{name} must be positive, got {value}")
 
 
 def _log(cfg: RunConfig, msg: str) -> None:

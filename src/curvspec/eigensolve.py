@@ -10,16 +10,16 @@ thread per worker, so no level's bits depend on the core count or --jobs.
 
 A sparse level is put once into a coordinate nested-dissection order of its
 nodes, and every factor of that level keeps that order (SuperLU's NATURAL
-column order): the inertia counts and the window below the spectrum factor
-symmetrically with diagonal pivots, windows inside the spectrum with partial
-pivoting.
+column order): the inertia counts factor symmetrically with diagonal pivots,
+the windows with partial pivoting.
 
 A sparse solve of m values is split into max(1, m // _WINDOW_EIGS) windows
-(spectrum slicing), each solved from a fixed start vector. The edges sit in
-gaps of the guide, the previous level's eigenvalues; without one, a lone top
-edge starts at Weyl's estimate 4*pi*m/area. The inertia count at each edge
-fixes how many eigenvalues each window must return and certifies that none is
-missing, and the top edge's count covers every value below it.
+[lo, hi) (spectrum slicing), the first from 0, each shifted to its centre and
+solved from a fixed start vector. The edges sit in gaps of the guide, the
+previous level's eigenvalues; without one, a lone top edge starts at Weyl's
+estimate 4*pi*m/area. The inertia count at each edge fixes how many
+eigenvalues each window must return and certifies that none is missing, and
+the top edge's count covers every value below it.
 
 Importing cli loads no scipy: each module imports it in the functions that use
 it. A worker imports cli (the spawned main module), gets scipy.sparse when it
@@ -198,18 +198,14 @@ def _count_below(problem: EigenProblem, shift: float) -> int:
 def _shift_invert(problem: EigenProblem, k: int, shift: float, v0, ncv: int, tol: float):
     """eigsh for the k eigenvalues nearest shift; the factor dies with this frame.
 
-    Both factors keep the problem's order (see _ordered). Negative shifts lie
-    below the spectrum and use _factor. A shift inside the spectrum makes
-    K - shift*M indefinite, where _factor's unpivoted L D L^T grows its pivots
-    (solve backward error ~1e-15 against ~1e-18) and the residuals stall near
-    the gate, so it gets partial pivoting.
+    The shift lies inside the spectrum, where K - shift*M is indefinite and
+    _factor's unpivoted L D L^T grows its pivots (solve backward error ~1e-15
+    against ~1e-18) until the residuals stall near the gate, so this factor
+    keeps the problem's order (see _ordered) with partial pivoting.
     """
     import scipy.sparse.linalg as spla
-    if shift < 0.0:
-        lu = _factor(problem, shift)
-    else:
-        a = (problem.stiffness - shift * problem.mass).tocsc()
-        lu = spla.splu(a, permc_spec="NATURAL")
+    a = (problem.stiffness - shift * problem.mass).tocsc()
+    lu = spla.splu(a, permc_spec="NATURAL")
     op = spla.LinearOperator(lu.shape, matvec=lu.solve, dtype=float)
     return spla.eigsh(
         problem.stiffness, k=k, M=problem.mass, sigma=shift, v0=v0, ncv=ncv, tol=tol, OPinv=op
@@ -224,19 +220,18 @@ def _solve_dense(problem: EigenProblem, m: int):
     return vals, _residuals(problem, vals, vecs)
 
 
-def _solve_window(problem: EigenProblem, k: int, shifts, seed: int, tol: float):
-    """The k eigenvalues nearest a shift, ascending, with their residual norms.
+def _solve_window(problem: EigenProblem, k: int, shift: float, seed: int, tol: float):
+    """The k eigenvalues nearest shift, ascending, with their residual norms.
     Runs in a pool worker or in-process: v0 comes from seed.
 
-    A failed factorization or ARPACK error moves on to the next of shifts; a
-    window inside the spectrum has only one.
+    ARPACK's no-convergence is retried twice, each time with twice the Krylov
+    subspace; a failed factorization or another ARPACK error is a SolveError
+    naming the shift.
     """
     import scipy.sparse.linalg as spla
     n = problem.dimension
     v0 = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
     ncv = min(max(2 * k + 1, 20), n)  # eigsh's default subspace size
-    shifts = iter(shifts)
-    shift = next(shifts)
     for attempt in range(3):
         try:
             vals, vecs = _shift_invert(problem, k, shift, v0, ncv, tol)
@@ -250,11 +245,9 @@ def _solve_window(problem: EigenProblem, k: int, shifts, seed: int, tol: float):
                 ) from exc
             ncv = min(2 * ncv, n)  # retry with a larger Krylov subspace
         except RuntimeError as exc:  # a singular factor or another ArpackError
-            failed, shift = shift, next(shifts, None)
-            if attempt == 2 or shift is None:
-                raise SolveError(
-                    f"shift-invert solve for {k} eigenvalues at shift {failed:.6g} failed: {exc}"
-                ) from None
+            raise SolveError(
+                f"shift-invert solve for {k} eigenvalues at shift {shift:.6g} failed: {exc}"
+            ) from None
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
     return vals, _residuals(problem, vals, vecs)
@@ -290,40 +283,36 @@ def _window_edges(guide, m: int, tol: float) -> list[float]:
     return edges
 
 
-def _solve_windows(problem: EigenProblem, m: int, tol: float, low_shifts, edges):
-    """Solve [-inf, e1), [e1, e2), ... up to the top edge, one window per task.
+def _solve_windows(problem: EigenProblem, m: int, tol: float, edges):
+    """Solve [0, e1), [e1, e2), ... up to the top edge, one window per task.
 
     Returns the merged ascending eigenvalues (the lowest m and any others below
     the top edge), their residuals and the (edge, inertia count) pairs that
     certify them.
     """
-    edges = list(edges)
-    counts = _map(_count_below, [(problem, e) for e in edges])
+    # the floor (0, 0) is never factored: 0 is a Neumann K's eigenvalue
+    edges = [0.0, *edges]
+    counts = [0, *_map(_count_below, [(problem, e) for e in edges[1:]])]
     while counts[-1] < m:  # the spectrum lies above the top edge: widen the top window
-        # by the values it lacks at the density it holds, at most its width; a
-        # lone edge's window starts at 0
-        floor, below = (edges[-2], counts[-2]) if len(edges) > 1 else (0.0, 0)
-        held = max(counts[-1] - below, 1)
-        edges[-1] += (edges[-1] - floor) * min(1.0, (m - counts[-1]) / held)
+        # by the values it lacks at the density it holds, at most its width
+        held = max(counts[-1] - counts[-2], 1)
+        edges[-1] += (edges[-1] - edges[-2]) * min(1.0, (m - counts[-1]) / held)
         counts[-1] = _map(_count_below, [(problem, edges[-1])])[0]
     if counts[-1] >= problem.dimension - 1:
         raise SolveError(
             f"nearly full spectrum ({counts[-1]} of {problem.dimension}) below the top "
             f"edge {edges[-1]:.6g} is outside the iterative solver's range"
         )
-    # the first window shifts below the spectrum, the others to their centres;
-    # edges sit in gaps, so a window's eigenvalues are the ones nearest its shift
-    shifts = [low_shifts] + [(0.5 * (lo + hi),) for lo, hi in zip(edges, edges[1:])]
-    sizes = np.diff(counts, prepend=0)
-    tasks = [(problem, int(k), s, _SEED + i, tol)
-             for i, (k, s) in enumerate(zip(sizes, shifts)) if k > 0]
+    # edges sit in gaps, so a window's eigenvalues are the ones nearest its centre
+    tasks = [(problem, int(k), 0.5 * (lo + hi), _SEED + i, tol)
+             for i, (k, lo, hi) in enumerate(zip(np.diff(counts), edges, edges[1:])) if k > 0]
     results = _map(_solve_window, tasks)
     vals = np.concatenate([r[0] for r in results])
     res = np.concatenate([r[1] for r in results])
     # ascending when each window returned its own values; the inertia check
     # catches the other case, and sorting keeps its partial slice the lowest m
     order = np.argsort(vals, kind="stable")
-    return vals[order], res[order], list(zip(edges, counts))
+    return vals[order], res[order], list(zip(edges[1:], counts[1:]))
 
 
 def _map(fn, tasks) -> list:
@@ -428,13 +417,9 @@ def solve_lowest(problem: EigenProblem, m: int, tol: float = 1e-9, guide=None) -
         )
     else:
         problem = _ordered(problem)
-        # shift below the spectrum, scaled by the Weyl estimate of lambda_1,
-        # then further below while K - sigma*M fails to factor
-        weyl = 4.0 * math.pi / problem.mass.sum()  # Weyl's eigenvalue spacing: 4*pi/area
-        sigma = -0.5 * max(weyl, 1e-8)
-        shifts = (sigma, 4.0 * sigma, 16.0 * sigma)
-        edges = _window_edges(guide, m, tol) or [m * weyl]
-        vals, res, checks = _solve_windows(problem, m, tol, shifts, edges)
+        # else Weyl's estimate of the m-th eigenvalue, 4*pi*m/area
+        edges = _window_edges(guide, m, tol) or [4.0 * math.pi * m / problem.mass.sum()]
+        vals, res, checks = _solve_windows(problem, m, tol, edges)
 
     scale = max(1.0, float(abs(vals[m - 1])))
     if np.any(vals < -tol * scale):

@@ -122,10 +122,10 @@ def test_arpack_error_exits_3_naming_the_level(tmp_path, monkeypatch, capsys):
 
 
 def test_solve_jobs_gives_identical_outputs(tmp_path, monkeypatch):
-    # the spherical triangle's level 3 (1961 free nodes, 80 eigenvalues) is
-    # solved as windows on the window pool, which the --jobs threads share,
-    # while dense levels stay in the calling thread; nothing forks (the pool
-    # spawns its workers without os.fork)
+    # every level, dense or windowed (the spherical triangle's level 3: 1961
+    # free nodes, 80 eigenvalues), is solved on the window pool, which the
+    # --jobs threads share; nothing forks (the pool spawns its workers without
+    # os.fork)
     args = ["solve", "--refinements", "3", "--num-eigs", "80", "--quiet",
             "--config", _cfg("right_isosceles_dirichlet.yaml"),
             "--config", _cfg("spherical_right_triangle.yaml")]
@@ -150,6 +150,20 @@ def test_solve_jobs_gives_identical_outputs(tmp_path, monkeypatch):
 def test_solve_refinements_validated():
     with pytest.raises(Exception, match="refinements"):
         RunConfig(config_path="x", out_dir="y", refinements=1)
+
+
+@pytest.mark.parametrize(
+    "flag, value, name",
+    [("--samples", "10", "samples"), ("--tol", "1e-3", "tol"),
+     ("--bin-width", "0", "bin_width"), ("--target-h", "-1", "target_h")],
+)
+def test_bad_run_option_exits_2_before_any_work(tmp_path, capsys, flag, value, name):
+    out = tmp_path / "o"
+    argv = ["report", "--config", _cfg("right_isosceles_dirichlet.yaml"), "--out", str(out),
+            "--refinements", "2", "--quiet", flag, value]
+    assert main(argv) == 2
+    assert f"configuration error: {name} must" in capsys.readouterr().err
+    assert not (out / "spectrum.csv").exists()
 
 
 def test_analyze_flat_emits_six_graphs(solved_triangle, tmp_path):

@@ -301,24 +301,8 @@ def _arpack_error():
     return spla.ArpackError(3, {3: "No shifts could be applied during a cycle"})
 
 
-def test_arpack_error_retries_further_shift(disc_above_dense, in_process, monkeypatch):
-    problem, dense = disc_above_dense
-    real = spla.eigsh
-    shifts = []
-
-    def no_shifts_once(*args, sigma, **kwargs):
-        shifts.append(sigma)
-        if len(shifts) == 1:
-            raise _arpack_error()
-        return real(*args, sigma=sigma, **kwargs)
-
-    monkeypatch.setattr(spla, "eigsh", no_shifts_once)
-    sl = eigensolve.solve_lowest(problem, 6)
-    assert shifts[1] == 4.0 * shifts[0] < 0.0
-    np.testing.assert_allclose(sl.eigenvalues, dense[:6], rtol=1e-10)
-
-
-def test_arpack_error_on_every_shift_is_a_solve_error(disc_above_dense, in_process, monkeypatch):
+def test_arpack_error_in_first_window_is_a_solve_error(disc_above_dense, in_process, monkeypatch):
+    # the first window, like every other, shifts to its centre and gets one shift
     problem, _ = disc_above_dense
     shifts = []
 
@@ -327,28 +311,10 @@ def test_arpack_error_on_every_shift_is_a_solve_error(disc_above_dense, in_proce
         raise _arpack_error()
 
     monkeypatch.setattr(spla, "eigsh", no_shifts)
-    with pytest.raises(eigensolve.SolveError, match="ARPACK error 3"):
+    with pytest.raises(eigensolve.SolveError, match="ARPACK error 3") as info:
         eigensolve.solve_lowest(problem, 6)
-    assert shifts == [shifts[0], 4.0 * shifts[0], 16.0 * shifts[0]]
-
-
-def test_failed_factorization_retries_further_shift(disc_above_dense, in_process, monkeypatch):
-    problem, dense = disc_above_dense
-    real = eigensolve._factor
-    shifts = []
-
-    def singular_once(problem, sigma):
-        if sigma < 0.0:  # the inertia counts factor at positive shifts
-            shifts.append(sigma)
-            if len(shifts) == 1:
-                raise RuntimeError("Factor is exactly singular")
-        return real(problem, sigma)
-
-    monkeypatch.setattr(eigensolve, "_factor", singular_once)
-    sl = eigensolve.solve_lowest(problem, 6)
-    assert shifts[1] == 4.0 * shifts[0] < 0.0
-    assert len(shifts) == 2  # failed, solved
-    np.testing.assert_allclose(sl.eigenvalues, dense[:6], rtol=1e-10)
+    assert len(shifts) == 1 and shifts[0] > 0.0
+    assert f"at shift {shifts[0]:.6g}" in str(info.value)
 
 
 def test_factor_inertia_matches_dense_count(disc_above_dense):
@@ -389,11 +355,26 @@ def test_nested_dissection_factor_fills_less_than_colamd():
     assert nd.L.nnz + nd.U.nnz < colamd.L.nnz + colamd.U.nnz
 
 
+@pytest.fixture(scope="module")
+def neumann_disc_above_dense():
+    # disc_above_dense's mesh with a Neumann boundary: K is singular at 0,
+    # which the first window [0, e1) holds
+    mesh = meshing.triangulate(geo.euclidean_disc(1.0), 0.09)
+    problem = fem.assemble(mesh, fem.ConformalWeight(SpaceForm.EUCLIDEAN), bc_map={0: "N"})
+    assert eigensolve._DENSE_LIMIT < problem.dimension < 2 * eigensolve._DENSE_LIMIT
+    dense = sla.eigh(problem.stiffness.toarray(), problem.mass.toarray(), eigvals_only=True)
+    return problem, dense
+
+
 @pytest.mark.parametrize("m", [1, 2, 40])
-def test_arpack_path_matches_dense(disc_above_dense, m):
+def test_arpack_path_matches_dense(disc_above_dense, neumann_disc_above_dense, m):
     problem, dense = disc_above_dense
     sl = eigensolve.solve_lowest(problem, m)
     np.testing.assert_allclose(sl.eigenvalues, dense[:m], rtol=1e-10)
+    problem, dense = neumann_disc_above_dense
+    sl = eigensolve.solve_lowest(problem, m)
+    assert sl.eigenvalues[0] == 0.0
+    np.testing.assert_allclose(sl.eigenvalues[1:], dense[1:m], rtol=1e-10)
 
 
 def test_skipped_interior_eigenvalue_fails_certificate(disc_above_dense, in_process, monkeypatch):
@@ -416,8 +397,8 @@ def _diagonal_problem(diag):
 
 
 def _exact_diagonal_eigsh(diag, skip=None, calls=None):
-    # the k exact eigenpairs of diag(d) v = lambda v nearest sigma, ascending
-    # (the k smallest for a shift below the spectrum); skip drops one of k + 1
+    # the k exact eigenpairs of diag(d) v = lambda v nearest sigma, ascending;
+    # skip drops one of k + 1
     diag = np.asarray(diag, dtype=float)
 
     def eigsh(*args, k, sigma, **kwargs):
@@ -741,7 +722,7 @@ def test_eigenvalue_dropped_from_second_window_fails_inertia(
     monkeypatch.setattr(spla, "eigsh", dropping)
     with pytest.raises(eigensolve.SolveError, match="inertia counts") as info:
         eigensolve.solve_lowest(problem, 80, guide=dense[:80])
-    assert calls[0] < 0.0 < calls[1]
+    assert 0.0 < calls[0] < calls[1]
     assert len(info.value.partial) == 80
 
 
@@ -783,7 +764,7 @@ def test_arpack_error_in_interior_window_is_a_solve_error(
     with pytest.raises(eigensolve.SolveError, match="ARPACK error 3") as info:
         eigensolve.solve_lowest(problem, 80, guide=dense[:80])
     assert f"at shift {calls[1]:.6g}" in str(info.value)
-    assert len(calls) == 2  # an interior window has no further shift to try
+    assert len(calls) == 2  # a window has no further shift to try
 
 
 def test_low_top_edge_is_raised_until_it_counts_m(in_process, monkeypatch):
@@ -844,7 +825,7 @@ from curvspec import eigensolve
 from curvspec.configio import load_domain_config
 problem = pickle.loads(open({str(pickled)!r}, "rb").read())
 eigensolve._task(eigensolve._count_below, problem, 10.0)
-eigensolve._task(eigensolve._solve_window, problem, 4, (-1.0,), 1, 1e-9)
+eigensolve._task(eigensolve._solve_window, problem, 4, 10.0, 1, 1e-9)
 eigensolve._task(eigensolve._solve_dense, pickle.loads(open({str(small)!r}, "rb").read()), 4)
 unused = ("scipy.integrate", "scipy.spatial", "scipy.special", "scipy.optimize")
 print(",".join(m for m in unused if m in sys.modules) or "none")
