@@ -19,6 +19,9 @@ class AnalysisError(ValueError):
     """Invalid analysis request."""
 
 
+_MAX_BINS = 2**20  # gap histogram bins; the default bin width gives 40
+
+
 @dataclass(frozen=True)
 class RefinedCountParams:
     """Coefficients of the refined count  leading*t + half_order*sqrt(t) + constant."""
@@ -128,16 +131,13 @@ def _grid_with_breakpoints(lo_open: float, hi: float, samples: int, breaks) -> n
     return np.unique(np.concatenate([grid, breaks]))
 
 
-def _running_mean(spectrum, params, a: float, x_grid: np.ndarray, sqrt_weight: bool):
-    # (1/(x-a)) int_a^x sqrt(s) A(s^2) ds (sqrt(s) dropped unless sqrt_weight)
-    # by composite trapezoid on an 8x finer grid
+def _running_mean(spectrum, params, a: float, x_grid: np.ndarray):
+    # (1/(x-a)) int_a^x sqrt(s) A(s^2) ds by composite trapezoid on an 8x finer grid
     xs = x_grid[x_grid > a]
     base = np.unique(np.concatenate([[a], xs]))
     fine = np.linspace(base[:-1], base[1:], 9, axis=-1)[:, 1:]
     s = np.concatenate([base[:1], fine.ravel()])
-    integrand = average_error(spectrum, params, s * s)
-    if sqrt_weight:
-        integrand = np.sqrt(s) * integrand
+    integrand = average_error(spectrum, params, s * s) * np.sqrt(s)  # sqrt(s) not held during A
     cum = np.concatenate([[0.0], np.cumsum(np.diff(s) * 0.5 * (integrand[1:] + integrand[:-1]))])
     cum_at = np.interp(xs, s, cum)
     return xs, cum_at / (xs - a)
@@ -148,14 +148,12 @@ def graph_series(
     params: RefinedCountParams,
     space: SpaceForm,
     samples: int = 4096,
-    alt_spherical_mean: bool = False,
 ) -> AnalysisSeries:
     """Sample the standard graph set over the spectrum's range.
 
     Flat/hyperbolic: N, D, A, t^(1/4) A(t), t^(1/4) A(t^2), and the running
     mean of sqrt(s) A(s^2) from a = sqrt(t_max)/4. Spherical: N, D, A, A(t^2)
-    and the same running mean (`alt_spherical_mean` averages A(s^2) without
-    the sqrt(s) factor instead).
+    and the same running mean.
     """
     eigs = np.asarray(spectrum, dtype=float)
     if len(eigs) == 0:
@@ -186,8 +184,7 @@ def graph_series(
     else:
         add(Graph("t14A", "graph 4: t^(1/4) A(t)", "t", grid_t, grid_t**0.25 * a_vals))
         add(Graph("t14At2", "graph 5: t^(1/4) A(t^2)", "sqrt(t)", grid_r, grid_r**0.25 * a_sq))
-    alt = alt_spherical_mean and space is SpaceForm.SPHERICAL
-    xs, mean = _running_mean(eigs, params, a, grid_r, sqrt_weight=not alt)
+    xs, mean = _running_mean(eigs, params, a, grid_r)
     add(Graph("runmean", "running mean of s^(1/2) A(s^2)", "sqrt(t)", xs, mean))
     return series
 
@@ -203,15 +200,10 @@ class GapStats:
     bin_edges: np.ndarray
     bin_counts: np.ndarray
 
-    def cdf(self, x: float) -> float:
-        """Fraction of differences <= x."""
-        return float(np.searchsorted(np.sort(self.differences), x, side="right")) / len(
-            self.differences
-        )
-
 
 def gap_stats(spectrum, bin_width: float) -> GapStats:
-    """Differences of consecutive sorted eigenvalues, their CDF and histogram."""
+    """Differences of consecutive sorted eigenvalues, their CDF and histogram
+    (at most _MAX_BINS bins of bin_width)."""
     eigs = np.asarray(spectrum, dtype=float)
     if len(eigs) < 2:
         raise AnalysisError("gap statistics need at least two eigenvalues")
@@ -222,7 +214,13 @@ def gap_stats(spectrum, bin_width: float) -> GapStats:
         raise AnalysisError("spectrum must be ascending")
     xs, counts = np.unique(d, return_counts=True)
     cdf_y = np.cumsum(counts) / len(d)
-    n_bins = max(1, int(math.ceil(float(d.max()) / bin_width)) if d.max() > 0 else 1)
+    top = float(d.max())
+    if top / bin_width > _MAX_BINS:  # checked before the bin edges are allocated
+        raise AnalysisError(
+            f"bin width {bin_width:g} gives {top / bin_width:.4g} histogram bins for the "
+            f"largest difference {top:g}, above the limit {_MAX_BINS}"
+        )
+    n_bins = max(1, math.ceil(top / bin_width))
     edges = bin_width * np.arange(n_bins + 1)
     hist, _ = np.histogram(d, bins=edges)
     return GapStats(

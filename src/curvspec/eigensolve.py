@@ -161,17 +161,8 @@ def _ordered(problem: EigenProblem) -> EigenProblem:
     if problem.points is None:
         return problem
     q = _nested_dissection(problem.points, problem.mass)  # M holds every mesh edge
-    free = problem.free_nodes[q]
-    node_index = problem.node_index.copy()
-    node_index[free] = np.arange(len(q))
-    return replace(
-        problem,
-        stiffness=problem.stiffness[q][:, q],
-        mass=problem.mass[q][:, q],
-        free_nodes=free,
-        node_index=node_index,
-        points=None,
-    )
+    return replace(problem, stiffness=problem.stiffness[q][:, q], mass=problem.mass[q][:, q],
+                   points=None)
 
 
 def _factor(problem: EigenProblem, sigma: float):

@@ -1,9 +1,9 @@
 """Exact oracle spectra for the closed-form test domains.
 
 Lattice triangles, unit discs via Bessel-function zeros, the hemisphere and
-the spherical equilateral right triangle. Bessel values and zeros come from
-scipy.special (zeros: specfun JYZO, Zhang & Jin, Computation of Special
-Functions, 1996).
+the spherical equilateral right triangle. Bessel zeros come from
+scipy.special (specfun JYZO, Zhang & Jin, Computation of Special Functions,
+1996).
 """
 
 from __future__ import annotations
@@ -34,14 +34,7 @@ class OracleSpectrum:
 
 
 # ---------------------------------------------------------------------------
-# Bessel functions of the first kind and their zeros
-
-
-def bessel_j(k: int, x: float) -> float:
-    if x <= 0.0:
-        raise OracleError(f"Bessel evaluation needs x > 0, got {x}")
-    from scipy import special  # here and below, so a window worker never loads it
-    return float(special.jv(k, x))
+# Zeros of Bessel functions of the first kind
 
 
 def bessel_zero(k: int, n: int, derivative: bool = False) -> float:
@@ -54,7 +47,7 @@ def bessel_zero(k: int, n: int, derivative: bool = False) -> float:
         raise OracleError(f"Bessel order must be a nonnegative integer, got {k}")
     if n < 1 or int(n) != n:
         raise OracleError(f"zero index must be a positive integer, got {n}")
-    from scipy import special
+    from scipy import special  # here and below, so a window worker never loads it
     zeros = special.jnp_zeros if derivative else special.jn_zeros
     return float(zeros(int(k), int(n))[-1])
 
@@ -163,19 +156,6 @@ def spherical_right_triangle_spectrum(count: int) -> OracleSpectrum:
 def hemisphere_spectrum(count: int) -> OracleSpectrum:
     """Dirichlet hemisphere: n-th distinct value n (n + 1), multiplicity n."""
     return _staircase_spectrum("hemisphere", count, lambda n: n * (n + 1))
-
-
-def known_subspectrum(case: str, count: int) -> OracleSpectrum:
-    """Known partial spectrum embedded in a larger domain by odd reflection.
-
-    The unit-side hexagon and the edge-1 six-pointed star both contain the
-    unit equilateral triangle's Dirichlet eigenvalues. Containment check only:
-    these values must appear in the domain's spectrum, but do not enumerate it.
-    """
-    if case not in ("hexagon", "six-star"):
-        raise OracleError(f"no known sub-spectrum for {case!r}")
-    sub = equilateral_spectrum(count)
-    return OracleSpectrum(f"{case}-subspectrum", sub.eigenvalues)
 
 
 ORACLE_CASES = {

@@ -44,7 +44,8 @@ class ConformalWeight:
 
 @dataclass
 class EigenProblem:
-    """Symmetric pencil (K, M) on the free nodes of a mesh.
+    """Symmetric pencil (K, M) on the free nodes of a mesh, which are the
+    vertices on no Dirichlet arc, in ascending vertex order.
 
     points, the model coordinates of the free nodes, let the sparse solver
     order the pencil by nested dissection; a problem without them is factored
@@ -53,9 +54,6 @@ class EigenProblem:
 
     stiffness: sp.csr_matrix
     mass: sp.csr_matrix
-    free_nodes: np.ndarray  # matrix index -> mesh vertex
-    node_index: np.ndarray  # mesh vertex -> matrix index, -1 if constrained
-    num_constrained: int
     points: np.ndarray | None = None  # (dimension, 2), row i of matrix index i
 
     @property
@@ -63,29 +61,9 @@ class EigenProblem:
         return self.stiffness.shape[0]
 
 
-def constrained_dimension(problem: EigenProblem) -> int:
-    """Number of free nodes of the assembled problem."""
-    return problem.dimension
-
-
-def dirichlet_vertices(mesh: Mesh, bc_map=None) -> np.ndarray:
+def dirichlet_vertices(mesh: Mesh) -> np.ndarray:
     """Mesh vertices on any Dirichlet arc (mixed-BC corners count as Dirichlet)."""
-    on_dirichlet = _effective_bc(mesh, bc_map) == DIRICHLET
-    return np.unique(mesh.boundary_edges[on_dirichlet, :2])
-
-
-def _effective_bc(mesh: Mesh, bc_map) -> np.ndarray:
-    if bc_map is None:
-        return mesh.boundary_bc()
-    arc_ids = mesh.boundary_edges[:, 2]
-    used, first = np.unique(arc_ids, return_index=True)
-    per_arc = np.full(len(mesh.arcs), "", dtype="<U1")
-    for a in used[np.argsort(first)]:  # arcs in order of first use
-        bc = bc_map.get(int(a)) if hasattr(bc_map, "get") else bc_map[int(a)]
-        if bc not in ("D", "N"):
-            raise AssemblyError(f"bc_map[{int(a)}] must be 'D' or 'N', got {bc!r}")
-        per_arc[a] = bc
-    return per_arc[arc_ids]
+    return np.unique(mesh.boundary_edges[mesh.boundary_bc() == DIRICHLET, :2])
 
 
 def _midpoint_weights(p: np.ndarray, weight: ConformalWeight) -> np.ndarray:
@@ -94,12 +72,9 @@ def _midpoint_weights(p: np.ndarray, weight: ConformalWeight) -> np.ndarray:
     return weight(mids[:, :, 0], mids[:, :, 1])
 
 
-def assemble(mesh: Mesh, weight: ConformalWeight, bc_map=None) -> EigenProblem:
-    """Assemble the P1 stiffness/weighted-mass pencil with BCs applied.
-
-    `bc_map` optionally overrides the per-arc boundary conditions carried by
-    the mesh (arc id -> "D"/"N").
-    """
+def assemble(mesh: Mesh, weight: ConformalWeight) -> EigenProblem:
+    """Assemble the P1 stiffness/weighted-mass pencil with the boundary
+    conditions that the mesh's arcs carry applied."""
     v = mesh.vertices
     t = mesh.triangles
     if weight.space is SpaceForm.HYPERBOLIC and np.any(v[:, 1] <= 0.0):
@@ -110,10 +85,7 @@ def assemble(mesh: Mesh, weight: ConformalWeight, bc_map=None) -> EigenProblem:
         raise AssemblyError("mesh contains nonpositively oriented triangles")
 
     n = mesh.num_vertices
-    constrained = dirichlet_vertices(mesh, bc_map)
-    free = np.flatnonzero(np.bincount(constrained, minlength=n) == 0)
-    node_index = -np.ones(n, dtype=np.int64)
-    node_index[free] = np.arange(len(free))
+    free = np.flatnonzero(np.bincount(dirichlet_vertices(mesh), minlength=n) == 0)
 
     import scipy.sparse as sp  # here, so that importing cli loads no scipy
     # int32 triplets (tocsr's own index dtype), row-major over each 3x3 block
@@ -146,20 +118,7 @@ def assemble(mesh: Mesh, weight: ConformalWeight, bc_map=None) -> EigenProblem:
     m_loc *= (area / 12.0)[:, None, None]
     del w
     mass = free_block(m_loc)
-    return EigenProblem(
-        stiffness=stiffness,
-        mass=mass,
-        free_nodes=free,
-        node_index=node_index,
-        num_constrained=len(constrained),
-        points=np.take(v, free, axis=0),
-    )
-
-
-def weighted_mesh_area(mesh: Mesh, weight: ConformalWeight) -> float:
-    """Midpoint-rule integral of the weight over the mesh (equals sum of all mass entries)."""
-    w = _midpoint_weights(np.take(mesh.vertices, mesh.triangles, axis=0), weight)
-    return float(np.sum(mesh.signed_areas() / 3.0 * w.sum(axis=1)))
+    return EigenProblem(stiffness=stiffness, mass=mass, points=np.take(v, free, axis=0))
 
 
 def export_matrix(matrix: sp.spmatrix, path) -> None:

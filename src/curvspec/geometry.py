@@ -167,24 +167,19 @@ class CircleArc:
 Arc = LineSegment | CircleArc
 
 
-def unit_tangent(arc: Arc, t: float) -> np.ndarray:
-    v = np.asarray(arc.velocity(t), dtype=float).reshape(2)
-    return v / np.linalg.norm(v)
-
-
-def is_geodesic(space: SpaceForm, arc: Arc, tol: float = 1e-12) -> bool:
+def is_geodesic(space: SpaceForm, arc: Arc) -> bool:
     """Whether the arc is a geodesic of the space form (in model coordinates)."""
     if space is SpaceForm.EUCLIDEAN:
         return isinstance(arc, LineSegment)
     if space is SpaceForm.HYPERBOLIC:
         if isinstance(arc, LineSegment):
-            return abs(arc.p1[0] - arc.p0[0]) <= tol * (1.0 + arc.chord_length())
-        return abs(arc.center[1]) <= tol * arc.radius
+            return abs(arc.p1[0] - arc.p0[0]) <= 1e-12 * (1.0 + arc.chord_length())
+        return abs(arc.center[1]) <= 1e-12 * arc.radius
     if isinstance(arc, LineSegment):
         cross = arc.p0[0] * arc.p1[1] - arc.p0[1] * arc.p1[0]
-        return abs(cross) <= tol * (1.0 + arc.chord_length()) ** 2
+        return abs(cross) <= 1e-12 * (1.0 + arc.chord_length()) ** 2
     cx, cy = arc.center
-    return abs(cx * cx + cy * cy + 4.0 - arc.radius**2) <= tol * (4.0 + arc.radius**2)
+    return abs(cx * cx + cy * cy + 4.0 - arc.radius**2) <= 1e-12 * (4.0 + arc.radius**2)
 
 
 # ---------------------------------------------------------------------------
@@ -261,16 +256,6 @@ def green_area(space: SpaceForm, arc: Arc) -> float:
     return _quad(f, "spherical area")
 
 
-def _curvature_density(space: SpaceForm, arc: Arc, t: float):
-    """(kappa_e - d(log rho)/dn, Euclidean speed, point) at t, with n the left
-    normal of the traversal; K1 = kappa_e - d(log rho)/dn over rho."""
-    p, (vx, vy) = arc.point(t), arc.velocity(t).T
-    speed = np.hypot(vx, vy)
-    nx, ny = -vy / speed, vx / speed
-    gx, gy = _grad_log_factor(space, *p.T)
-    return arc.euclid_curvature() - (gx * nx + gy * ny), speed, p
-
-
 def curvature_integral(space: SpaceForm, arc: Arc) -> float:
     """Integral of the geodesic curvature K1 along the arc (intrinsic).
 
@@ -283,16 +268,13 @@ def curvature_integral(space: SpaceForm, arc: Arc) -> float:
         return 0.0 if isinstance(arc, LineSegment) else arc.span
 
     def f(t):
-        k, speed, _ = _curvature_density(space, arc, t)
-        return k * speed
+        p, (vx, vy) = arc.point(t), arc.velocity(t).T
+        speed = np.hypot(vx, vy)
+        nx, ny = -vy / speed, vx / speed
+        gx, gy = _grad_log_factor(space, *p.T)
+        return (arc.euclid_curvature() - (gx * nx + gy * ny)) * speed
 
     return _quad(f, "boundary curvature")
-
-
-def geodesic_curvature(space: SpaceForm, arc: Arc, t: float) -> float:
-    """Pointwise geodesic curvature K1, positive when curving into the domain."""
-    k, _, p = _curvature_density(space, arc, t)
-    return k / float(conformal_factor(space, p[0], p[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -321,13 +303,11 @@ def corner_constant_c1(corners) -> float:
 # Domains
 
 
-def _chordize(loop: list[Arc], per_arc: int = 33) -> np.ndarray:
-    # two loops may cross exactly at samples; _validate_simple checks for that
-    pts = []
-    for arc in loop:
-        ts = np.linspace(0.0, 1.0, per_arc, endpoint=False)
-        pts.append(np.asarray(arc.point(ts)))
-    return np.concatenate(pts, axis=0)
+def _chordize(loop: list[Arc]) -> np.ndarray:
+    # 33 samples per arc; two loops may cross exactly at samples, which
+    # _validate_simple checks for
+    ts = np.linspace(0.0, 1.0, 33, endpoint=False)
+    return np.concatenate([np.asarray(arc.point(ts)) for arc in loop], axis=0)
 
 
 def _signed_area(poly: np.ndarray) -> float:
@@ -437,8 +417,8 @@ class Domain:
             n = len(loop)
             for i, arc in enumerate(loop):
                 nxt = loop[(i + 1) % n]
-                t_in = unit_tangent(arc, 1.0)
-                t_out = unit_tangent(nxt, 0.0)
+                ends = (arc.velocity(1.0), nxt.velocity(0.0))  # tangents at the junction
+                t_in, t_out = (v / np.linalg.norm(v) for v in ends)
                 turn = math.atan2(
                     t_in[0] * t_out[1] - t_in[1] * t_out[0],
                     t_in[0] * t_out[0] + t_in[1] * t_out[1],

@@ -20,13 +20,13 @@ def _span(lo, hi):
     return hi / _UNIT - lo / _UNIT
 
 
-def _nice_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    # a step of at least 4 float spacings of the values, so that t += step
-    # advances; where that passes the largest float, the range grows down
-    gap = 4 * n * math.ulp(max(abs(lo), abs(hi)))
+def _nice_ticks(lo: float, hi: float) -> list[float]:
+    # about 5 ticks, a step of at least 4 float spacings of the values, so that
+    # t += step advances; where that passes the largest float, the range grows down
+    gap = 20 * math.ulp(max(abs(lo), abs(hi)))
     top = max(hi if hi > lo else lo + 1.0, lo + gap)
     lo, hi = (lo, top) if top < math.inf else (min(lo, hi - gap), max(lo, hi))
-    raw = _span(lo, hi) / n * _UNIT
+    raw = _span(lo, hi) / 5 * _UNIT
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:

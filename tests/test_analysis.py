@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -171,18 +172,24 @@ def test_graph_series_validation():
         analysis.graph_series(np.array([1.0, 2.0]), params, SpaceForm.EUCLIDEAN, samples=8)
 
 
+def _cdf(stats, x):
+    # the step function that cdf_x and cdf_y tabulate: fraction of differences <= x
+    i = np.searchsorted(stats.cdf_x, x, side="right")
+    return float(stats.cdf_y[i - 1]) if i else 0.0
+
+
 def test_gap_stats_hemisphere_first_ten():
     eigs = exact.hemisphere_spectrum(10).eigenvalues
     stats = analysis.gap_stats(eigs, bin_width=1.0)
     assert stats.differences.tolist() == [4, 0, 6, 0, 0, 8, 0, 0, 0]
-    assert stats.cdf(0.0) == pytest.approx(6 / 9)
-    assert stats.cdf(-1e-9) == 0.0
-    assert stats.cdf(8.0) == 1.0
+    assert _cdf(stats, 0.0) == pytest.approx(6 / 9)
+    assert _cdf(stats, -1e-9) == 0.0
+    assert _cdf(stats, 8.0) == 1.0
 
 
 def test_gap_stats_simple_spectrum_no_zero_mass():
     stats = analysis.gap_stats(np.array([1.0, 2.5, 4.1, 7.0]), bin_width=0.5)
-    assert stats.cdf(0.0) == 0.0
+    assert _cdf(stats, 0.0) == 0.0
     assert stats.bin_counts.sum() == 3
 
 
@@ -191,6 +198,16 @@ def test_gap_stats_validation():
         analysis.gap_stats(np.array([1.0]), 0.1)
     with pytest.raises(analysis.AnalysisError):
         analysis.gap_stats(np.array([1.0, 2.0]), 0.0)
+
+
+@pytest.mark.parametrize("width, bins", [(1e-9, "1e+11"), (5e-324, "inf")])
+def test_gap_stats_rejects_more_bins_than_the_limit(width, bins):
+    # raised before the bin edges exist: 1e11 of them would take 745 GiB
+    message = re.escape(f"bin width {width:g} gives {bins} histogram bins")
+    with pytest.raises(analysis.AnalysisError, match=message):
+        analysis.gap_stats(np.array([0.0, 100.0]), width)
+    limit = 100.0 / analysis._MAX_BINS  # exactly the limit passes
+    assert len(analysis.gap_stats(np.array([0.0, 100.0]), limit).bin_counts) == analysis._MAX_BINS
 
 
 def test_graph_csv_roundtrip(tmp_path):

@@ -289,6 +289,20 @@ def test_gaps_subcommand(tmp_path):
     assert float(first[1]) > 0.5
 
 
+def test_gaps_with_more_bins_than_the_limit_is_an_analysis_error(tmp_path):
+    spectrum = tmp_path / "s.csv"
+    spectrum.write_text("index,predicted,ratio,trusted\n1,1.0,0,1\n2,101.0,0,1\n")
+    src = os.path.normpath(os.path.join(CONFIG_DIR, "..", "src"))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    argv = ["gaps", "--spectrum", str(spectrum), "--out", str(tmp_path / "g"),
+            "--bin-width", "1e-9", "--quiet"]
+    proc = subprocess.run([sys.executable, "-m", "curvspec.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 4
+    assert proc.stderr.startswith("analysis error: bin width 1e-09 gives 1e+11 histogram bins")
+    assert "Traceback" not in proc.stderr
+
+
 def test_solve_bytes_do_not_depend_on_blas_threads(tmp_path):
     # every level, dense or windowed, runs on pool workers with one BLAS thread
     src = os.path.normpath(os.path.join(CONFIG_DIR, "..", "src"))

@@ -34,14 +34,7 @@ SRC_DIR = os.path.normpath(os.path.join(CONFIG_DIR, "..", "src"))
 def _problem_from(k_mat, m_mat):
     k = sp.csr_matrix(np.asarray(k_mat, dtype=float))
     m = sp.csr_matrix(np.asarray(m_mat, dtype=float))
-    n = k.shape[0]
-    return fem.EigenProblem(
-        stiffness=k,
-        mass=m,
-        free_nodes=np.arange(n),
-        node_index=np.arange(n),
-        num_constrained=0,
-    )
+    return fem.EigenProblem(stiffness=k, mass=m)
 
 
 def test_one_by_one_pencil():
@@ -51,11 +44,9 @@ def test_one_by_one_pencil():
 
 
 def test_neumann_zero_mode():
-    dom = geo.euclidean_polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+    dom = geo.euclidean_polygon([(0, 0), (1, 0), (1, 1), (0, 1)], bc="N")
     mesh = meshing.triangulate(dom, 0.3)
-    problem = fem.assemble(
-        mesh, fem.ConformalWeight(SpaceForm.EUCLIDEAN), bc_map={a: "N" for a in range(4)}
-    )
+    problem = fem.assemble(mesh, fem.ConformalWeight(SpaceForm.EUCLIDEAN))
     sl = eigensolve.solve_lowest(problem, 3)
     assert sl.eigenvalues[0] == 0.0
     assert sl.eigenvalues[1] == pytest.approx(math.pi**2, rel=2e-2)
@@ -340,7 +331,7 @@ def test_nested_dissection_is_a_deterministic_permutation(disc_above_dense):
     ordered = eigensolve._ordered(problem)
     assert ordered.points is None  # its factors keep its order
     assert np.array_equal(ordered.stiffness.toarray(), problem.stiffness.toarray()[q][:, q])
-    assert np.array_equal(ordered.node_index[ordered.free_nodes], np.arange(len(q)))
+    assert np.array_equal(ordered.mass.toarray(), problem.mass.toarray()[q][:, q])
 
 
 def test_nested_dissection_factor_fills_less_than_colamd():
@@ -360,7 +351,8 @@ def neumann_disc_above_dense():
     # disc_above_dense's mesh with a Neumann boundary: K is singular at 0,
     # which the first window [0, e1) holds
     mesh = meshing.triangulate(geo.euclidean_disc(1.0), 0.09)
-    problem = fem.assemble(mesh, fem.ConformalWeight(SpaceForm.EUCLIDEAN), bc_map={0: "N"})
+    mesh = replace(mesh, arcs=tuple(replace(arc, bc="N") for arc in mesh.arcs))
+    problem = fem.assemble(mesh, fem.ConformalWeight(SpaceForm.EUCLIDEAN))
     assert eigensolve._DENSE_LIMIT < problem.dimension < 2 * eigensolve._DENSE_LIMIT
     dense = sla.eigh(problem.stiffness.toarray(), problem.mass.toarray(), eigvals_only=True)
     return problem, dense

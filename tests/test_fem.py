@@ -1,6 +1,6 @@
+import dataclasses
 import math
 import os
-import re
 import tracemalloc
 
 import numpy as np
@@ -18,6 +18,11 @@ from conftest import CONFIG_DIR
 @pytest.fixture(scope="module")
 def square_domain():
     return geo.euclidean_polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+
+
+@pytest.fixture(scope="module")
+def neumann_square():
+    return geo.euclidean_polygon([(0, 0), (1, 0), (1, 1), (0, 1)], bc="N")
 
 
 def _euclid():
@@ -39,9 +44,9 @@ def test_square_lowest_eigenvalue_from_above(square_domain):
     assert prev == pytest.approx(lam_exact, rel=2e-3)
 
 
-def test_euclidean_weight_gives_plain_mass(square_domain):
-    mesh = meshing.triangulate(square_domain, 0.5)
-    problem = fem.assemble(mesh, _euclid(), bc_map={a: "N" for a in range(4)})
+def test_euclidean_weight_gives_plain_mass(neumann_square):
+    mesh = meshing.triangulate(neumann_square, 0.5)
+    problem = fem.assemble(mesh, _euclid())
     # unweighted P1 mass matrix: A/6 diagonal, A/12 off-diagonal, per element
     p = mesh.vertices[mesh.triangles]
     areas = 0.5 * np.abs(
@@ -64,18 +69,20 @@ def test_euclidean_weight_gives_plain_mass(square_domain):
 
 
 def test_mass_total_equals_weighted_area():
-    dom, _ = geo.build_spherical_disc(math.pi / 2)
+    dom, _ = geo.build_spherical_disc(math.pi / 2, "N")
     mesh = meshing.triangulate(dom, 0.6)
     w = fem.ConformalWeight(SpaceForm.SPHERICAL)
-    problem = fem.assemble(mesh, w, bc_map={0: "N"})
-    assert problem.mass.sum() == pytest.approx(
-        fem.weighted_mesh_area(mesh, w), rel=1e-10
-    )
+    problem = fem.assemble(mesh, w)
+    # the edge-midpoint rule: a third of each triangle's area per edge midpoint
+    p = mesh.vertices[mesh.triangles]
+    mids = 0.5 * (p + np.roll(p, -1, axis=1))
+    area = mesh.signed_areas() / 3.0 * w(mids[:, :, 0], mids[:, :, 1]).sum(axis=1)
+    assert problem.mass.sum() == pytest.approx(area.sum(), rel=1e-10)
 
 
-def test_neumann_stiffness_kernel(square_domain):
-    mesh = meshing.triangulate(square_domain, 0.3)
-    problem = fem.assemble(mesh, _euclid(), bc_map={a: "N" for a in range(4)})
+def test_neumann_stiffness_kernel(neumann_square):
+    mesh = meshing.triangulate(neumann_square, 0.3)
+    problem = fem.assemble(mesh, _euclid())
     ones = np.ones(problem.dimension)
     assert np.max(np.abs(problem.stiffness @ ones)) < 1e-12
 
@@ -94,20 +101,23 @@ def test_constrained_dimension_cases(square_domain):
     mesh = meshing.triangulate(square_domain, 0.4)
     v = mesh.num_vertices
     b = len(np.unique(mesh.boundary_edges[:, :2]))
-    all_n = fem.assemble(mesh, _euclid(), bc_map={a: "N" for a in range(4)})
-    assert fem.constrained_dimension(all_n) == v
+    neumann = [dataclasses.replace(arc, bc="N") for arc in mesh.arcs]
+    all_n = fem.assemble(dataclasses.replace(mesh, arcs=tuple(neumann)), _euclid())
+    assert all_n.dimension == v
     all_d = fem.assemble(mesh, _euclid())
-    assert fem.constrained_dimension(all_d) == v - b
-    assert all_d.num_constrained == b
+    assert all_d.dimension == v - b
+    assert len(fem.dirichlet_vertices(mesh)) == b
 
 
 def test_constrained_dimension_dirichlet_disc():
     mesh = meshing.triangulate(geo.euclidean_disc(1.0, "D"), 0.5)
     problem = fem.assemble(mesh, _euclid())
-    v_boundary = len(np.unique(mesh.boundary_edges[:, :2]))
-    assert fem.constrained_dimension(problem) == mesh.num_vertices - v_boundary
-    # the solver orders the pencil by these model coordinates, row for row
-    assert np.array_equal(problem.points, mesh.vertices[problem.free_nodes])
+    boundary = np.unique(mesh.boundary_edges[:, :2])
+    assert problem.dimension == mesh.num_vertices - len(boundary)
+    # the solver orders the pencil by these model coordinates, row for row:
+    # the free vertices in ascending order
+    free = np.setdiff1d(np.arange(mesh.num_vertices), boundary)
+    assert np.array_equal(problem.points, mesh.vertices[free])
 
 
 def test_mixed_corner_vertex_constrained():
@@ -152,18 +162,6 @@ def test_assembly_rejects_nonpositively_oriented_triangles(corners):
     mesh = meshing.Mesh(corners, [[0, 1, 2]], boundary_edges=np.empty((0, 3)), arcs=())
     with pytest.raises(fem.AssemblyError, match="nonpositively oriented triangles"):
         fem.assemble(mesh, _euclid())
-
-
-@pytest.mark.parametrize("bc_map, bad", [
-    ({0: "D", 1: "X", 2: "N", 3: "N"}, "bc_map[1] must be 'D' or 'N', got 'X'"),
-    ({0: "D", 1: "N", 2: "N", 3: "d"}, "bc_map[3] must be 'D' or 'N', got 'd'"),
-    ({1: "D", 2: "N", 3: "N"}, "bc_map[0] must be 'D' or 'N', got None"),  # arc 0 missing
-    (["D", "N", "DN", "N"], "bc_map[2] must be 'D' or 'N', got 'DN'"),
-])
-def test_assembly_rejects_a_bc_map_value_other_than_d_or_n(square_domain, bc_map, bad):
-    mesh = meshing.triangulate(square_domain, 0.5)
-    with pytest.raises(fem.AssemblyError, match=re.escape(bad)):
-        fem.assemble(mesh, _euclid(), bc_map)
 
 
 @pytest.mark.parametrize("name, refinements", [

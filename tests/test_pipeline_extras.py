@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from curvspec import analysis, eigensolve, exact, fem
+from curvspec import eigensolve, exact, fem
 from curvspec import geometry as geo
 from curvspec import meshing
 from curvspec.cli import main
-from curvspec.geometry import SpaceForm
 
 from conftest import CONFIG_DIR
 
@@ -52,7 +51,8 @@ def test_pentagon_predictions_match_printed_table(pentagon_spectrum):
 
 def test_hexagon_contains_equilateral_subspectrum():
     ex = _solve_domain(geo.regular_polygon(6), 12, 4)
-    sub = exact.known_subspectrum("hexagon", 1).eigenvalues
+    # odd reflection puts the unit equilateral triangle's eigenvalues in the hexagon's
+    sub = exact.equilateral_spectrum(1).eigenvalues
     best = np.min(np.abs(ex.predicted - sub[0]))
     assert best < 1e-2 * sub[0]
 
@@ -88,19 +88,6 @@ def test_analyze_disc_oracle_emits_six_sets(tmp_path):
     csvs = [f for f in os.listdir(out) if f.startswith("graph") and f.endswith(".csv")]
     svgs = [f for f in os.listdir(out) if f.startswith("graph") and f.endswith(".svg")]
     assert len(csvs) == 6 and len(svgs) == 6
-
-
-def test_alt_spherical_mean_flag():
-    eigs = exact.hemisphere_spectrum(200).eigenvalues
-    params = analysis.RefinedCountParams(0.5, -0.5, 1.0 / 6.0)
-    printed = analysis.graph_series(eigs, params, SpaceForm.SPHERICAL, samples=256)
-    alt = analysis.graph_series(
-        eigs, params, SpaceForm.SPHERICAL, samples=256, alt_spherical_mean=True
-    )
-    x1, y1 = printed.get("runmean")
-    x2, y2 = alt.get("runmean")
-    assert np.array_equal(x1, x2)
-    assert not np.allclose(y1, y2)  # sqrt(s) factor changes the average
 
 
 def test_jobs_flag_runs_multiple_configs(tmp_path):
