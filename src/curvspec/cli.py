@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import functools
+import math
 import os
 import sys
 import time
@@ -53,8 +54,8 @@ class RunConfig:
             raise ConfigError(f"tol must lie in (0, 1e-6], got {self.tol}")
         for name in ("bin_width", "target_h"):
             value = getattr(self, name)
-            if value is not None and not value > 0.0:
-                raise ConfigError(f"{name} must be positive, got {value}")
+            if value is not None and not 0.0 < value < math.inf:
+                raise ConfigError(f"{name} must be finite and positive, got {value}")
 
 
 def _log(cfg: RunConfig, msg: str) -> None:

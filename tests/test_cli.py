@@ -155,7 +155,8 @@ def test_solve_refinements_validated():
 @pytest.mark.parametrize(
     "flag, value, name",
     [("--samples", "10", "samples"), ("--tol", "1e-3", "tol"),
-     ("--bin-width", "0", "bin_width"), ("--target-h", "-1", "target_h")],
+     ("--bin-width", "0", "bin_width"), ("--target-h", "-1", "target_h"),
+     ("--bin-width", "inf", "bin_width"), ("--target-h", "inf", "target_h")],
 )
 def test_bad_run_option_exits_2_before_any_work(tmp_path, capsys, flag, value, name):
     out = tmp_path / "o"
@@ -164,6 +165,16 @@ def test_bad_run_option_exits_2_before_any_work(tmp_path, capsys, flag, value, n
     assert main(argv) == 2
     assert f"configuration error: {name} must" in capsys.readouterr().err
     assert not (out / "spectrum.csv").exists()
+
+
+def test_gaps_with_an_infinite_bin_width_exits_2_before_any_work(tmp_path, capsys):
+    spectrum = tmp_path / "s.csv"
+    spectrum.write_text("index,predicted,ratio,trusted\n1,1.0,0,1\n2,101.0,0,1\n")
+    out = tmp_path / "g"
+    argv = ["gaps", "--spectrum", str(spectrum), "--out", str(out), "--bin-width", "inf", "--quiet"]
+    assert main(argv) == 2
+    assert "configuration error: bin_width must be finite and positive, got inf" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_analyze_flat_emits_six_graphs(solved_triangle, tmp_path):
@@ -452,16 +463,18 @@ for c in configs:
     assert _modules_after(code) == set()
 
 
-@pytest.mark.parametrize("name, special", [("equilateral_dirichlet", False),
-                                           ("unit_disc_dirichlet", True)])
-def test_oracle_analyze_loads_no_solver_scipy(tmp_path, name, special):
+@pytest.mark.parametrize("name, bessel", [("equilateral_dirichlet", False),
+                                          ("unit_disc_dirichlet", True)])
+def test_oracle_analyze_loads_no_solver_scipy(tmp_path, name, bessel):
+    # no oracle loads any scipy module: Bessel zeros are computed in numpy
     code = f"""
 from curvspec import cli
 assert cli.main(["analyze", "--use-oracle", "--num-eigs", "50", "--quiet",
                  "--config", {_cfg(name + ".yaml")!r}, "--out", {str(tmp_path)!r}]) == 0
 """
-    loaded = _modules_after(code)
-    assert ("scipy.special" in loaded) == special
-    assert not loaded & {"scipy.linalg", "scipy.sparse.linalg", "urllib.request"}
-    if not special:
-        assert loaded == set()
+    if bessel:
+        code += f"""
+assert cli.main(["exact", "--case", "disc-n", "--count", "4000",
+                 "--out", {str(tmp_path / "disc_n.csv")!r}]) == 0
+"""
+    assert _modules_after(code) == set()

@@ -804,8 +804,9 @@ print(eigensolve._POOL is None)
 
 def test_window_worker_imports_no_unused_scipy(disc_above_dense, tmp_path):
     # a spawned worker imports curvspec.cli and unpickles its tasks' problems;
-    # scipy.spatial and scipy.special serve meshing and exact only, and no
-    # module needs scipy.integrate or scipy.optimize
+    # scipy.spatial (which loads scipy.special) serves meshing only, exact
+    # computes Bessel zeros in numpy, and no module needs scipy.integrate or
+    # scipy.optimize
     problem, _ = disc_above_dense
     pickled, small = tmp_path / "problem.pkl", tmp_path / "dense.pkl"
     pickled.write_bytes(pickle.dumps(problem))
