@@ -204,12 +204,31 @@ def test_disc_spectrum_prefix_of_larger(disc_4000, m, bc):
     assert np.array_equal(exact.disc_spectrum(m, bc).eigenvalues, disc_4000[bc][:m])
 
 
-def _per_kind_disc_scan(count, bc):
-    """Reference disc spectrum from scipy.special: one scan per kind, jn_zeros or
-    jnp_zeros per order."""
+def _scipy_zeros(bc):
     from scipy import special
 
-    zeros = special.jnp_zeros if bc == "N" else special.jn_zeros
+    return special.jnp_zeros if bc == "N" else special.jn_zeros
+
+
+def _own_zeros(bc):
+    """zeros(k, nt): the first nt zeros of J_k (of J_k' for Neumann) from exact's
+    own bracketing and refinement, scanning order k alone."""
+
+    def zeros(k, nt):
+        radius = math.pi * (nt + 0.5 * k + 1.0)
+        while True:
+            order, kind, a, b, fa, fb = exact._zero_brackets(radius, k, k)
+            mine = np.flatnonzero(kind == (bc == "N"))[:nt]
+            if len(mine) == nt:
+                return exact._refine_zeros(order[mine], kind[mine], a[mine], b[mine], fa[mine], fb[mine])
+            radius *= 1.25
+
+    return zeros
+
+
+def _per_kind_disc_scan(count, bc, zeros):
+    """Disc spectrum from one scan per kind: zeros(k, nt), the first nt zeros
+    of order k, per order until an order has none below the radius."""
     radius = 2.0 * math.sqrt(count) + 2.0
     while True:
         parts = [np.zeros(1)] if bc == "N" else []
@@ -236,13 +255,19 @@ _SCAN_COUNTS = (1, 2, 3, 150, 600, 4000)
 
 @pytest.fixture(scope="module")
 def per_kind_scans():
-    return {(m, bc): _per_kind_disc_scan(m, bc) for m in _SCAN_COUNTS for bc in "DN"}
+    return {(m, bc): _per_kind_disc_scan(m, bc, _own_zeros(bc)) for m in _SCAN_COUNTS for bc in "DN"}
+
+
+@pytest.fixture(scope="module")
+def scipy_per_kind_scans():
+    return {(m, bc): _per_kind_disc_scan(m, bc, _scipy_zeros(bc)) for m in _SCAN_COUNTS for bc in "DN"}
 
 
 @pytest.mark.parametrize("order", ["DN", "ND"])
 @pytest.mark.parametrize("m", _SCAN_COUNTS)
-def test_one_disc_scan_matches_per_kind_scans(per_kind_scans, monkeypatch, m, order):
-    # Miller's zeros and scipy's agree to rounding, not bit for bit
+def test_one_disc_scan_matches_per_kind_scans_bit_for_bit(per_kind_scans, monkeypatch, m, order):
+    # each zero depends on its own bracket alone, so scanning all orders and
+    # both kinds at once changes no bit
     exact._disc_spectra.cache_clear()
     real, calls = exact._zero_brackets, []
 
@@ -252,15 +277,23 @@ def test_one_disc_scan_matches_per_kind_scans(per_kind_scans, monkeypatch, m, or
 
     monkeypatch.setattr(exact, "_zero_brackets", counting)
     for i, bc in enumerate(order):
-        got, want = exact.disc_spectrum(m, bc), per_kind_scans[m, bc]
+        got = exact.disc_spectrum(m, bc)
         assert got.case == f"disc-{bc.lower()}"
-        assert len(got) == len(want) == m
-        if bc == "N":
-            assert got.eigenvalues[0] == 0.0  # the zero mode
-        np.testing.assert_allclose(got.eigenvalues, want, rtol=1e-14, atol=0.0)
+        assert got.eigenvalues.tobytes() == per_kind_scans[m, bc].tobytes()
         if i == 0:
             scanned = len(calls)
     assert scanned > 0 and len(calls) == scanned  # the second kind came from the cache
+
+
+@pytest.mark.parametrize("bc", ["D", "N"])
+@pytest.mark.parametrize("m", _SCAN_COUNTS)
+def test_disc_spectrum_matches_scipy_per_kind_scans(scipy_per_kind_scans, m, bc):
+    # Miller's zeros and scipy's agree to rounding, not bit for bit
+    got, want = exact.disc_spectrum(m, bc).eigenvalues, scipy_per_kind_scans[m, bc]
+    assert len(got) == len(want) == m
+    if bc == "N":
+        assert got[0] == 0.0  # the zero mode
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
 
 def test_disc_spectrum_returns_copies():
