@@ -12,18 +12,20 @@ import functools
 import math
 import os
 import sys
+import threading
 import time
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import analysis, eigensolve, exact, fem, meshing, svgplot
+from . import analysis, eigensolve, exact, fem, meshing, svgplot, textio
 from .configio import ConfigError, load_domain_config
 from .geometry import GeometryError
 
 _EXIT_CONFIG = 2
 _EXIT_SOLVER = 3
 _EXIT_ANALYSIS = 4
+_STOP = threading.Event()  # set while _run_many stops its batch; see run_solve
 
 @dataclass
 class RunConfig:
@@ -75,8 +77,7 @@ def run_solve(cfg: RunConfig) -> dict:
 
     target_h = cfg.target_h if cfg.target_h is not None else domain_cfg.target_h
     t0 = time.time()
-    mesh = meshing.triangulate(domain, target_h)
-    meshes = [mesh]
+    meshes = [meshing.triangulate(domain, target_h)]
     for _ in range(cfg.refinements):
         meshes.append(meshing.refine(meshes[-1]))
     _log(
@@ -87,21 +88,21 @@ def run_solve(cfg: RunConfig) -> dict:
 
     # refinement keeps every vertex and its boundary condition, so free counts
     # never fall; the third-finest level's count caps the last three levels
+    third = meshes[-3]
+    m = min(cfg.num_eigs, third.num_vertices - len(fem.dirichlet_vertices(third)))
+    if m < 1:
+        raise eigensolve.SolveError(
+            f"refinement level {cfg.refinements - 2}, the third-finest, has 0 free nodes, "
+            "and the last three levels need at least one: lower --target-h or raise --refinements"
+        )
     weight = fem.ConformalWeight(domain.space)
-    m = cfg.num_eigs
     slices: list[eigensolve.SpectrumSlice] = []
     for lev, msh in enumerate(meshes):
+        if _STOP.is_set():  # the --jobs batch is stopping: see _run_many
+            raise concurrent.futures.CancelledError
         t0 = time.time()
         problem = fem.assemble(msh, weight)
         k = min(m, problem.dimension)
-        if lev == cfg.refinements - 2:
-            if k < 1:
-                raise eigensolve.SolveError(
-                    f"refinement level {lev}, the third-finest, has "
-                    f"{problem.dimension} free nodes, and the last three levels "
-                    "need at least one: lower --target-h or raise --refinements"
-                )
-            m = k
         if k < 1:
             slices.append(eigensolve.SpectrumSlice(np.array([]), lev, np.array([])))
             continue
@@ -120,22 +121,13 @@ def run_solve(cfg: RunConfig) -> dict:
         )
 
     extr = eigensolve.extrapolate_spectrum(slices[-3:])
-
-    oracle_vals = None
-    if domain_cfg.oracle is not None:
-        oracle_vals = exact.oracle_spectrum(domain_cfg.oracle, m).eigenvalues
-
     spectrum_path = os.path.join(cfg.out_dir, "spectrum.csv")
     eigensolve.write_spectrum_file(
-        spectrum_path,
-        predicted=extr.predicted,
-        ratio=extr.ratios,
-        trusted=extr.trusted,
-        levels=[s.eigenvalues for s in slices],
-        level_ids=[s.level for s in slices],
+        spectrum_path, extr.predicted, extr.ratios, extr.trusted,
+        levels=[s.eigenvalues for s in slices], level_ids=[s.level for s in slices],
     )
     table_path = os.path.join(cfg.out_dir, "table.txt")
-    _write_table(table_path, slices, extr, oracle_vals)
+    _write_table(table_path, slices, extr, domain_cfg.oracle)
     _log(cfg, f"trust_count = {extr.trust_count} of {len(extr)}")
     return {
         "config": domain_cfg,
@@ -146,24 +138,18 @@ def run_solve(cfg: RunConfig) -> dict:
     }
 
 
-def _write_table(path, slices, extr, oracle_vals) -> None:
+def _write_table(path, slices, extr, oracle) -> None:
+    m = len(extr)
     headers = ["", "Initial"] + [str(s.level) for s in slices[1:]] + ["Predicted"]
-    if oracle_vals is not None:
+    cols = [[str(i) for i in range(1, m + 1)]]
+    cols += [[f"{v:.7g}" for v in np.pad(s.eigenvalues, (0, m - len(s)))] for s in slices]
+    cols.append([f"{v:.8g}" for v in extr.predicted])
+    if oracle is not None:
         headers.append("True")
-    rows = []
-    for i in range(len(extr)):
-        row = [str(i + 1)]
-        for s in slices:
-            row.append(f"{s.eigenvalues[i]:.7g}" if i < len(s) else "0")
-        row.append(f"{extr.predicted[i]:.8g}")
-        if oracle_vals is not None:
-            row.append(f"{oracle_vals[i]:.8g}" if i < len(oracle_vals) else "")
-        rows.append(row)
-    widths = [max(len(h), *(len(r[c]) for r in rows)) for c, h in enumerate(headers)]
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("  ".join(h.rjust(w) for h, w in zip(headers, widths)) + "\n")
-        for row in rows:
-            fh.write("  ".join(v.rjust(w) for v, w in zip(row, widths)) + "\n")
+        cols.append([f"{v:.8g}" for v in exact.oracle_spectrum(oracle, m).eigenvalues])
+    widths = [max(len(h), *map(len, c)) for h, c in zip(headers, cols)]
+    textio.write_table(path, "  ".join(h.rjust(w) for h, w in zip(headers, widths)),
+                       "  ".join(f"%{w}s" for w in widths), *cols)
 
 
 # ---------------------------------------------------------------------------
@@ -300,13 +286,27 @@ def _per_config_out(args) -> list[tuple[str, str]]:
 
 
 def _run_many(args, runner) -> None:
+    """runner on each config, on up to args.jobs threads; after a failure or an
+    interrupt, no config starts and solves stop before their next level."""
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     cfgs = [_make_run_config(args, c, o) for c, o in _per_config_out(args)]
-    if args.jobs > 1 and len(cfgs) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            list(pool.map(runner, cfgs))
-    else:
+    if args.jobs == 1 or len(cfgs) == 1:
         for cfg in cfgs:
             runner(cfg)
+        return
+    pool = concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs)
+    futures = [pool.submit(runner, cfg) for cfg in cfgs]
+    try:
+        concurrent.futures.wait(futures, return_when=concurrent.futures.FIRST_EXCEPTION)
+    finally:
+        _STOP.set()
+        pool.shutdown(cancel_futures=True)
+        _STOP.clear()
+    for f in futures:
+        exc = None if f.cancelled() else f.exception()
+        if exc is not None and not isinstance(exc, concurrent.futures.CancelledError):
+            raise exc
 
 
 def build_parser() -> argparse.ArgumentParser:

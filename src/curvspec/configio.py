@@ -171,8 +171,6 @@ def build_domain(raw: dict, name: str = "<config>") -> DomainConfig:
 
     try:
         domain, constants = _construct(shape, bc, raw)
-    except ConfigError:
-        raise
     except geo.GeometryError as exc:
         raise ConfigError(f"shape {shape!r}: {exc}") from None
     return DomainConfig(
@@ -181,10 +179,21 @@ def build_domain(raw: dict, name: str = "<config>") -> DomainConfig:
 
 
 def _construct(shape, bc, raw):
+    if shape == "hyperbolic_disc":
+        return geo.build_hyperbolic_disc(_number(raw, "radius", positive=True), _single_bc(bc))
+    if shape == "spherical_disc":
+        return geo.build_spherical_disc(_number(raw, "radius", positive=True), _single_bc(bc))
+    if shape == "hyperbolic_triangle":
+        spec = _triangle_spec(raw, geo.HyperbolicTriangleSpec, _SHAPES[shape][1])
+        return geo.build_hyperbolic_triangle(spec, bc)
+    if shape == "spherical_triangle":
+        spec = _triangle_spec(raw, geo.SphericalTriangleSpec, _SHAPES[shape][1])
+        return geo.build_spherical_triangle(spec, bc)
     if shape == "polygon":
         domain = geo.euclidean_polygon(_vertex_list(raw.get("vertices"), "vertices"), bc)
-        return domain, geo.geometric_constants(domain)
-    if shape == "polygon_with_holes":
+    elif shape == "disc":
+        domain = geo.euclidean_disc(_number(raw, "radius", positive=True), _single_bc(bc))
+    else:  # polygon_with_holes
         outer = _vertex_list(raw.get("outer"), "outer")
         holes_raw = raw.get("holes")
         if not isinstance(holes_raw, list) or not holes_raw:
@@ -198,21 +207,7 @@ def _construct(shape, bc, raw):
         else:
             raise ConfigError(f"key 'hole_bc': expected one entry per hole, got {hole_bc!r}")
         domain = geo.euclidean_polygon(outer, bc, holes=holes, hole_bc=hole_bc)
-        return domain, geo.geometric_constants(domain)
-    if shape == "disc":
-        domain = geo.euclidean_disc(_number(raw, "radius", positive=True), _single_bc(bc))
-        return domain, geo.geometric_constants(domain)
-    if shape == "hyperbolic_disc":
-        return geo.build_hyperbolic_disc(_number(raw, "radius", positive=True), _single_bc(bc))
-    if shape == "spherical_disc":
-        return geo.build_spherical_disc(_number(raw, "radius", positive=True), _single_bc(bc))
-    if shape == "hyperbolic_triangle":
-        spec = _triangle_spec(raw, geo.HyperbolicTriangleSpec, _SHAPES[shape][1])
-        return geo.build_hyperbolic_triangle(spec, bc)
-    if shape == "spherical_triangle":
-        spec = _triangle_spec(raw, geo.SphericalTriangleSpec, _SHAPES[shape][1])
-        return geo.build_spherical_triangle(spec, bc)
-    raise ConfigError(f"key 'shape': unhandled shape {shape!r}")
+    return domain, geo.geometric_constants(domain)
 
 
 def _single_bc(bc):

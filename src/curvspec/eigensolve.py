@@ -186,23 +186,6 @@ def _count_below(problem: EigenProblem, shift: float) -> int:
     return int(np.count_nonzero(lu.U.diagonal() < 0))
 
 
-def _shift_invert(problem: EigenProblem, k: int, shift: float, v0, ncv: int, tol: float):
-    """eigsh for the k eigenvalues nearest shift; the factor dies with this frame.
-
-    The shift lies inside the spectrum, where K - shift*M is indefinite and
-    _factor's unpivoted L D L^T grows its pivots (solve backward error ~1e-15
-    against ~1e-18) until the residuals stall near the gate, so this factor
-    keeps the problem's order (see _ordered) with partial pivoting.
-    """
-    import scipy.sparse.linalg as spla
-    a = (problem.stiffness - shift * problem.mass).tocsc()
-    lu = spla.splu(a, permc_spec="NATURAL")
-    op = spla.LinearOperator(lu.shape, matvec=lu.solve, dtype=float)
-    return spla.eigsh(
-        problem.stiffness, k=k, M=problem.mass, sigma=shift, v0=v0, ncv=ncv, tol=tol, OPinv=op
-    )
-
-
 def _solve_dense(problem: EigenProblem, m: int):
     """The m lowest eigenvalues by dense LAPACK, with their residual norms."""
     import scipy.linalg as sla
@@ -216,29 +199,39 @@ def _solve_window(problem: EigenProblem, k: int, shift: float, seed: int, tol: f
     Runs in a pool worker or in-process: v0 comes from seed.
 
     ARPACK's no-convergence is retried twice, each time with twice the Krylov
-    subspace; a failed factorization or another ARPACK error is a SolveError
-    naming the shift.
+    subspace and the same factor; a failed factorization or another ARPACK
+    error is a SolveError naming the shift.
     """
     import scipy.sparse.linalg as spla
     n = problem.dimension
     v0 = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
     ncv = min(max(2 * k + 1, 20), n)  # eigsh's default subspace size
-    for attempt in range(3):
-        try:
-            vals, vecs = _shift_invert(problem, k, shift, v0, ncv, tol)
-            break
-        except spla.ArpackNoConvergence as exc:
-            if attempt == 2:
-                got = np.sort(exc.eigenvalues)
-                raise SolveError(
-                    f"eigensolver converged only {len(got)}/{k} eigenvalues",
-                    partial=SpectrumSlice(got, level=-1, residual_norms=np.array([])),
-                ) from exc
-            ncv = min(2 * ncv, n)  # retry with a larger Krylov subspace
-        except RuntimeError as exc:  # a singular factor or another ArpackError
-            raise SolveError(
-                f"shift-invert solve for {k} eigenvalues at shift {shift:.6g} failed: {exc}"
-            ) from None
+    try:
+        # inside the spectrum K - shift*M is indefinite, and _factor's unpivoted L D L^T
+        # grows its pivots (solve backward error ~1e-15 against ~1e-18) until the residuals
+        # stall near the gate: so this factor pivots partially, in the problem's order
+        lu = spla.splu((problem.stiffness - shift * problem.mass).tocsc(), permc_spec="NATURAL")
+        op = spla.LinearOperator(lu.shape, matvec=lu.solve, dtype=float)
+        for attempt in range(3):
+            try:
+                vals, vecs = spla.eigsh(problem.stiffness, k=k, M=problem.mass, sigma=shift,
+                                        v0=v0, ncv=ncv, tol=tol, OPinv=op)
+                break
+            except spla.ArpackNoConvergence as exc:
+                if attempt == 2:
+                    got = np.sort(exc.eigenvalues)
+                    raise SolveError(
+                        f"eigensolver converged only {len(got)}/{k} eigenvalues",
+                        partial=SpectrumSlice(got, level=-1, residual_norms=np.array([])),
+                    ) from exc
+                ncv = min(2 * ncv, n)  # retry with a larger Krylov subspace
+    except SolveError:
+        raise
+    except RuntimeError as exc:  # a singular factor or another ArpackError
+        raise SolveError(
+            f"shift-invert solve for {k} eigenvalues at shift {shift:.6g} failed: {exc}"
+        ) from None
+    del lu, op  # the residual gate runs without the factor
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
     return vals, _residuals(problem, vals, vecs)
@@ -453,6 +446,11 @@ def extrapolate(x4: float, x5: float, x6: float) -> tuple[float, float]:
     return (float(pred), float(r))
 
 
+def _leading_run(flags) -> int:
+    """Length of the leading run of true flags."""
+    return len(flags) if flags.all() else int(np.argmin(flags))
+
+
 def extrapolate_spectrum(slices) -> ExtrapolatedSpectrum:
     """Extrapolate each eigenvalue index over the last three refinement levels.
 
@@ -478,9 +476,8 @@ def extrapolate_spectrum(slices) -> ExtrapolatedSpectrum:
     )
     order = np.argsort(preds, kind="stable")
     preds, ratios, trusted = preds[order], ratios[order], trusted[order]
-    trust_count = int(np.argmin(trusted)) if not trusted.all() else len(trusted)
     return ExtrapolatedSpectrum(
-        predicted=preds, ratios=ratios, trusted=trusted, trust_count=trust_count
+        predicted=preds, ratios=ratios, trusted=trusted, trust_count=_leading_run(trusted)
     )
 
 
@@ -500,9 +497,7 @@ class SpectrumFile:
 
     def trusted_prefix(self) -> np.ndarray:
         """Predicted eigenvalues up to the first untrusted entry."""
-        if self.trusted.all():
-            return self.predicted
-        return self.predicted[: int(np.argmin(self.trusted))]
+        return self.predicted[: _leading_run(self.trusted)]
 
 
 def write_spectrum_file(

@@ -138,25 +138,34 @@ def _refine_zeros(k, derivative, a, b, fa, fb) -> np.ndarray:
     return x
 
 
+_ZEROS = {}  # order k -> (radius, zeros of J_k, zeros of J_k'): see bessel_zero
+
+
 def bessel_zero(k: int, n: int, derivative: bool = False) -> float:
     """n-th positive zero of J_k (or of J_k' when derivative=True).
 
     J_0'(0) = 0 is not counted: the first derivative zero of order 0 is the
-    first positive one (it equals the first zero of J_1).
+    first positive one (it equals the first zero of J_1). Order k's zeros below
+    a radius are refined at once and kept; a call past them scans a radius at
+    least 1.25 times larger.
     """
     if k < 0 or int(k) != k:
         raise OracleError(f"Bessel order must be a nonnegative integer, got {k}")
     if n < 1 or int(n) != n:
         raise OracleError(f"zero index must be a positive integer, got {n}")
-    k, n = int(k), int(n)
-    radius = math.pi * (n + 0.5 * k + 1.0)  # past McMahon's j_{k,n} ~ (n + k/2 - 1/4) pi
-    while True:
-        order, kind, a, b, fa, fb = _zero_brackets(radius, k, k)
-        mine = np.flatnonzero(kind == bool(derivative))
-        if len(mine) >= n:
-            i = mine[n - 1 : n]
-            return float(_refine_zeros(order[i], kind[i], a[i], b[i], fa[i], fb[i])[0])
-        radius *= 1.25
+    k, n, derivative = int(k), int(n), bool(derivative)
+    radius, *zeros = _ZEROS.get(k, (0.0, (), ()))
+    if len(zeros[derivative]) < n:  # from past McMahon's j_{k,n} ~ (n + k/2 - 1/4) pi
+        radius = max(math.pi * (n + 0.5 * k + 1.0), 1.25 * radius)
+        while True:
+            order, kind, a, b, fa, fb = _zero_brackets(radius, k, k)
+            if np.count_nonzero(kind == derivative) >= n:
+                break
+            radius *= 1.25
+        z = _refine_zeros(order, kind, a, b, fa, fb)
+        zeros = [z[~kind], z[kind]]
+        _ZEROS[k] = (radius, *zeros)
+    return float(zeros[derivative][n - 1])
 
 
 # ---------------------------------------------------------------------------

@@ -61,12 +61,16 @@ def test_third_finest_level_caps_the_eigenvalue_count(tmp_path):
     assert len((out / "table.txt").read_text().splitlines()) == 1 + free
 
 
-def test_third_finest_level_without_free_nodes_is_named(tmp_path, capsys):
+def test_third_finest_level_without_free_nodes_is_named(tmp_path, capsys, monkeypatch):
     # at its target_h, region_between_triangles has 0 free nodes at level 0
-    # (the third-finest with 2 refinements) but 27 and 162 at levels 1 and 2
+    # (the third-finest with 2 refinements) but 27 and 162 at levels 1 and 2;
+    # the run fails before its first solve
+    solves = []
+    monkeypatch.setattr(eigensolve, "solve_lowest", lambda *args, **kwargs: solves.append(args))
     argv = ["solve", "--config", _cfg("region_between_triangles.yaml"),
             "--out", str(tmp_path / "o"), "--refinements", "2", "--quiet"]
     assert main(argv) == 3
+    assert solves == []
     err = capsys.readouterr().err
     assert "refinement level 0, the third-finest, has 0 free nodes" in err
     assert "lower --target-h or raise --refinements" in err
@@ -119,6 +123,31 @@ def test_arpack_error_exits_3_naming_the_level(tmp_path, monkeypatch, capsys):
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert "refinement level 3" in err and "ARPACK error 3" in err
+
+
+def test_failing_config_stops_a_jobs_batch(tmp_path, capsys):
+    # the bad config fails at load, long before the disc's last level: the
+    # disc stops before its next level and writes no spectrum, and the exit
+    # code and message are the bad config's
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("space: euclidean\nshape: blob\n")
+    argv = ["solve", "--config", _cfg("unit_disc_dirichlet.yaml"), "--config", str(bad),
+            "--out", str(tmp_path / "o"), "--jobs", "2", "--refinements", "3",
+            "--num-eigs", "40", "--quiet"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("error") == 1 and "configuration error: key 'shape'" in err
+    assert not (tmp_path / "o" / "unit_disc_dirichlet" / "spectrum.csv").exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_a_configuration_error(tmp_path, capsys, jobs):
+    out = tmp_path / "o"
+    argv = ["solve", "--config", _cfg("unit_disc_dirichlet.yaml"), "--out", str(out),
+            "--jobs", jobs, "--quiet"]
+    assert main(argv) == 2
+    assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_solve_jobs_gives_identical_outputs(tmp_path, monkeypatch):

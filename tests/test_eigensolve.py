@@ -267,9 +267,18 @@ def test_no_convergence_retries_with_doubled_ncv(disc_above_dense, in_process, m
         return real(*args, **kwargs)
 
     monkeypatch.setattr(spla, "eigsh", flaky)
+    real_splu, window_factors = spla.splu, []
+
+    def counting_splu(a, **kwargs):
+        if "diag_pivot_thresh" not in kwargs:  # a window's, not an inertia count's
+            window_factors.append(a.shape)
+        return real_splu(a, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
     # the guide's top edge lies between the 6th and 7th values: one window of 6
     sl = eigensolve.solve_lowest(problem, 6, guide=dense[:6] * 1.001)
     assert ncvs == [20, 40]
+    assert len(window_factors) == 1  # the retry reuses the window's factor
     np.testing.assert_allclose(sl.eigenvalues, dense[:6], rtol=1e-10)
 
 

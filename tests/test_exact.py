@@ -108,6 +108,22 @@ def test_zero_interlacing():
             assert z_kn < exact.bessel_zero(k + 1, n) < exact.bessel_zero(k, n + 1)
 
 
+@pytest.mark.parametrize("k,n,deriv", [(0, 1, False), (3, 7, True), (40, 2, False), (95, 5, False)])
+def test_cached_zero_is_the_fresh_one(monkeypatch, k, n, deriv):
+    # a fresh call refines the zero with the others of its order below one
+    # radius; after the table grows past it, a cached call returns the same
+    # float, as does the zero's bracket refined alone
+    monkeypatch.setattr(exact, "_ZEROS", {})
+    fresh = exact.bessel_zero(k, n, deriv)
+    radius = exact._ZEROS[k][0]
+    exact.bessel_zero(k, n + 40, not deriv)
+    assert exact._ZEROS[k][0] > radius
+    assert exact.bessel_zero(k, n, deriv) == fresh
+    order, kind, a, b, fa, fb = exact._zero_brackets(radius, k, k)
+    i = np.flatnonzero(kind == deriv)[n - 1 : n]
+    assert exact._refine_zeros(order[i], kind[i], a[i], b[i], fa[i], fb[i])[0] == fresh
+
+
 def test_bessel_zero_input_validation():
     with pytest.raises(exact.OracleError):
         exact.bessel_zero(-1, 1)

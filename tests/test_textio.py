@@ -12,8 +12,9 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvspec import analysis, eigensolve, fem, meshing, svgplot, textio
+from curvspec import analysis, eigensolve, exact, fem, meshing, svgplot, textio
 from curvspec import geometry as geo
+from curvspec.cli import RunConfig, run_solve
 from curvspec.configio import load_domain_config
 
 from conftest import CONFIG_DIR
@@ -153,6 +154,42 @@ def test_export_matrix_matches_row_loop(tmp_path):
                 fh.write(f"{r} {c} {val:.17g}\n")
 
     _same_bytes(tmp_path, lambda p: fem.export_matrix(a, p), old_export)
+
+
+def _old_write_table(path, slices, extr, oracle_vals):
+    headers = ["", "Initial"] + [str(s.level) for s in slices[1:]] + ["Predicted"]
+    if oracle_vals is not None:
+        headers.append("True")
+    rows = []
+    for i in range(len(extr)):
+        row = [str(i + 1)]
+        for s in slices:
+            row.append(f"{s.eigenvalues[i]:.7g}" if i < len(s) else "0")
+        row.append(f"{extr.predicted[i]:.8g}")
+        if oracle_vals is not None:
+            row.append(f"{oracle_vals[i]:.8g}" if i < len(oracle_vals) else "")
+        rows.append(row)
+    widths = [max(len(h), *(len(r[c]) for r in rows)) for c, h in enumerate(headers)]
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("  ".join(h.rjust(w) for h, w in zip(headers, widths)) + "\n")
+        for row in rows:
+            fh.write("  ".join(v.rjust(w) for v, w in zip(row, widths)) + "\n")
+
+
+@pytest.mark.parametrize("name,opts", [
+    ("right_isosceles_dirichlet.yaml", dict(target_h=0.35)),  # an oracle column
+    ("region_between_triangles.yaml", {}),  # level 0 has no free nodes: zeros
+])
+def test_table_matches_cell_loop(tmp_path, name, opts):
+    cfg = RunConfig(config_path=os.path.join(CONFIG_DIR, name), out_dir=str(tmp_path),
+                    refinements=3, num_eigs=6, quiet=True, **opts)
+    res = run_solve(cfg)
+    slices, extr, oracle = res["slices"], res["extrapolated"], res["config"].oracle
+    oracle_vals = None if oracle is None else exact.oracle_spectrum(oracle, len(extr)).eigenvalues
+    assert (oracle_vals is not None) == (name == "right_isosceles_dirichlet.yaml")
+    assert (len(slices[0]) == 0) == (name == "region_between_triangles.yaml")
+    _old_write_table(tmp_path / "old", slices, extr, oracle_vals)
+    assert (tmp_path / "table.txt").read_bytes() == (tmp_path / "old").read_bytes()
 
 
 def _old_save_mesh(mesh, path):
