@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 
 import yaml
@@ -55,33 +56,34 @@ _PI_EXPR = re.compile(
 )
 
 
+def _finite(v, key: str) -> float:
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        raise ConfigError(f"key {key!r}: expected a number, got {v!r}")
+    if not abs(v) <= sys.float_info.max:  # nan, +-inf, or an int float() rejects
+        raise ConfigError(f"key {key!r}: must be finite, got {v!r}")
+    return float(v)
+
+
 def parse_angle(value, key: str) -> float:
-    """Number, or a simple pi expression like 'pi/4' or '-2*pi/3'."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    if isinstance(value, str):
-        m = _PI_EXPR.match(value)
-        if m:
-            sign = -1.0 if m.group(1) else 1.0
-            num = float(m.group(2)) if m.group(2) else 1.0
-            den = float(m.group(3)) if m.group(3) else 1.0
-            return sign * num * math.pi / den
+    """Finite number, or a simple pi expression like 'pi/4' or '-2*pi/3'."""
+    if isinstance(value, str) and (m := _PI_EXPR.match(value)):
+        num, den = float(m.group(2) or 1.0), float(m.group(3) or 1.0)
+        value = (-1.0 if m.group(1) else 1.0) * num * math.pi / den if den else math.inf
+    elif isinstance(value, str):
         try:
-            return float(value)
+            value = float(value)
         except ValueError:
-            pass
-    raise ConfigError(f"key {key!r}: cannot interpret {value!r} as an angle")
+            raise ConfigError(f"key {key!r}: cannot interpret {value!r} as an angle") from None
+    return _finite(value, key)
 
 
 def _number(raw: dict, key: str, positive: bool = False) -> float:
     if key not in raw:
         raise ConfigError(f"key {key!r}: required for this shape")
-    v = raw[key]
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise ConfigError(f"key {key!r}: expected a number, got {v!r}")
+    v = _finite(raw[key], key)
     if positive and not v > 0:
         raise ConfigError(f"key {key!r}: must be positive, got {v}")
-    return float(v)
+    return v
 
 
 def _vertex_list(raw, key: str) -> list[tuple[float, float]]:
@@ -89,13 +91,9 @@ def _vertex_list(raw, key: str) -> list[tuple[float, float]]:
         raise ConfigError(f"key {key!r}: expected a list of at least 3 [x, y] pairs")
     out = []
     for k, item in enumerate(raw):
-        if (
-            not isinstance(item, list)
-            or len(item) != 2
-            or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in item)
-        ):
+        if not isinstance(item, list) or len(item) != 2:
             raise ConfigError(f"key {key!r}[{k}]: expected an [x, y] pair, got {item!r}")
-        out.append((float(item[0]), float(item[1])))
+        out.append(tuple(_finite(c, f"{key}[{k}]") for c in item))
     return out
 
 

@@ -436,11 +436,6 @@ class Domain:
 
     def _validate_simple(self):
         polys = [_chordize(loop) for loop in self.loops()]
-        # holes must sit inside the outer loop (checked at their chord means)
-        means = np.array([hp.mean(axis=0) for hp in polys[1:]]).reshape(-1, 2)
-        outside = ~_points_in_poly(polys[0], means)
-        if outside.any():
-            raise GeometryError(f"hole {int(np.argmax(outside))} is not inside the outer loop")
         # no two chord segments may cross: segments a < b cross when
         # orient(a0, a1, b0) * orient(a0, a1, b1) and orient(b0, b1, a0) *
         # orient(b0, b1, a1) are both below -eps, with orient(p, q, r) =
@@ -469,21 +464,20 @@ class Domain:
                 raise GeometryError(
                     f"boundary loops are not simple/disjoint (loops {la} and {lb} cross)"
                 )
-        # holes must sit outside each other (checked at their chord means; of
-        # two concentric holes, the smaller one is inside)
-        areas = np.array([abs(_signed_area(hp)) for hp in polys[1:]])
-        for j, hp in enumerate(polys[1:]):
-            inside = _points_in_poly(hp, means) & (areas <= areas[j])
-            inside[j] = False
-            if inside.any():
-                raise GeometryError(f"hole {int(np.argmax(inside))} lies inside hole {j}")
-        # boundaries that meet only at samples pass the crossing test, so no
-        # chord point of one hole may lie inside another
+        # without crossings two loops are nested or apart, and their chord
+        # points tell which; loops that meet only at samples put some, not
+        # all, of one loop's points inside the other
         hole_of = loop_of[loop_of > 0] - 1
+        hole_pts = p0[loop_of > 0]
+        outside = ~_points_in_poly(polys[0], hole_pts)
+        if outside.any():
+            raise GeometryError(f"hole {hole_of[np.argmax(outside)]} is not inside the outer loop")
         for j, hp in enumerate(polys[1:]):
-            inside = _points_in_poly(hp, p0[loop_of > 0]) & (hole_of != j)
+            inside = _points_in_poly(hp, hole_pts) & (hole_of != j)
             if inside.any():
-                raise GeometryError(f"hole {hole_of[np.argmax(inside)]} overlaps hole {j}")
+                k = hole_of[np.argmax(inside)]
+                how = "lies inside" if inside[hole_of == k].all() else "overlaps"
+                raise GeometryError(f"hole {k} {how} hole {j}")
 
 
 # ---------------------------------------------------------------------------

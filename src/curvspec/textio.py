@@ -26,10 +26,13 @@ def write_table(path, header: str, fmt: str, *columns) -> None:
 
 
 def read_csv(path, what: str, header_ok, error) -> tuple[list[str], np.ndarray]:
-    """Header columns and the float data rows (blank lines skipped); a header
-    failing `header_ok` or a bad row raises `error` naming path and line."""
-    # a non-ASCII byte becomes U+FFFD, which fails as a header or number below
-    with open(path, "r", encoding="ascii", errors="replace") as fh:
+    """Header columns and the float data rows (blank lines skipped); an unreadable
+    file, a bad header (`header_ok`) or a bad row raises `error` naming the path."""
+    try:  # a non-ASCII byte becomes U+FFFD, which fails as a header or number below
+        fh = open(path, "r", encoding="ascii", errors="replace")
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc.strerror or exc}") from None
+    with fh:
         header = fh.readline().strip().split(",")
         if not header_ok(header):
             raise error(f"{path}:1: not a {what} (columns {header})")

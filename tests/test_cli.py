@@ -280,6 +280,15 @@ def test_solve_bad_config_exit_code(tmp_path, capsys):
     assert "radius" in capsys.readouterr().err
 
 
+def test_infinite_config_target_h_exits_2_naming_the_key(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("space: euclidean\nshape: disc\nradius: 1.0\ntarget_h: .inf\n")
+    rc = main(["solve", "--config", str(bad), "--out", str(tmp_path / "o"), "--quiet"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "configuration error: key 'target_h': must be finite, got inf\n"
+
+
 def test_overflowing_hyperbolic_disc_exits_2(tmp_path, capsys):
     bad = tmp_path / "big.yaml"
     bad.write_text("space: hyperbolic\nshape: hyperbolic_disc\nradius: 400\n")
@@ -423,6 +432,20 @@ def test_malformed_spectrum_header_is_a_solve_error(tmp_path, capsys, header, co
     rc = main(["gaps", "--spectrum", str(spectrum), "--out", str(tmp_path / "g"), "--quiet"])
     assert rc == 3
     assert column in capsys.readouterr().err
+
+
+def test_missing_spectrum_file_exits_3_without_a_traceback(tmp_path, capsys):
+    rc = main(["gaps", "--spectrum", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "g")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver error: cannot read spectrum file ") and "missing.csv" in err
+
+
+def test_analyze_without_a_prior_solve_exits_3(tmp_path, capsys):
+    argv = ["analyze", "--config", _cfg("unit_disc_dirichlet.yaml"), "--out", str(tmp_path)]
+    assert main(argv + ["--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver error: cannot read spectrum file ") and "spectrum.csv" in err
 
 
 def test_analyze_jobs_gives_identical_outputs(tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 import glob
 import math
 import os
+import re
 
 import pytest
 
@@ -179,6 +180,39 @@ _SPH_PARAMS = {"space": "spherical", "shape": "spherical_triangle"}
 def test_malformed_values_raise_config_error(raw, key):
     with pytest.raises(ConfigError, match=key):
         build_domain(raw)
+
+
+_POLYGON = {"space": "euclidean", "shape": "polygon", "vertices": [[0, 0], [1, 0], [0, 1]]}
+_DISC = {"space": "euclidean", "shape": "disc", "radius": 1.0}
+
+
+_NON_FINITE_CASES = [
+    ("radius", lambda v: {**_DISC, "radius": v}),
+    ("target_h", lambda v: {**_DISC, "target_h": v}),
+    ("vertices[1]", lambda v: {**_POLYGON, "vertices": [[0, 0], [v, 0], [0, 1]]}),
+    ("outer[2]", lambda v: {**_HOLED, "outer": [[0, 0], [10, 0], [10, v], [0, 10]]}),
+    ("holes[0][3]", lambda v: {**_HOLED, "holes": [[[1, 1], [3, 1], [3, 3], [v, 3]]]}),
+    ("angles[1]", lambda v: {**_HYP_CIRCLES, "angles": [0.5, v, 0.5]}),
+    ("circles[2]", lambda v: {**_HYP_CIRCLES, "circles": [1, 2, v, 2]}),
+    ("params[3]", lambda v: {**_SPH_PARAMS, "params": [-1.5, "pi/4", -2.0, v]}),
+]
+
+
+@pytest.mark.parametrize(
+    "bad", [math.inf, -math.inf, math.nan, 10**400], ids=["inf", "-inf", "nan", "int-over-float"]
+)
+@pytest.mark.parametrize("key, raw", _NON_FINITE_CASES, ids=[k for k, _ in _NON_FINITE_CASES])
+def test_non_finite_numbers_are_config_errors_naming_the_key(key, raw, bad):
+    with pytest.raises(ConfigError, match=rf"^key '{re.escape(key)}': must be finite"):
+        build_domain(raw(bad))
+
+
+@pytest.mark.parametrize("text", ["inf", "-inf", "nan", "1e999", "pi/0", "-2*pi/0.0"])
+def test_non_finite_angle_strings_are_config_errors_naming_the_key(text):
+    with pytest.raises(ConfigError, match=r"^key 'angles\[0\]': must be finite"):
+        build_domain({**_HYP_CIRCLES, "angles": [text, 0.5, 0.5]})
+    with pytest.raises(ConfigError, match=r"^key 'params\[1\]': must be finite"):
+        build_domain({**_SPH_PARAMS, "params": [-1.5, text, -2.0, "-pi/6"]})
 
 
 def test_hole_bc_forms_accepted():

@@ -368,6 +368,8 @@ def test_read_graph_csv_errors_name_path_and_line(tmp_path):
     path.write_bytes(b"t,v\xe4lue\n1,2\n")
     with pytest.raises(analysis.AnalysisError, match=r"g\.csv:1: not a graph CSV"):
         analysis.read_graph_csv(path)
+    with pytest.raises(analysis.AnalysisError, match=r"cannot read graph CSV .*missing\.csv"):
+        analysis.read_graph_csv(tmp_path / "missing.csv")
 
 
 # ---------------------------------------------------------------------------
