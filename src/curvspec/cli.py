@@ -60,6 +60,13 @@ class RunConfig:
                 raise ConfigError(f"{name} must be finite and positive, got {value}")
 
 
+def _make_out_dir(path) -> None:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:  # a regular file on the path, no permission, ...
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _log(cfg: RunConfig, msg: str) -> None:
     if not cfg.quiet:  # one write, so lines of concurrent --jobs threads stay whole
         sys.stderr.write(msg + "\n")
@@ -73,7 +80,7 @@ def run_solve(cfg: RunConfig) -> dict:
     """Mesh, refine, solve and extrapolate one domain; write spectrum + table."""
     domain_cfg = load_domain_config(cfg.config_path)
     domain = domain_cfg.domain
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    _make_out_dir(cfg.out_dir)
 
     target_h = cfg.target_h if cfg.target_h is not None else domain_cfg.target_h
     t0 = time.time()
@@ -169,7 +176,7 @@ def run_analyze(cfg: RunConfig, spectrum_path=None) -> dict:
     """Emit the graph CSV/SVG set and gap statistics for a spectrum file
     (default <out_dir>/spectrum.csv) or, with use_oracle, the oracle spectrum."""
     domain_cfg = load_domain_config(cfg.config_path)
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    _make_out_dir(cfg.out_dir)
     if cfg.use_oracle and domain_cfg.oracle is None:
         raise ConfigError("key 'oracle': required for --use-oracle analysis")
     elif cfg.use_oracle:
@@ -194,7 +201,7 @@ def run_analyze(cfg: RunConfig, spectrum_path=None) -> dict:
 
 def run_gaps(cfg: RunConfig, spectrum_path=None, eigs=None) -> list[str]:
     """Consecutive-difference CDF and histogram (CSV, optionally SVG)."""
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    _make_out_dir(cfg.out_dir)
     if eigs is None:
         eigs = _read_spectrum(cfg, spectrum_path)
     d_max = float(np.diff(eigs).max()) if len(eigs) > 1 else 1.0
@@ -226,12 +233,15 @@ def run_exact_case(case: str, count: int, out_path) -> str:
     """Oracle spectrum in the standard spectrum file format."""
     spec = exact.oracle_spectrum(case, count)
     vals = spec.eigenvalues
-    eigensolve.write_spectrum_file(
-        out_path,
-        predicted=vals,
-        ratio=np.zeros(len(vals)),
-        trusted=np.ones(len(vals), dtype=bool),
-    )
+    try:
+        eigensolve.write_spectrum_file(
+            out_path,
+            predicted=vals,
+            ratio=np.zeros(len(vals)),
+            trusted=np.ones(len(vals), dtype=bool),
+        )
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out_path}: {exc.strerror or exc}") from None
     return out_path
 
 
@@ -280,9 +290,14 @@ def _make_run_config(args, config_path: str, out_dir: str) -> RunConfig:
 def _per_config_out(args) -> list[tuple[str, str]]:
     if len(args.configs) == 1:
         return [(args.configs[0], args.out)]
-    # several configs: one subdirectory per config stem
-    return [(c, os.path.join(args.out, os.path.splitext(os.path.basename(c))[0]))
-            for c in args.configs]
+    # several configs: one subdirectory per config stem, which they may not share
+    config_of = {}
+    for c in args.configs:
+        out = os.path.join(args.out, os.path.splitext(os.path.basename(c))[0])
+        if out in config_of:
+            raise ConfigError(f"configs {config_of[out]} and {c} would both write {out}")
+        config_of[out] = c
+    return [(c, out) for out, c in config_of.items()]
 
 
 def _run_many(args, runner) -> None:

@@ -327,6 +327,14 @@ def _points_in_poly(poly: np.ndarray, pts) -> np.ndarray:
     return np.count_nonzero(cond & (x < xint), axis=1) % 2 == 1
 
 
+def _near_segment(pts, start, dx, dy, eps) -> np.ndarray:
+    """Which points (rows) lie within sqrt(eps) of their segments start + t (dx, dy)."""
+    px, py = (pts - start).T
+    len2 = np.maximum(dx * dx + dy * dy, np.finfo(float).tiny)  # a square may underflow
+    t = np.clip((px * dx + py * dy) / len2, 0.0, 1.0)
+    return (px - t * dx) ** 2 + (py - t * dy) ** 2 <= eps
+
+
 def oriented(loop: list[Arc], ccw: bool = True) -> list[Arc]:
     """Return the loop traversed counterclockwise (or clockwise)."""
     area = _signed_area(_chordize(loop))
@@ -440,20 +448,28 @@ class Domain:
         # orient(a0, a1, b0) * orient(a0, a1, b1) and orient(b0, b1, a0) *
         # orient(b0, b1, a1) are both below -eps, with orient(p, q, r) =
         # (q - p) x (r - p); two neighbours on a loop share an end, which makes
-        # one of their orientations exactly 0. Each pass takes whole rows a,
-        # at most 2^20 pairs (one pass for every shipped config)
-        scale = 1.0 + self.model_diameter()
-        eps = (1e-12 * scale) ** 2
+        # one of their orientations exactly 0. Two loops touch where a chord
+        # point of one lies within tol of a chord segment of the other. Only
+        # pairs whose bounding boxes, padded by tol, overlap can do either.
+        # Each pass takes whole rows a, at most 2^20 pairs
+        tol = 1e-12 * (1.0 + self.model_diameter())
+        eps = tol**2
         loop_of = np.repeat(np.arange(len(polys)), [len(poly) for poly in polys])
         p0 = np.concatenate(polys)
         p1 = np.concatenate([np.roll(poly, -1, axis=0) for poly in polys])
         (x0, y0), (x1, y1) = p0.T, p1.T
         dx, dy = x1 - x0, y1 - y0
+        lo, hi = np.minimum(p0, p1) - tol, np.maximum(p0, p1) + tol
+        touching = set()  # (la, lb), la < lb
         n = len(p0)
         rows = max(1, 2**20 // n)
         for first in range(0, n - 1, rows):
-            a, b = np.nonzero(np.arange(first, min(first + rows, n))[:, None] < np.arange(n))
+            r = np.arange(first, min(first + rows, n))[:, None]
+            (lx, ly), (hx, hy) = lo[first:].T, hi[first:].T
+            overlap = (lo[r, 0] <= hx) & (lx <= hi[r, 0]) & (lo[r, 1] <= hy) & (ly <= hi[r, 1])
+            a, b = np.nonzero(overlap & (r < np.arange(first, n)))
             a += first
+            b += first
             d1 = dx[a] * (y0[b] - y0[a]) - dy[a] * (x0[b] - x0[a])
             d2 = dx[a] * (y1[b] - y0[a]) - dy[a] * (x1[b] - x0[a])
             d3 = dx[b] * (y0[a] - y0[b]) - dy[b] * (x0[a] - x0[b])
@@ -464,9 +480,19 @@ class Domain:
                 raise GeometryError(
                     f"boundary loops are not simple/disjoint (loops {la} and {lb} cross)"
                 )
+            other = loop_of[a] != loop_of[b]
+            a, b = a[other], b[other]
+            near = _near_segment(p0[b], p0[a], dx[a], dy[a], eps)
+            near |= _near_segment(p0[a], p0[b], dx[b], dy[b], eps)
+            touching.update(zip(loop_of[a[near]].tolist(), loop_of[b[near]].tolist()))
+
+        touch = "boundary loops are not simple/disjoint (loops {} and {} touch)".format
+        if touching and min(touching)[0] == 0:  # a hole touches the outer loop
+            raise GeometryError(touch(*min(touching)))
         # without crossings two loops are nested or apart, and their chord
-        # points tell which; loops that meet only at samples put some, not
-        # all, of one loop's points inside the other
+        # points tell which; holes that meet only at samples put some, not
+        # all, of one hole's points inside the other. Touching holes are named
+        # last, so that holes which also overlap or nest are named for that
         hole_of = loop_of[loop_of > 0] - 1
         hole_pts = p0[loop_of > 0]
         outside = ~_points_in_poly(polys[0], hole_pts)
@@ -478,6 +504,8 @@ class Domain:
                 k = hole_of[np.argmax(inside)]
                 how = "lies inside" if inside[hole_of == k].all() else "overlaps"
                 raise GeometryError(f"hole {k} {how} hole {j}")
+        if touching:
+            raise GeometryError(touch(*min(touching)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import concurrent.futures
 import os
+import shutil
 import subprocess
 import sys
 
@@ -138,6 +139,55 @@ def test_failing_config_stops_a_jobs_batch(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("error") == 1 and "configuration error: key 'shape'" in err
     assert not (tmp_path / "o" / "unit_disc_dirichlet" / "spectrum.csv").exists()
+
+
+def _no_meshing(*args, **kwargs):
+    raise AssertionError("meshing started")
+
+
+@pytest.mark.parametrize("twice, jobs", [(True, "1"), (False, "1"), (False, "2")])
+def test_configs_sharing_an_output_directory_exit_2_before_any_work(
+    tmp_path, capsys, monkeypatch, twice, jobs
+):
+    # one subdirectory per config stem: a second x.yaml, or the same one
+    # again, would write over the first's files
+    first = _cfg("right_isosceles_dirichlet.yaml")
+    second = tmp_path / "other" / "right_isosceles_dirichlet.yaml"
+    second.parent.mkdir()
+    shutil.copyfile(first, second)
+    second = first if twice else str(second)
+    monkeypatch.setattr(meshing, "triangulate", _no_meshing)
+    out = tmp_path / "o"
+    argv = ["solve", "--config", first, "--config", _cfg("unit_disc_dirichlet.yaml"),
+            "--config", second, "--out", str(out), "--jobs", jobs, "--quiet"]
+    assert main(argv) == 2
+    shared = out / "right_isosceles_dirichlet"
+    assert capsys.readouterr().err == (
+        f"configuration error: configs {first} and {second} would both write {shared}\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "analyze", "gaps", "exact"])
+def test_output_path_under_a_regular_file_exits_2_before_any_work(
+    tmp_path, capsys, monkeypatch, command
+):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    spectrum = tmp_path / "s.csv"
+    spectrum.write_text("index,predicted,ratio,trusted\n1,1.0,0,1\n2,3.0,0,1\n")
+    config = ["--config", _cfg("right_isosceles_dirichlet.yaml"), "--quiet"]
+    argv, out = {
+        "solve": (["solve", *config, "--refinements", "2"], blocker / "o"),
+        "analyze": (["analyze", *config, "--use-oracle", "--num-eigs", "20"], blocker / "o"),
+        "gaps": (["gaps", "--spectrum", str(spectrum), "--quiet"], blocker / "o"),
+        "exact": (["exact", "--case", "disc-n", "--count", "5"], blocker / "x.csv"),
+    }[command]
+    monkeypatch.setattr(meshing, "triangulate", _no_meshing)
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: cannot write {out}: ")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -513,6 +563,28 @@ for c in configs:
     load_domain_config(c)
 """
     assert _modules_after(code) == set()
+
+
+def test_cli_import_builds_no_text_table_and_textio_loads_no_module():
+    # the formatting kernel's tables are built on first use, and its imports
+    # are modules numpy has already loaded
+    src = os.path.normpath(os.path.join(CONFIG_DIR, "..", "src"))
+    code = f"""
+import glob, sys
+import numpy
+before = set(sys.modules)
+import curvspec.textio
+assert set(sys.modules) - before <= {{"__future__", "curvspec", "curvspec.textio"}}, sys.modules
+import curvspec.cli
+from curvspec.configio import load_domain_config
+for c in glob.glob({os.path.join(CONFIG_DIR, "*.yaml")!r}):
+    load_domain_config(c)
+assert curvspec.textio._tables.cache_info().currsize == 0
+"""
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
 
 
 @pytest.mark.parametrize("name, bessel", [("equilateral_dirichlet", False),

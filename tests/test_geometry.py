@@ -604,6 +604,24 @@ def test_holes_meeting_only_at_chord_samples_rejected():
     assert geo.geometric_constants(dom).area == pytest.approx(100.0 - 9.0 - 3.0 * (8 - gap))
 
 
+@pytest.mark.parametrize("outer, holes, loops", [
+    # a triangle hole with one vertex on each side of the square in turn: the
+    # crossing-number test alone took a point on a left or bottom edge as inside
+    (_square(0, 10), [[(0, 5), (3, 4), (3, 6)]], (0, 1)),
+    (_square(0, 10), [[(5, 0), (6, 3), (4, 3)]], (0, 1)),
+    (_square(0, 10), [[(10, 5), (7, 6), (7, 4)]], (0, 1)),
+    (_square(0, 10), [[(5, 10), (4, 7), (6, 7)]], (0, 1)),
+    # the tip of a notch in the outer loop on a hole's edge
+    ([(0, 0), (10, 0), (10, 10), (5.5, 10), (5, 6), (4.5, 10), (0, 10)], [_square(3, 6)], (0, 1)),
+    # a vertex of the second hole on an edge of the first
+    (_square(0, 10), [_square(2, 4), [(4, 3), (6, 2), (6, 4)]], (1, 2)),
+])
+def test_loops_that_touch_are_rejected(outer, holes, loops):
+    match = rf"^boundary loops are not simple/disjoint \(loops {loops[0]} and {loops[1]} touch\)$"
+    with pytest.raises(geo.GeometryError, match=match):
+        geo.euclidean_polygon(outer, holes=holes)
+
+
 def test_hole_in_the_notch_of_a_u_shaped_hole_is_accepted():
     u = [(0, 0), (3, 0), (3, 0.3), (0.3, 0.3), (0.3, 2.7), (3, 2.7), (3, 3), (0, 3)]
     bar = [(0.6, 0.6), (8, 0.6), (8, 2.4), (0.6, 2.4)]

@@ -55,6 +55,72 @@ def test_format_rows_zero_and_one_row_and_mixed_types(tmp_path):
     assert path.read_bytes() == b"a,b\n1,2.5\n"
 
 
+def _row_loop(fmt, cols, sep):
+    # the per-row `%` that format_rows must match byte for byte
+    return sep.join(fmt % row for row in zip(*(np.asarray(c).tolist() for c in cols)))
+
+
+def _near_power_of_ten(e, step, negative):
+    x = 10.0**e
+    x = math.nextafter(x, math.inf) if step > 0 else math.nextafter(x, 0.0) if step < 0 else x
+    return -x if negative else x
+
+
+def _tie_of_17g(e, u):
+    # odd k / 2**(17-e) in [10**e, 10**(e+1)): its 17th digit is followed by an exact 5
+    return (int(10.0**e * 2.0 ** (17 - e) * (1.0 + 8.9 * u)) | 1) / 2.0 ** (17 - e)
+
+
+_FLOATS = st.one_of(
+    st.integers(0, 2**64 - 1).map(lambda b: float(np.uint64(b).view(np.float64))),  # any bits
+    st.builds(_near_power_of_ten, st.integers(-6, 20), st.integers(-1, 1), st.booleans()),
+    st.builds(_tie_of_17g, st.integers(-4, 14), st.floats(0.0, 1.0, exclude_max=True)),
+    st.integers(-2**23, 2**23).map(lambda k: k / 8),  # exact ties of `%.2f`
+    st.integers(-10**8, 10**8).map(lambda k: k / 100 + 0.005),  # x.xx5: near ties
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072014e-308]),
+    st.floats(-1e7, 1e7),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(fmt=st.sampled_from(["%.17g", "%.2f", "%.17g,%.2f", "(%.2f %.17g)"]),
+       sep=st.sampled_from(["\n", "", " "]), data=st.data())
+def test_format_rows_matches_the_row_loop(fmt, sep, data):
+    n = data.draw(st.sampled_from([0, 1, 2, 40]))
+    cols = [np.array(data.draw(st.lists(_FLOATS, min_size=n, max_size=n)), dtype=float)
+            for _ in range(fmt.count("%"))]
+    assert textio.format_rows(fmt, *cols, sep=sep) == _row_loop(fmt, cols, sep)
+
+
+def _tricky_column(rng, n):
+    """n values drawn from every kind _FLOATS has, exponents mixed in the column."""
+    e = rng.integers(-6, 21, n)
+    pool = np.concatenate([
+        rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64),
+        np.nextafter(10.0**e, np.where(rng.random(n) < 0.5, 0.0, np.inf)), 10.0**e,
+        rng.integers(-2**23, 2**23, n) / 8, rng.integers(-10**8, 10**8, n) / 100 + 0.005,
+        [_tie_of_17g(e, u) for e, u in zip(rng.integers(-4, 15, 200), rng.random(200))],
+        rng.standard_normal(n) * 10.0 ** rng.integers(-6, 18, n),
+        [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.2250738585072014e-308],
+    ])
+    values = rng.choice(pool, n)
+    return np.where(rng.random(n) < 0.5, -values, values)  # a product would signal on sNaN
+
+
+@settings(max_examples=3, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_format_rows_matches_the_row_loop_on_40000_rows(seed):
+    rng = np.random.default_rng(seed)
+    cols = [_tricky_column(rng, 40000) for _ in range(2)]
+    assert textio.format_rows("%.17g,%.17g", *cols) == _row_loop("%.17g,%.17g", cols, "\n")
+    # `%.2f` of |x| < 1e11 fits a slot (by `%` from 1e6 on); one value beyond
+    # sends the whole table to `%`
+    cols = [np.where(np.isfinite(c) & (np.abs(c) >= 1e11), 0.5, c) for c in cols]
+    assert textio.format_rows("%.2f %.2f", *cols, sep=" ") == _row_loop("%.2f %.2f", cols, " ")
+    cols[1][100] = -1e300
+    assert textio.format_rows("%.2f %.2f", *cols, sep=" ") == _row_loop("%.2f %.2f", cols, " ")
+
+
 def test_svg_polyline_of_one_point(tmp_path):
     path = tmp_path / "one.svg"
     svgplot.render_line_plot(path, "one", [3.0], [-7.5])
