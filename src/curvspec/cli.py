@@ -153,7 +153,7 @@ def _write_table(path, slices, extr, oracle) -> None:
     cols.append([f"{v:.8g}" for v in extr.predicted])
     if oracle is not None:
         headers.append("True")
-        cols.append([f"{v:.8g}" for v in exact.oracle_spectrum(oracle, m).eigenvalues])
+        cols.append([f"{v:.8g}" for v in exact.oracle_spectrum(oracle, m)])
     widths = [max(len(h), *map(len, c)) for h, c in zip(headers, cols)]
     textio.write_table(path, "  ".join(h.rjust(w) for h, w in zip(headers, widths)),
                        "  ".join(f"%{w}s" for w in widths), *cols)
@@ -180,7 +180,7 @@ def run_analyze(cfg: RunConfig, spectrum_path=None) -> dict:
     if cfg.use_oracle and domain_cfg.oracle is None:
         raise ConfigError("key 'oracle': required for --use-oracle analysis")
     elif cfg.use_oracle:
-        eigs = exact.oracle_spectrum(domain_cfg.oracle, cfg.num_eigs).eigenvalues
+        eigs = exact.oracle_spectrum(domain_cfg.oracle, cfg.num_eigs)
     else:
         eigs = _read_spectrum(cfg, spectrum_path or os.path.join(cfg.out_dir, "spectrum.csv"))
     params = analysis.RefinedCountParams.from_constants(domain_cfg.constants)
@@ -230,10 +230,13 @@ def run_gaps(cfg: RunConfig, spectrum_path=None, eigs=None) -> list[str]:
 
 
 def run_exact_case(case: str, count: int, out_path) -> str:
-    """Oracle spectrum in the standard spectrum file format."""
-    spec = exact.oracle_spectrum(case, count)
-    vals = spec.eigenvalues
+    """Oracle spectrum in the standard spectrum file format. The request, then
+    the output path, is checked before the oracle runs."""
+    if case not in exact.ORACLE_CASES or count < 1:
+        exact.oracle_spectrum(case, count)  # raises the OracleError naming the fault
     try:
+        open(out_path, "w").close()
+        vals = exact.oracle_spectrum(case, count)
         eigensolve.write_spectrum_file(
             out_path,
             predicted=vals,

@@ -13,7 +13,7 @@ Schema (see configs/ for complete examples per geometry):
     radius: r                          (disc / hyperbolic_disc / spherical_disc)
     angles: [a, b, c]                  (hyperbolic_triangle / spherical_triangle)
     circles: [a1, r1, a2, r2]          (hyperbolic_triangle)
-    params: [t1, beta1, t2, beta2]     (spherical_triangle, optionally +[u1, u2])
+    params: [t1, beta1, t2, beta2]     (spherical_triangle)
     oracle: <case name>                (optional: attach an exact spectrum)
     target_h: h                        (optional: initial mesh size)
 

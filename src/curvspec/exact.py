@@ -12,27 +12,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 
 class OracleError(ValueError):
     """Invalid oracle request."""
-
-
-@dataclass(frozen=True)
-class OracleSpectrum:
-    """Ascending eigenvalue list with multiplicity expanded."""
-
-    case: str
-    eigenvalues: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "eigenvalues", np.asarray(self.eigenvalues, dtype=float))
-
-    def __len__(self) -> int:
-        return len(self.eigenvalues)
 
 
 # ---------------------------------------------------------------------------
@@ -138,41 +123,34 @@ def _refine_zeros(k, derivative, a, b, fa, fb) -> np.ndarray:
     return x
 
 
-_ZEROS = {}  # order k -> (radius, zeros of J_k, zeros of J_k'): see bessel_zero
-
-
 def bessel_zero(k: int, n: int, derivative: bool = False) -> float:
     """n-th positive zero of J_k (or of J_k' when derivative=True).
 
     J_0'(0) = 0 is not counted: the first derivative zero of order 0 is the
-    first positive one (it equals the first zero of J_1). Order k's zeros below
-    a radius are refined at once and kept; a call past them scans a radius at
-    least 1.25 times larger.
+    first positive one (it equals the first zero of J_1). Order k is scanned
+    from past McMahon's j_{k,n} ~ (n + k/2 - 1/4) pi, the radius growing 1.25
+    times until it holds n zeros of the kind. The grid does not depend on the
+    radius, and each zero on its own bracket alone, so neither does the zero.
     """
     if k < 0 or int(k) != k:
         raise OracleError(f"Bessel order must be a nonnegative integer, got {k}")
     if n < 1 or int(n) != n:
         raise OracleError(f"zero index must be a positive integer, got {n}")
     k, n, derivative = int(k), int(n), bool(derivative)
-    radius, *zeros = _ZEROS.get(k, (0.0, (), ()))
-    if len(zeros[derivative]) < n:  # from past McMahon's j_{k,n} ~ (n + k/2 - 1/4) pi
-        radius = max(math.pi * (n + 0.5 * k + 1.0), 1.25 * radius)
-        while True:
-            order, kind, a, b, fa, fb = _zero_brackets(radius, k, k)
-            if np.count_nonzero(kind == derivative) >= n:
-                break
-            radius *= 1.25
-        z = _refine_zeros(order, kind, a, b, fa, fb)
-        zeros = [z[~kind], z[kind]]
-        _ZEROS[k] = (radius, *zeros)
-    return float(zeros[derivative][n - 1])
+    radius = math.pi * (n + 0.5 * k + 1.0)
+    while True:
+        order, kind, a, b, fa, fb = _zero_brackets(radius, k, k)
+        i = np.flatnonzero(kind == derivative)[n - 1 : n]
+        if len(i):
+            return float(_refine_zeros(order[i], kind[i], a[i], b[i], fa[i], fb[i])[0])
+        radius *= 1.25
 
 
 # ---------------------------------------------------------------------------
 # Oracle spectra
 
 
-def _lattice_spectrum(case: str, count: int, scale: float, form, twice: bool) -> OracleSpectrum:
+def _lattice_spectrum(count: int, scale: float, form, twice: bool) -> np.ndarray:
     """The count smallest scale * form(j, k) over pairs 1 <= j < k, or, when
     twice, over 1 <= j <= k with each pair j < k counted twice.
 
@@ -188,23 +166,23 @@ def _lattice_spectrum(case: str, count: int, scale: float, form, twice: bool) ->
         vals = np.sort(np.repeat(scale * form(j, k), np.where(j < k, 1 + twice, 1)))
         safe = vals[vals < scale * form(1, kmax + 1)]
         if len(safe) >= count:
-            return OracleSpectrum(case, safe[:count])
+            return safe[:count]
         kmax *= 2
 
 
-def right_isosceles_spectrum(count: int) -> OracleSpectrum:
+def right_isosceles_spectrum(count: int) -> np.ndarray:
     """First eigenvalues pi^2 (j^2 + k^2), 0 < j < k, of the unit-leg right isosceles triangle."""
     scale = math.pi**2
-    return _lattice_spectrum("right-isosceles", count, scale, lambda j, k: j * j + k * k, False)
+    return _lattice_spectrum(count, scale, lambda j, k: j * j + k * k, False)
 
 
-def equilateral_spectrum(count: int) -> OracleSpectrum:
+def equilateral_spectrum(count: int) -> np.ndarray:
     """First eigenvalues (4 pi / 3)^2 (j^2 + k^2 + j k) of the unit-side equilateral triangle.
 
     Unordered pairs {j, k}; multiplicity 2 when j != k.
     """
     scale = (4.0 * math.pi / 3.0) ** 2
-    return _lattice_spectrum("equilateral", count, scale, lambda j, k: j * j + k * k + j * k, True)
+    return _lattice_spectrum(count, scale, lambda j, k: j * j + k * k + j * k, True)
 
 
 @functools.lru_cache(maxsize=8)
@@ -230,7 +208,7 @@ def _disc_spectra(count: int) -> tuple[np.ndarray, np.ndarray]:
         radius *= 1.25
 
 
-def disc_spectrum(count: int, bc: str = "D") -> OracleSpectrum:
+def disc_spectrum(count: int, bc: str = "D") -> np.ndarray:
     """Unit-disc spectrum: squares of Bessel zeros (Dirichlet) or of derivative
     zeros plus the zero mode (Neumann); multiplicity 1 for order 0, 2 otherwise.
 
@@ -240,26 +218,26 @@ def disc_spectrum(count: int, bc: str = "D") -> OracleSpectrum:
         raise OracleError("count must be >= 1")
     if bc not in ("D", "N"):
         raise OracleError(f"bc must be 'D' or 'N', got {bc!r}")
-    return OracleSpectrum(f"disc-{bc.lower()}", _disc_spectra(count)["DN".index(bc)].copy())
+    return _disc_spectra(count)["DN".index(bc)].copy()
 
 
-def _staircase_spectrum(case: str, count: int, value) -> OracleSpectrum:
+def _staircase_spectrum(count: int, value) -> np.ndarray:
     # value(i) with multiplicity i for i = 1, 2, ...; i up to isqrt(2 count) + 1
     # gives more than count entries
     if count < 1:
         raise OracleError("count must be >= 1")
     i = np.arange(1, math.isqrt(2 * count) + 2)
-    return OracleSpectrum(case, np.repeat(value(i), i)[:count])
+    return np.repeat(value(i), i)[:count].astype(float)
 
 
-def spherical_right_triangle_spectrum(count: int) -> OracleSpectrum:
+def spherical_right_triangle_spectrum(count: int) -> np.ndarray:
     """Spherical equilateral right triangle: i-th distinct value 4 i^2 + 6 i + 2, multiplicity i."""
-    return _staircase_spectrum("spherical-right-triangle", count, lambda i: 4 * i * i + 6 * i + 2)
+    return _staircase_spectrum(count, lambda i: 4 * i * i + 6 * i + 2)
 
 
-def hemisphere_spectrum(count: int) -> OracleSpectrum:
+def hemisphere_spectrum(count: int) -> np.ndarray:
     """Dirichlet hemisphere: n-th distinct value n (n + 1), multiplicity n."""
-    return _staircase_spectrum("hemisphere", count, lambda n: n * (n + 1))
+    return _staircase_spectrum(count, lambda n: n * (n + 1))
 
 
 ORACLE_CASES = {
@@ -272,7 +250,10 @@ ORACLE_CASES = {
 }
 
 
-def oracle_spectrum(case: str, count: int) -> OracleSpectrum:
+def oracle_spectrum(case: str, count: int) -> np.ndarray:
+    """The count lowest eigenvalues of an ORACLE_CASES case, ascending, with
+    multiplicity expanded; an unknown case or a count below 1 raises
+    OracleError before any work."""
     try:
         fn = ORACLE_CASES[case]
     except KeyError:

@@ -890,19 +890,19 @@ class SphericalTriangleSpec:
     the u-axis, two sides on great circles
     (u - t_j sin(beta_j))^2 + (v + t_j cos(beta_j))^2 = t_j^2 + 4.
 
-    `params` is (t1, beta1, t2, beta2) with optional explicit u-axis vertices
-    (u1, u2); by default each vertex is the larger root of its circle on the
-    u-axis. `angles` gives (alpha1, alpha2, alpha3) with angle sum in (pi, 3pi).
+    `params` is (t1, beta1, t2, beta2); each u-axis vertex is the larger root
+    of its circle on the u-axis. `angles` gives (alpha1, alpha2, alpha3) with
+    angle sum in (pi, 3pi).
     """
 
-    params: tuple[float, ...] | None = None
+    params: tuple[float, float, float, float] | None = None
     angles: tuple[float, float, float] | None = None
 
     def __post_init__(self):
         if (self.params is None) == (self.angles is None):
-            raise GeometryError("give exactly one of params=(t1,b1,t2,b2[,u1,u2]) or angles")
-        if self.params is not None and len(self.params) not in (4, 6):
-            raise GeometryError("params form takes (t1, beta1, t2, beta2[, u1, u2])")
+            raise GeometryError("give exactly one of params=(t1,b1,t2,b2) or angles")
+        if self.params is not None and len(self.params) != 4:
+            raise GeometryError("params form takes (t1, beta1, t2, beta2)")
         if self.angles is not None:
             a = self.angles
             if len(a) != 3 or any(not 0.0 < x < math.pi for x in a):
@@ -958,21 +958,13 @@ def build_spherical_triangle(
     """
     bcs = _bc_list(bc, 3)
     if spec.params is not None:
-        t1, b1, t2, b2 = map(float, spec.params[:4])
+        t1, b1, t2, b2 = map(float, spec.params)
         c1 = np.array([t1 * math.sin(b1), -t1 * math.cos(b1)])
         c2 = np.array([t2 * math.sin(b2), -t2 * math.cos(b2)])
         r1 = math.sqrt(t1 * t1 + 4.0)
         r2 = math.sqrt(t2 * t2 + 4.0)
-        if len(spec.params) == 6:
-            u1, u2 = map(float, spec.params[4:])
-            for u, t, b in ((u1, t1, b1), (u2, t2, b2)):
-                if abs(u * u - 2.0 * t * math.sin(b) * u - 4.0) > 1e-9 * (4.0 + u * u):
-                    raise ConstructionError(
-                        f"u-axis vertex {u} does not lie on its side circle"
-                    )
-        else:
-            u1 = _great_circle_root(t1, b1)
-            u2 = _great_circle_root(t2, b2)
+        u1 = _great_circle_root(t1, b1)
+        u2 = _great_circle_root(t2, b2)
     else:
         a1_, a2_, a3_ = spec.angles
         length3 = law_of_cosines(1.0, a3_, a1_, a2_)

@@ -370,6 +370,8 @@ def _arc_distance(arc: Arc, p: np.ndarray) -> np.ndarray:
 
 def validate_mesh(mesh: Mesh) -> None:
     """Check the structural mesh invariants; raise MeshError on violation."""
+    if not np.isfinite(mesh.vertices).all():
+        raise MeshError("mesh has non-finite vertex coordinates")
     if np.any(mesh.signed_areas() <= 0.0):
         raise MeshError("mesh has nonpositively oriented triangles")
     edges, _, counts = _edges(mesh.triangles)
@@ -455,6 +457,9 @@ def load_mesh(path) -> Mesh:
 
     level = expect("mesh", 2)
     vertices = table("vertices", 2, float)
+    bad = np.flatnonzero(~np.isfinite(vertices).all(axis=1))
+    if len(bad):
+        raise MeshError(f"{path}: bad 'vertices' table row {bad[0] + 1}: non-finite coordinate")
     triangles = table("triangles", 3, np.int64)
     boundary = table("boundary_edges", 3, np.int64)
     body = rows("arcs")
@@ -467,6 +472,8 @@ def load_mesh(path) -> Mesh:
             x = [float(f) for f in fields[:-1]]
             if len(x) != (4 if kind == "segment" else 5):
                 raise ValueError(f"{len(fields)} fields")
+            if not all(map(math.isfinite, x)):
+                raise ValueError("non-finite field")
             if kind == "segment":
                 arcs.append(LineSegment((x[0], x[1]), (x[2], x[3]), fields[-1]))
             else:

@@ -36,19 +36,19 @@ def oracle_params(case: str) -> RefinedCountParams:
 
 @pytest.fixture(scope="session")
 def disc_d_660():
-    return exact.disc_spectrum(660, "D").eigenvalues
+    return exact.disc_spectrum(660, "D")
 
 
 @pytest.fixture(scope="session")
 def disc_n_550():
-    return exact.disc_spectrum(550, "N").eigenvalues
+    return exact.disc_spectrum(550, "N")
 
 
 @pytest.fixture(scope="session")
 def right_isosceles_600():
-    return exact.right_isosceles_spectrum(600).eigenvalues
+    return exact.right_isosceles_spectrum(600)
 
 
 @pytest.fixture(scope="session")
 def equilateral_600():
-    return exact.equilateral_spectrum(600).eigenvalues
+    return exact.equilateral_spectrum(600)

@@ -86,7 +86,7 @@ def test_criterion_4_table6_hemisphere():
     ex = _pipeline("hemisphere_dirichlet.yaml", 10, refinements=5)
     want = np.array([2, 6, 6, 12, 12, 12, 20, 20, 20, 20], dtype=float)
     err = float(np.max(np.abs(ex.predicted - want)))
-    oracle = exact.hemisphere_spectrum(253).eigenvalues
+    oracle = exact.hemisphere_spectrum(253)
     exact_506 = oracle[251] == 506.0 and oracle[252] == 506.0
     _report(
         4,
@@ -109,11 +109,11 @@ def test_criterion_5_table3_extrapolation():
 
 def test_criterion_6_disc_fem_vs_bessel():
     ex_d = _pipeline("unit_disc_dirichlet.yaml", 50, refinements=4, target_h=0.35)
-    oracle_d = exact.disc_spectrum(50, "D").eigenvalues
+    oracle_d = exact.disc_spectrum(50, "D")
     rel_d = float(np.max(np.abs(ex_d.predicted - oracle_d) / oracle_d))
 
     ex_n = _pipeline("unit_disc_neumann.yaml", 50, refinements=4, target_h=0.35)
-    oracle_n = exact.disc_spectrum(50, "N").eigenvalues
+    oracle_n = exact.disc_spectrum(50, "N")
     zero_ok = abs(ex_n.predicted[0]) < 1e-6
     rel_n = float(np.max(np.abs(ex_n.predicted[1:] - oracle_n[1:]) / oracle_n[1:]))
     _report(
@@ -194,7 +194,7 @@ def test_criterion_9_conjecture_spherical():
     ok = True
     details = []
     for case, count in (("hemisphere", 550), ("spherical-right-triangle", 550)):
-        eigs = exact.oracle_spectrum(case, count).eigenvalues
+        eigs = exact.oracle_spectrum(case, count)
         series = analysis.graph_series(
             eigs, oracle_params(case), SpaceForm.SPHERICAL, samples=2048
         )

@@ -120,7 +120,7 @@ def test_graph6_band_at_150_eigenvalues(right_isosceles_600):
 
 
 def test_graph_series_spherical_keys():
-    eigs = exact.hemisphere_spectrum(300).eigenvalues
+    eigs = exact.hemisphere_spectrum(300)
     series = analysis.graph_series(
         eigs, oracle_params("hemisphere"), SpaceForm.SPHERICAL, samples=256
     )
@@ -155,7 +155,7 @@ def test_graph6_shrinks_with_prefix(equilateral_600):
 
 
 def test_hemisphere_at2_no_decay():
-    eigs = exact.hemisphere_spectrum(550).eigenvalues
+    eigs = exact.hemisphere_spectrum(550)
     series = analysis.graph_series(
         eigs, oracle_params("hemisphere"), SpaceForm.SPHERICAL, samples=2048
     )
@@ -179,7 +179,7 @@ def _cdf(stats, x):
 
 
 def test_gap_stats_hemisphere_first_ten():
-    eigs = exact.hemisphere_spectrum(10).eigenvalues
+    eigs = exact.hemisphere_spectrum(10)
     stats = analysis.gap_stats(eigs, bin_width=1.0)
     assert stats.differences.tolist() == [4, 0, 6, 0, 0, 8, 0, 0, 0]
     assert _cdf(stats, 0.0) == pytest.approx(6 / 9)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from curvspec import analysis, eigensolve, fem, meshing
+from curvspec import analysis, eigensolve, exact, fem, meshing
 from curvspec.cli import RunConfig, main, run_analyze, run_report, run_solve
 from curvspec.configio import load_domain_config
 
@@ -145,6 +145,10 @@ def _no_meshing(*args, **kwargs):
     raise AssertionError("meshing started")
 
 
+def _no_zero_scan(*args, **kwargs):
+    raise AssertionError("Bessel zero scan started")
+
+
 @pytest.mark.parametrize("twice, jobs", [(True, "1"), (False, "1"), (False, "2")])
 def test_configs_sharing_an_output_directory_exit_2_before_any_work(
     tmp_path, capsys, monkeypatch, twice, jobs
@@ -184,6 +188,8 @@ def test_output_path_under_a_regular_file_exits_2_before_any_work(
         "exact": (["exact", "--case", "disc-n", "--count", "5"], blocker / "x.csv"),
     }[command]
     monkeypatch.setattr(meshing, "triangulate", _no_meshing)
+    exact._disc_spectra.cache_clear()
+    monkeypatch.setattr(exact, "_zero_brackets", _no_zero_scan)
     assert main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"configuration error: cannot write {out}: ")
@@ -320,6 +326,15 @@ def test_exact_unknown_case_exit_code(tmp_path, capsys):
     rc = main(["exact", "--case", "moebius", "--count", "5", "--out", str(tmp_path / "x.csv")])
     assert rc == 2
     assert "moebius" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("count", ["0", "-4"])
+def test_exact_bad_count_exits_2_and_writes_nothing(tmp_path, capsys, count):
+    out = tmp_path / "x.csv"
+    assert main(["exact", "--case", "disc-d", "--count", count, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "configuration error: count must be >= 1\n"
+    assert not out.exists()
 
 
 def test_solve_bad_config_exit_code(tmp_path, capsys):

@@ -126,25 +126,12 @@ def test_triangle_spec_needs_exactly_one_form():
         )
 
 
-def test_spherical_params_with_explicit_roots():
-    t1, b1 = -1.5, math.pi / 4
-    u1_other = t1 * math.sin(b1) - math.hypot(t1 * math.sin(b1), 2.0)
-    cfg = build_domain(
-        {
-            "space": "spherical",
-            "shape": "spherical_triangle",
-            "params": [-1.5, "pi/4", -2.0, "-pi/6"],
-        }
-    )
+def test_spherical_params_take_exactly_four_values():
+    cfg = build_domain({**_SPH_PARAMS, "params": [-1.5, "pi/4", -2.0, "-pi/6"]})
     assert cfg.constants.area > 0
-    with pytest.raises(ConfigError):
-        build_domain(
-            {
-                "space": "spherical",
-                "shape": "spherical_triangle",
-                "params": [-1.5, "pi/4", -2.0, "-pi/6", 99.0, 1.0],
-            }
-        )
+    for params in ([-1.5, "pi/4", -2.0], [-1.5, "pi/4", -2.0, "-pi/6", 2.0, -1.0]):
+        with pytest.raises(ConfigError, match=r"^key 'params': params form takes \(t1, beta1, t2, beta2\)$"):
+            build_domain({**_SPH_PARAMS, "params": params})
 
 
 def test_missing_file():

@@ -92,36 +92,49 @@ def test_large_zero_magnitude():
     assert exact.bessel_zero(0, n) == pytest.approx(ref, abs=1e-9)
 
 
+def _zeros_below(radius, kmax, derivative=False):
+    """Zeros of J_k (of J_k' when derivative) below radius for k = 0..kmax, one
+    ascending array per order, from one scan of all the orders."""
+    order, kind, a, b, fa, fb = exact._zero_brackets(radius, 0, kmax)
+    z = exact._refine_zeros(order, kind, a, b, fa, fb)
+    mine = (kind == derivative) & (z < radius)
+    return [z[mine & (order == k)] for k in range(kmax + 1)]
+
+
 def test_mcmahon_spacing_limit():
-    gaps = [
-        exact.bessel_zero(0, n) - exact.bessel_zero(0, n - 1) for n in (50, 200, 400)
-    ]
+    (z,) = _zeros_below(402 * math.pi, 0)
+    gaps = [z[n - 1] - z[n - 2] for n in (50, 200, 400)]
     for g in gaps:
         assert g == pytest.approx(math.pi, abs=2e-4)
     assert abs(gaps[2] - math.pi) < abs(gaps[0] - math.pi)
 
 
 def test_zero_interlacing():
+    z = _zeros_below(60.0, 30)
+    assert min(len(zk) for zk in z) >= 6
     for k in range(0, 30):
-        for n in range(1, 6):
-            z_kn = exact.bessel_zero(k, n)
-            assert z_kn < exact.bessel_zero(k + 1, n) < exact.bessel_zero(k, n + 1)
+        for n in range(5):
+            assert z[k][n] < z[k + 1][n] < z[k][n + 1]
 
 
-@pytest.mark.parametrize("k,n,deriv", [(0, 1, False), (3, 7, True), (40, 2, False), (95, 5, False)])
-def test_cached_zero_is_the_fresh_one(monkeypatch, k, n, deriv):
-    # a fresh call refines the zero with the others of its order below one
-    # radius; after the table grows past it, a cached call returns the same
-    # float, as does the zero's bracket refined alone
-    monkeypatch.setattr(exact, "_ZEROS", {})
-    fresh = exact.bessel_zero(k, n, deriv)
-    radius = exact._ZEROS[k][0]
-    exact.bessel_zero(k, n + 40, not deriv)
-    assert exact._ZEROS[k][0] > radius
-    assert exact.bessel_zero(k, n, deriv) == fresh
-    order, kind, a, b, fa, fb = exact._zero_brackets(radius, k, k)
-    i = np.flatnonzero(kind == deriv)[n - 1 : n]
-    assert exact._refine_zeros(order[i], kind[i], a[i], b[i], fa[i], fb[i])[0] == fresh
+@pytest.mark.parametrize(
+    "k,n,deriv", [(0, 1, False), (3, 7, True), (40, 2, False), (95, 5, False), (1, 40, True)]
+)
+def test_zero_does_not_depend_on_the_scan_radius(monkeypatch, k, n, deriv):
+    # the same zero, refined together with every zero of its order from scans
+    # 1.25 and 2 times larger than bessel_zero's, has the same bits
+    real, radii = exact._zero_brackets, []
+
+    def spy(radius, kmin, kmax):
+        radii.append(radius)
+        return real(radius, kmin, kmax)
+
+    monkeypatch.setattr(exact, "_zero_brackets", spy)
+    got = exact.bessel_zero(k, n, deriv)
+    for factor in (1.25, 2.0):
+        order, kind, a, b, fa, fb = real(factor * radii[-1], k, k)
+        z = exact._refine_zeros(order, kind, a, b, fa, fb)
+        assert z[kind == deriv][n - 1] == got
 
 
 def test_bessel_zero_input_validation():
@@ -138,15 +151,15 @@ def test_bessel_zero_input_validation():
 def test_right_isosceles_first_ten():
     spec = exact.right_isosceles_spectrum(10)
     assert np.allclose(
-        spec.eigenvalues / math.pi**2, [5, 10, 13, 17, 20, 25, 26, 29, 34, 37]
+        spec / math.pi**2, [5, 10, 13, 17, 20, 25, 26, 29, 34, 37]
     )
-    assert exact.right_isosceles_spectrum(1).eigenvalues[0] == pytest.approx(
+    assert exact.right_isosceles_spectrum(1)[0] == pytest.approx(
         5 * math.pi**2
     )
 
 
 def test_right_isosceles_multiplicity_377():
-    vals = exact.right_isosceles_spectrum(140).eigenvalues / math.pi**2
+    vals = exact.right_isosceles_spectrum(140) / math.pi**2
     count = int(np.sum(np.isclose(vals, 377.0)))
     assert count >= 2
     assert vals[132] == pytest.approx(377.0)
@@ -157,13 +170,13 @@ def test_equilateral_first_ten():
     spec = exact.equilateral_spectrum(10)
     scale = (4 * math.pi / 3) ** 2
     assert np.allclose(
-        spec.eigenvalues / scale, [3, 7, 7, 12, 13, 13, 19, 19, 21, 21]
+        spec / scale, [3, 7, 7, 12, 13, 13, 19, 19, 21, 21]
     )
-    assert exact.equilateral_spectrum(1).eigenvalues[0] == pytest.approx(3 * scale)
+    assert exact.equilateral_spectrum(1)[0] == pytest.approx(3 * scale)
 
 
 def test_equilateral_219_multiplicity_two():
-    vals = exact.equilateral_spectrum(130).eigenvalues / (4 * math.pi / 3) ** 2
+    vals = exact.equilateral_spectrum(130) / (4 * math.pi / 3) ** 2
     assert int(np.sum(np.isclose(vals, 219.0))) == 2
     assert vals[118] == pytest.approx(219.0)
     assert vals[119] == pytest.approx(219.0)
@@ -188,14 +201,10 @@ def test_disc_neumann_values(disc_n_550):
 
 
 def test_disc_spectrum_is_squares_of_zeros(disc_d_660):
-    # internal consistency: every value is the square of some tabulated zero
-    zeros = set()
-    for k in range(0, 60):
-        for n in range(1, 30):
-            z = exact.bessel_zero(k, n)
-            if z * z > disc_d_660[-1] + 1:
-                break
-            zeros.add(round(z * z, 8))
+    # internal consistency: every value is the square of some tabulated zero;
+    # no order above the radius has a zero below it
+    radius = math.sqrt(disc_d_660[-1] + 1)
+    zeros = {round(float(z * z), 8) for zk in _zeros_below(radius, int(radius)) for z in zk}
     for lam in disc_d_660:
         assert round(float(lam), 8) in zeros
 
@@ -210,14 +219,14 @@ def test_disc_multiplicity_law(disc_d_660):
 
 @pytest.fixture(scope="module")
 def disc_4000():
-    return {bc: exact.disc_spectrum(4000, bc).eigenvalues for bc in ("D", "N")}
+    return {bc: exact.disc_spectrum(4000, bc) for bc in ("D", "N")}
 
 
 @pytest.mark.parametrize("bc", ["D", "N"])
 @pytest.mark.parametrize("m", [1, 2, 3, 37, 660])
 def test_disc_spectrum_prefix_of_larger(disc_4000, m, bc):
     # spectra gathered below different radii agree on their common prefix
-    assert np.array_equal(exact.disc_spectrum(m, bc).eigenvalues, disc_4000[bc][:m])
+    assert np.array_equal(exact.disc_spectrum(m, bc), disc_4000[bc][:m])
 
 
 def _scipy_zeros(bc):
@@ -293,9 +302,7 @@ def test_one_disc_scan_matches_per_kind_scans_bit_for_bit(per_kind_scans, monkey
 
     monkeypatch.setattr(exact, "_zero_brackets", counting)
     for i, bc in enumerate(order):
-        got = exact.disc_spectrum(m, bc)
-        assert got.case == f"disc-{bc.lower()}"
-        assert got.eigenvalues.tobytes() == per_kind_scans[m, bc].tobytes()
+        assert exact.disc_spectrum(m, bc).tobytes() == per_kind_scans[m, bc].tobytes()
         if i == 0:
             scanned = len(calls)
     assert scanned > 0 and len(calls) == scanned  # the second kind came from the cache
@@ -305,7 +312,7 @@ def test_one_disc_scan_matches_per_kind_scans_bit_for_bit(per_kind_scans, monkey
 @pytest.mark.parametrize("m", _SCAN_COUNTS)
 def test_disc_spectrum_matches_scipy_per_kind_scans(scipy_per_kind_scans, m, bc):
     # Miller's zeros and scipy's agree to rounding, not bit for bit
-    got, want = exact.disc_spectrum(m, bc).eigenvalues, scipy_per_kind_scans[m, bc]
+    got, want = exact.disc_spectrum(m, bc), scipy_per_kind_scans[m, bc]
     assert len(got) == len(want) == m
     if bc == "N":
         assert got[0] == 0.0  # the zero mode
@@ -314,19 +321,19 @@ def test_disc_spectrum_matches_scipy_per_kind_scans(scipy_per_kind_scans, m, bc)
 
 def test_disc_spectrum_returns_copies():
     first = exact.disc_spectrum(40, "N")
-    want = first.eigenvalues.copy()
-    first.eigenvalues[:] = -1.0
+    want = first.copy()
+    first[:] = -1.0
     again = exact.disc_spectrum(40, "N")
-    assert again.eigenvalues.tobytes() == want.tobytes()
-    again.eigenvalues[0] = 7.0
-    assert exact.disc_spectrum(40, "N").eigenvalues.tobytes() == want.tobytes()
+    assert again.tobytes() == want.tobytes()
+    again[0] = 7.0
+    assert exact.disc_spectrum(40, "N").tobytes() == want.tobytes()
 
 
 def test_spherical_right_triangle_spectrum():
     spec = exact.spherical_right_triangle_spectrum(10)
-    assert spec.eigenvalues.tolist() == [12, 30, 30, 56, 56, 56, 90, 90, 90, 90]
+    assert spec.tolist() == [12, 30, 30, 56, 56, 56, 90, 90, 90, 90]
     # cumulative count through the i-th distinct value is i (i + 1) / 2
-    full = exact.spherical_right_triangle_spectrum(210).eigenvalues
+    full = exact.spherical_right_triangle_spectrum(210)
     for i in (1, 5, 12, 19):
         lam = 4 * i * i + 6 * i + 2
         assert int(np.sum(full <= lam)) == i * (i + 1) // 2
@@ -334,8 +341,8 @@ def test_spherical_right_triangle_spectrum():
 
 def test_hemisphere_spectrum():
     spec = exact.hemisphere_spectrum(10)
-    assert spec.eigenvalues.tolist() == [2, 6, 6, 12, 12, 12, 20, 20, 20, 20]
-    full = exact.hemisphere_spectrum(260).eigenvalues
+    assert spec.tolist() == [2, 6, 6, 12, 12, 12, 20, 20, 20, 20]
+    full = exact.hemisphere_spectrum(260)
     assert full[251] == 506.0
     assert full[252] == 506.0
     assert full[0] == 2.0
@@ -353,10 +360,21 @@ def test_hemisphere_spectrum():
     ],
 )
 def test_weyl_law_on_oracles(case, count, area):
-    vals = exact.oracle_spectrum(case, count).eigenvalues
+    vals = exact.oracle_spectrum(case, count)
     t = vals[-1]
     n_t = np.sum(vals <= t)
     assert n_t / t == pytest.approx(area / (4 * math.pi), rel=0.05)
+
+
+@pytest.mark.parametrize("count", [1, 2, 37])
+@pytest.mark.parametrize("case", sorted(exact.ORACLE_CASES))
+def test_oracle_spectrum_is_a_fresh_ascending_float_array(case, count):
+    got = exact.oracle_spectrum(case, count)
+    assert type(got) is np.ndarray and got.dtype == np.float64 and got.shape == (count,)
+    assert np.all(np.diff(got) >= 0)
+    want = got.copy()
+    got[:] = -1.0
+    assert exact.oracle_spectrum(case, count).tobytes() == want.tobytes()
 
 
 def test_oracle_case_errors():

@@ -231,6 +231,24 @@ def test_load_mesh_bad_arcs_row_names_path_and_row(tmp_path, disc_domain, row, d
         meshing.load_mesh(bad)
 
 
+@pytest.mark.parametrize("table, value, detail", [
+    ("vertices", "nan", "row 1: non-finite coordinate"),
+    ("vertices", "-inf", "row 1: non-finite coordinate"),
+    ("arcs", "nan", "row 1: non-finite field"),
+    ("arcs", "inf", "row 1: non-finite field"),
+])
+def test_load_mesh_non_finite_number_names_path_table_and_row(tmp_path, disc_domain, table, value, detail):
+    lines = _saved_lines(tmp_path, disc_domain)
+    row = 2 if table == "vertices" else len(lines) - 1  # the first vertex, the circle arc
+    fields = lines[row].split()
+    fields[1 if table == "vertices" else 4] = value  # a y coordinate, the arc's phi0
+    lines[row] = " ".join(fields)
+    bad = tmp_path / "finite.mesh"
+    bad.write_text("\n".join(lines) + "\n")
+    with pytest.raises(meshing.MeshError, match=rf"finite\.mesh: bad '{table}' table {detail}$"):
+        meshing.load_mesh(bad)
+
+
 def _hand_mesh(vertices, triangles, boundary):
     # every boundary edge (i, j) lies on its own segment from vertex i to vertex j
     v = np.asarray(vertices, dtype=float)
@@ -266,6 +284,15 @@ def test_validate_mesh_rejects_a_boundary_vertex_off_its_arc(disc_domain):
     k, _, a = mesh.boundary_edges[0]
     mesh.vertices[k] *= 1.0 + 1e-6  # radially outward, triangles keep their orientation
     with pytest.raises(meshing.MeshError, match=rf"boundary vertex {k} lies 1\.000e-06 away from arc {a}$"):
+        meshing.validate_mesh(mesh)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_validate_mesh_rejects_a_non_finite_vertex(disc_domain, value):
+    # nan fails no comparison the later checks make, and refine spreads it
+    mesh = meshing.triangulate(disc_domain, 0.5)
+    mesh.vertices[len(mesh.vertices) // 2, 1] = value
+    with pytest.raises(meshing.MeshError, match="mesh has non-finite vertex coordinates"):
         meshing.validate_mesh(mesh)
 
 

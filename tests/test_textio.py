@@ -251,7 +251,7 @@ def test_table_matches_cell_loop(tmp_path, name, opts):
                     refinements=3, num_eigs=6, quiet=True, **opts)
     res = run_solve(cfg)
     slices, extr, oracle = res["slices"], res["extrapolated"], res["config"].oracle
-    oracle_vals = None if oracle is None else exact.oracle_spectrum(oracle, len(extr)).eigenvalues
+    oracle_vals = None if oracle is None else exact.oracle_spectrum(oracle, len(extr))
     assert (oracle_vals is not None) == (name == "right_isosceles_dirichlet.yaml")
     assert (len(slices[0]) == 0) == (name == "region_between_triangles.yaml")
     _old_write_table(tmp_path / "old", slices, extr, oracle_vals)
