@@ -125,18 +125,20 @@ class AnalysisSeries:
 
 
 def _grid_with_breakpoints(lo_open: float, hi: float, samples: int, breaks) -> np.ndarray:
+    # np.unique(grid + breaks) bit for bit without its numpy.ma import: nans sort last, one stays
     grid = np.linspace(lo_open, hi, samples + 1)[1:]
     breaks = np.asarray(breaks, dtype=float)
-    breaks = breaks[(breaks > lo_open) & (breaks <= hi)]
-    return np.unique(np.concatenate([grid, breaks]))
+    s = np.sort(np.concatenate([grid, breaks[(breaks > lo_open) & (breaks <= hi)]]))
+    keep = np.ones(len(s), dtype=bool)
+    keep[1:] = (s[1:] != s[:-1]) & ~np.isnan(s[:-1])
+    return s[keep]
 
 
 def _running_mean(spectrum, params, a: float, x_grid: np.ndarray):
     # (1/(x-a)) int_a^x sqrt(s) A(s^2) ds by composite trapezoid on an 8x finer grid
     xs = x_grid[x_grid > a]
-    base = np.unique(np.concatenate([[a], xs]))
-    fine = np.linspace(base[:-1], base[1:], 9, axis=-1)[:, 1:]
-    s = np.concatenate([base[:1], fine.ravel()])
+    base = np.concatenate([[a], xs])  # ascending and distinct, as x_grid is
+    s = np.concatenate([base[:1], np.linspace(base[:-1], base[1:], 9, axis=-1)[:, 1:].ravel()])
     integrand = average_error(spectrum, params, s * s) * np.sqrt(s)  # sqrt(s) not held during A
     cum = np.concatenate([[0.0], np.cumsum(np.diff(s) * 0.5 * (integrand[1:] + integrand[:-1]))])
     cum_at = np.interp(xs, s, cum)

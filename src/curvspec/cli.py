@@ -7,7 +7,6 @@ Exit codes: 0 success, 2 configuration error, 3 meshing/solver failure,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import functools
 import math
 import os
@@ -18,7 +17,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import analysis, eigensolve, exact, fem, meshing, svgplot, textio
+from . import analysis, exact, svgplot, textio
 from .configio import ConfigError, load_domain_config
 from .geometry import GeometryError
 
@@ -78,6 +77,8 @@ def _log(cfg: RunConfig, msg: str) -> None:
 
 def run_solve(cfg: RunConfig) -> dict:
     """Mesh, refine, solve and extrapolate one domain; write spectrum + table."""
+    import concurrent.futures  # these on use: the analysis commands need none of them
+    from . import eigensolve, fem, meshing
     domain_cfg = load_domain_config(cfg.config_path)
     domain = domain_cfg.domain
     _make_out_dir(cfg.out_dir)
@@ -165,6 +166,7 @@ def _write_table(path, slices, extr, oracle) -> None:
 
 def _read_spectrum(cfg: RunConfig, spectrum_path) -> np.ndarray:
     # the trusted prefix (or every eigenvalue with --all), ascending
+    from . import eigensolve
     spec = eigensolve.read_spectrum_file(spectrum_path)
     eigs = spec.predicted if cfg.all_eigenvalues else spec.trusted_prefix()
     if len(eigs) == 0:
@@ -210,21 +212,11 @@ def run_gaps(cfg: RunConfig, spectrum_path=None, eigs=None) -> list[str]:
     base = os.path.join(cfg.out_dir, "gaps")
     files = list(analysis.write_gap_csvs(base, stats))
     if cfg.emit_svg:
-        svgplot.render_line_plot(
-            base + "_cdf.svg",
-            "count of differences <= x",
-            stats.cdf_x,
-            stats.cdf_y * len(stats.differences),
-            xlabel="x",
-        )
+        svgplot.render_line_plot(base + "_cdf.svg", "count of differences <= x", stats.cdf_x,
+                                 stats.cdf_y * len(stats.differences), xlabel="x")
         centers = stats.bin_edges[:-1] + 0.5 * stats.bin_width
-        svgplot.render_line_plot(
-            base + "_hist.svg",
-            "histogram of successive differences",
-            centers,
-            stats.bin_counts.astype(float),
-            xlabel="difference",
-        )
+        svgplot.render_line_plot(base + "_hist.svg", "histogram of successive differences",
+                                 centers, stats.bin_counts.astype(float), xlabel="difference")
         files += [base + "_cdf.svg", base + "_hist.svg"]
     return files
 
@@ -234,6 +226,7 @@ def run_exact_case(case: str, count: int, out_path) -> str:
     the output path, is checked before the oracle runs."""
     if case not in exact.ORACLE_CASES or count < 1:
         exact.oracle_spectrum(case, count)  # raises the OracleError naming the fault
+    from . import eigensolve
     try:
         open(out_path, "w").close()
         vals = exact.oracle_spectrum(case, count)
@@ -313,6 +306,7 @@ def _run_many(args, runner) -> None:
         for cfg in cfgs:
             runner(cfg)
         return
+    import concurrent.futures
     pool = concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs)
     futures = [pool.submit(runner, cfg) for cfg in cfgs]
     try:
@@ -381,7 +375,8 @@ def main(argv=None) -> int:
     except (ConfigError, exact.OracleError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
-    except (eigensolve.SolveError, GeometryError) as exc:  # MeshError is a GeometryError
+    except (GeometryError,  # MeshError too; a SolveError comes only from a loaded eigensolve
+            getattr(sys.modules.get(f"{__package__}.eigensolve"), "SolveError", ())) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return _EXIT_SOLVER
     except analysis.AnalysisError as exc:

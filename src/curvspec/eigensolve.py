@@ -21,11 +21,11 @@ estimate 4*pi*m/area. The inertia count at each edge fixes how many
 eigenvalues each window must return and certifies that none is missing, and
 the top edge's count covers every value below it.
 
-Importing cli loads no scipy: each module imports it in the functions that use
-it. A worker imports cli (the spawned main module), gets scipy.sparse when it
-unpickles its first problem, linalg at its first dense solve and sparse.linalg
-at its first factor, never spatial or special, and after every task hands the
-heap it freed to the OS.
+Importing cli loads no scipy, fem, meshing or this module, and this one loads
+multiprocessing at its pool's start. A worker imports cli (the spawned main
+module), this module, fem, meshing and scipy.sparse with its first task, linalg
+at its first dense solve and sparse.linalg at its first factor, never spatial or
+special, and after every task hands the heap it freed to the OS.
 
 Extrapolation fits the last three refinement values to x_n = x + c*r^n.
 """
@@ -35,17 +35,18 @@ from __future__ import annotations
 import concurrent.futures
 import ctypes
 import math
-import multiprocessing
-import multiprocessing.util
 import os
 import re
 import threading
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import textio
-from .fem import EigenProblem
+
+if TYPE_CHECKING:  # annotations only: reading or writing a spectrum file needs no fem
+    from .fem import EigenProblem
 
 _DENSE_LIMIT = 1200
 _WINDOW_EIGS = 37  # fewest eigenvalues per window: a solve has max(1, m // _WINDOW_EIGS)
@@ -342,6 +343,7 @@ def _window_pool():
     worker only when none is idle, so a solve starts no more than it uses."""
     global _POOL
     if _POOL is None:
+        import multiprocessing.util  # on use, with concurrent.futures.process below
         _POOL = concurrent.futures.ProcessPoolExecutor(
             len(os.sched_getaffinity(0)), mp_context=multiprocessing.get_context("spawn")
         )

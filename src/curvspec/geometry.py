@@ -88,6 +88,12 @@ def _check_bc(bc: str) -> str:
     return bc
 
 
+def _check_finite(arc, *names) -> None:
+    for name in names:
+        if not np.isfinite(value := getattr(arc, name)).all():
+            raise GeometryError(f"{type(arc).__name__} {name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class LineSegment:
     p0: tuple[float, float]
@@ -96,6 +102,7 @@ class LineSegment:
 
     def __post_init__(self):
         _check_bc(self.bc)
+        _check_finite(self, "p0", "p1")
         if self.chord_length() == 0.0:
             raise GeometryError(f"degenerate segment at {self.p0}")
 
@@ -132,6 +139,7 @@ class CircleArc:
 
     def __post_init__(self):
         _check_bc(self.bc)
+        _check_finite(self, "center", "radius", "phi0", "phi1")
         if not self.radius > 0.0:
             raise GeometryError(f"circle arc radius must be positive, got {self.radius}")
         span = self.phi1 - self.phi0

@@ -172,6 +172,20 @@ def test_graph_series_validation():
         analysis.graph_series(np.array([1.0, 2.0]), params, SpaceForm.EUCLIDEAN, samples=8)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_grid_with_breakpoints_is_np_unique_bit_for_bit(seed):
+    # repeated values, both signed zeros and breaks outside (lo, hi], and a nan upper end
+    rng = np.random.default_rng(seed)
+    pool = np.concatenate([[0.0, -0.0], rng.uniform(-3.0, 3.0, 20), np.linspace(-2.0, 2.0, 9)])
+    breaks = rng.choice(pool, size=int(rng.integers(0, 400)))
+    samples = int(rng.integers(1, 100))
+    for lo, hi in [(-2.0, 2.0), (-1.5, 0.0), (0.0, 2.0), (-1.0, math.nan)]:
+        inside = breaks[(breaks > lo) & (breaks <= hi)]
+        want = np.unique(np.concatenate([np.linspace(lo, hi, samples + 1)[1:], inside]))
+        got = analysis._grid_with_breakpoints(lo, hi, samples, breaks)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def _cdf(stats, x):
     # the step function that cdf_x and cdf_y tabulate: fraction of differences <= x
     i = np.searchsorted(stats.cdf_x, x, side="right")

@@ -553,21 +553,47 @@ def test_run_analyze_reads_out_dir_spectrum_by_default(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# scipy loads where a command first needs it, never at import
+# scipy and the solver modules load where a command first needs them, never at import
+
+
+_ON_USE = ("urllib.request", "curvspec.eigensolve", "curvspec.fem", "curvspec.meshing",
+           "multiprocessing", "numpy.ma")
 
 
 def _modules_after(code) -> set:
-    """The scipy* and urllib.request modules a fresh interpreter holds after code."""
+    """The scipy* and _ON_USE modules a fresh interpreter holds after code."""
     src = os.path.normpath(os.path.join(CONFIG_DIR, "..", "src"))
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    report = "\nprint(*(m for m in sys.modules if m.split('.')[0] == 'scipy' or m == 'urllib.request'))"
+    report = f"\nprint(*(m for m in sys.modules if m.split('.')[0] == 'scipy' or m in {_ON_USE}))"
     out = subprocess.run([sys.executable, "-c", "import sys\n" + code + report], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     return set(out.stdout.split())
 
 
+@pytest.mark.parametrize("argv, code, error", [
+    (["gaps", "--spectrum", "{bad}", "--out", "{out}"], 3, "solver error: {bad}:1: "),
+    (["solve", "--config", _cfg("region_between_triangles.yaml"), "--out", "{out}",
+      "--refinements", "2", "--quiet"], 3, "solver error: refinement level 0, the third-finest"),
+    (["analyze", "--use-oracle", "--config", _cfg("region_between_triangles.yaml"),
+      "--out", "{out}"], 2, "configuration error: key 'oracle': required"),
+], ids=["gaps", "solve", "analyze"])
+def test_exit_codes_from_a_fresh_interpreter(tmp_path, argv, code, error):
+    # the in-process tests have eigensolve loaded already; here each error path
+    # must import what it raises from
+    bad = tmp_path / "bad.csv"
+    bad.write_text("index,level_a,predicted,ratio,trusted\n1,2.0,2.0,0.1,1\n")
+    paths = {"bad": str(bad), "out": str(tmp_path / "o")}
+    src = os.path.normpath(os.path.join(CONFIG_DIR, "..", "src"))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-m", "curvspec.cli", *(a.format(**paths) for a in argv)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == code, out.stderr
+    assert out.stderr.startswith(error.format(**paths)) and "Traceback" not in out.stderr
+
+
 def test_cli_import_and_every_config_load_no_scipy():
+    # nor any solver module, multiprocessing or numpy.ma: commands load them on use
     code = f"""
 import glob
 import curvspec.cli
@@ -605,7 +631,9 @@ assert curvspec.textio._tables.cache_info().currsize == 0
 @pytest.mark.parametrize("name, bessel", [("equilateral_dirichlet", False),
                                           ("unit_disc_dirichlet", True)])
 def test_oracle_analyze_loads_no_solver_scipy(tmp_path, name, bessel):
-    # no oracle loads any scipy module: Bessel zeros are computed in numpy
+    # no oracle loads any scipy module: Bessel zeros are computed in numpy; the
+    # analysis loads no solver module, multiprocessing or numpy.ma, and exact and
+    # gaps load eigensolve alone, for the spectrum file
     code = f"""
 from curvspec import cli
 assert cli.main(["analyze", "--use-oracle", "--num-eigs", "50", "--quiet",
@@ -615,5 +643,7 @@ assert cli.main(["analyze", "--use-oracle", "--num-eigs", "50", "--quiet",
         code += f"""
 assert cli.main(["exact", "--case", "disc-n", "--count", "4000",
                  "--out", {str(tmp_path / "disc_n.csv")!r}]) == 0
+assert cli.main(["gaps", "--spectrum", {str(tmp_path / "disc_n.csv")!r}, "--quiet",
+                 "--out", {str(tmp_path / "gaps")!r}]) == 0
 """
-    assert _modules_after(code) == set()
+    assert _modules_after(code) == ({"curvspec.eigensolve"} if bessel else set())

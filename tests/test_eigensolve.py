@@ -842,10 +842,12 @@ print(",".join(m for m in ("scipy.integrate", "scipy.optimize") if m in sys.modu
     assert out.stdout.split() == ["none", "none"]
 
 
-def test_oracle_analyze_imports_neither_integrate_nor_optimize(tmp_path):
-    # loading a config and the oracle run need neither module (0.25 s and
-    # 20 MB per process together); the spherical triangle's constants take
-    # boundary quadrature, the disc's do not
+def test_oracle_analyze_imports_only_what_it_runs(tmp_path):
+    # loading a config and the oracle run need neither scipy.integrate nor
+    # scipy.optimize (0.25 s and 20 MB per process together; the spherical
+    # triangle's constants take boundary quadrature, the disc's do not), no
+    # solver module, no multiprocessing or concurrent.futures (0.6 MB with the
+    # logging it imports) and no numpy.ma (1 MB, which a plain np.unique imports)
     script = f"""
 import sys
 from curvspec import cli
@@ -853,7 +855,9 @@ assert cli.main(["analyze", "--use-oracle", "--num-eigs", "200", "--samples", "1
                  "--config", {os.path.join(CONFIG_DIR, "unit_disc_dirichlet.yaml")!r},
                  "--config", {os.path.join(CONFIG_DIR, "spherical_right_triangle.yaml")!r},
                  "--out", {str(tmp_path / "a")!r}]) == 0
-print(",".join(m for m in ("scipy.integrate", "scipy.optimize") if m in sys.modules) or "none")
+unused = ("scipy.integrate", "scipy.optimize", "curvspec.eigensolve", "curvspec.fem",
+          "curvspec.meshing", "multiprocessing", "concurrent.futures", "numpy.ma")
+print(",".join(m for m in unused if m in sys.modules) or "none")
 """
     env = dict(os.environ, PYTHONPATH=SRC_DIR + os.pathsep + os.environ.get("PYTHONPATH", ""))
     out = subprocess.run(

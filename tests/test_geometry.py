@@ -27,6 +27,27 @@ def test_corner_phi_domain_error():
         geo.corner_phi(-1.0)
 
 
+_ARCS = {
+    "LineSegment": (geo.LineSegment, {"p0": (0.0, 0.0), "p1": (1.0, 0.0)}),
+    "CircleArc": (geo.CircleArc, {"center": (0.0, 0.0), "radius": 1.0, "phi0": 0.0, "phi1": 1.0}),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("kind, field, index", [
+    ("LineSegment", "p0", 0), ("LineSegment", "p0", 1), ("LineSegment", "p1", 0),
+    ("LineSegment", "p1", 1), ("CircleArc", "center", 0), ("CircleArc", "center", 1),
+    ("CircleArc", "radius", None), ("CircleArc", "phi0", None), ("CircleArc", "phi1", None),
+])
+def test_non_finite_arc_field_is_rejected_naming_it(kind, field, index, bad):
+    cls, fields = _ARCS[kind]
+    cls(**fields)  # the finite arc builds
+    value = bad if index is None else tuple(bad if i == index else v
+                                            for i, v in enumerate(fields[field]))
+    with pytest.raises(geo.GeometryError, match=f"^{kind} {field} must be finite, got "):
+        cls(**{**fields, field: value})
+
+
 def test_corner_phi_inversion_symmetry():
     # phi(theta) = -phi(pi^2 / theta)
     rng = np.random.default_rng(42)
