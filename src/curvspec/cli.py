@@ -79,6 +79,7 @@ def run_solve(cfg: RunConfig) -> dict:
     """Mesh, refine, solve and extrapolate one domain; write spectrum + table."""
     import concurrent.futures  # these on use: the analysis commands need none of them
     from . import eigensolve, fem, meshing
+    eigensolve.start_pool()  # its workers import their solver modules while this meshes
     domain_cfg = load_domain_config(cfg.config_path)
     domain = domain_cfg.domain
     _make_out_dir(cfg.out_dir)

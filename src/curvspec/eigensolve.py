@@ -15,16 +15,18 @@ the windows with partial pivoting.
 
 A sparse solve of m values is split into max(1, m // _WINDOW_EIGS) windows
 [lo, hi) (spectrum slicing), the first from 0, each shifted to its centre and
-solved from a fixed start vector. The edges sit in gaps of the guide, the
-previous level's eigenvalues; without one, a lone top edge starts at Weyl's
+solved from a fixed start vector with a Krylov basis of k + max(16, k // 4)
+vectors for its k values, largest k first. The edges sit in gaps of the guide,
+the previous level's eigenvalues; without one, a lone top edge starts at Weyl's
 estimate 4*pi*m/area. The inertia count at each edge fixes how many
 eigenvalues each window must return and certifies that none is missing, and
 the top edge's count covers every value below it.
 
 Importing cli loads no scipy, fem, meshing or this module, and this one loads
 multiprocessing at its pool's start. A worker imports cli (the spawned main
-module), this module, fem, meshing and scipy.sparse with its first task, linalg
-at its first dense solve and sparse.linalg at its first factor, never spatial or
+module), this module, fem, meshing, scipy.sparse and sparse.linalg as it starts,
+all at once before solve and report mesh (start_pool), or else with its first
+task and first factor; linalg at its first dense solve, never spatial or
 special, and after every task hands the heap it freed to the OS.
 
 Extrapolation fits the last three refinement values to x_n = x + c*r^n.
@@ -206,7 +208,7 @@ def _solve_window(problem: EigenProblem, k: int, shift: float, seed: int, tol: f
     import scipy.sparse.linalg as spla
     n = problem.dimension
     v0 = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
-    ncv = min(max(2 * k + 1, 20), n)  # eigsh's default subspace size
+    ncv = min(n, max(20, k + max(16, k // 4)))  # eigsh's 2k + 1: more memory, no faster
     try:
         # inside the spectrum K - shift*M is indefinite, and _factor's unpivoted L D L^T
         # grows its pivots (solve backward error ~1e-15 against ~1e-18) until the residuals
@@ -291,7 +293,10 @@ def _solve_windows(problem: EigenProblem, m: int, tol: float, edges):
     # edges sit in gaps, so a window's eigenvalues are the ones nearest its centre
     tasks = [(problem, int(k), 0.5 * (lo + hi), _SEED + i, tol)
              for i, (k, lo, hi) in enumerate(zip(np.diff(counts), edges, edges[1:])) if k > 0]
-    results = _map(_solve_window, tasks)
+    # largest first, so the slowest window does not start last; each keeps its seed
+    order = sorted(range(len(tasks)), key=lambda i: -tasks[i][1])
+    done = dict(zip(order, _map(_solve_window, [tasks[i] for i in order])))
+    results = [done[i] for i in range(len(tasks))]
     vals = np.concatenate([r[0] for r in results])
     res = np.concatenate([r[1] for r in results])
     # ascending when each window returned its own values; the inertia check
@@ -300,10 +305,11 @@ def _solve_windows(problem: EigenProblem, m: int, tol: float, edges):
     return vals[order], res[order], list(zip(edges[1:], counts[1:]))
 
 
-def _map(fn, tasks) -> list:
-    """fn(*task) for each task, in order, on the window pool. _LOCK covers the
-    pool's start, its workers' BLAS environment and the submits, not the wait:
-    the windows of solves on several threads queue on the same workers."""
+def _map(fn, tasks, wait: bool = True) -> list:
+    """fn(*task) for each task, in order, on the window pool (without wait, their
+    futures). _LOCK covers the pool's start, its workers' BLAS environment and
+    the submits, not the wait: the windows of solves on several threads queue
+    on the same workers."""
     try:
         with _LOCK:
             pool = _window_pool()
@@ -317,7 +323,7 @@ def _map(fn, tasks) -> list:
                         os.environ.pop(var, None)
                     else:
                         os.environ[var] = value
-        return [f.result() for f in futures]
+        return [f.result() for f in futures] if wait else futures
     except concurrent.futures.BrokenExecutor:
         _close_pool(pool)
         raise SolveError(
@@ -340,7 +346,8 @@ def _task(fn, *args):
 def _window_pool():
     """The spawned window pool, one worker per usable core, created at first
     use and shut down at exit; the caller holds _LOCK. A submit starts a
-    worker only when none is idle, so a solve starts no more than it uses."""
+    worker only when none is idle, so a pool that a solve creates starts no
+    more workers than it uses; start_pool starts them all."""
     global _POOL
     if _POOL is None:
         import multiprocessing.util  # on use, with concurrent.futures.process below
@@ -352,6 +359,20 @@ def _window_pool():
         # join, highest priority first, and the pool's queues close at 10
         multiprocessing.util.Finalize(None, _close_pool, exitpriority=100)
     return _POOL
+
+
+def start_pool() -> None:
+    """Create the window pool with every worker started, each importing what a
+    sparse window needs, so that no solve waits for one; solve and report call
+    this before they mesh. Once the pool exists this does nothing; threads that
+    both find none both submit, and the pool caps the workers they start."""
+    if _POOL is None:  # one task a worker, all submitted before any worker is idle
+        _map(_import_solver, [()] * len(os.sched_getaffinity(0)), wait=False)
+
+
+def _import_solver() -> None:
+    import scipy.sparse.linalg  # noqa: F401
+    from . import fem  # noqa: F401
 
 
 def _close_pool(pool=None) -> None:
@@ -535,6 +556,9 @@ def read_spectrum_file(path) -> SpectrumFile:
     bad = [c for c in header[1:-3] if not re.fullmatch(r"level_\d+", c)]
     if bad:
         raise SolveError(f"{path}:1: bad level column {bad[0]!r}")
+    rows = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if rows.size:  # a nan or inf would reach the analysis, which writes before it fails
+        raise SolveError(f"{path}: row {rows[0] + 1} holds a non-finite value")
     return SpectrumFile(
         level_ids=[int(c[6:]) for c in header[1:-3]],
         levels=list(data[:, 1:-3].T),

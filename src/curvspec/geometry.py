@@ -324,15 +324,19 @@ def _signed_area(poly: np.ndarray) -> float:
 
 
 def _points_in_poly(poly: np.ndarray, pts) -> np.ndarray:
-    """Crossing-number test: which of the points (rows of `pts`) lie inside `poly`."""
+    """Crossing-number test: which of the points (rows of `pts`) lie inside `poly`;
+    only those in its bounding box are tested, the others lie outside."""
     pts = np.asarray(pts, dtype=float).reshape(-1, 2)
-    x, y = pts[:, :1], pts[:, 1:]
+    inside = np.zeros(len(pts), dtype=bool)
+    box = np.flatnonzero(((pts >= poly.min(axis=0)) & (pts <= poly.max(axis=0))).all(axis=1))
+    x, y = pts[box, :1], pts[box, 1:]
     px, py = poly[:, 0], poly[:, 1]
     qx, qy = np.roll(px, -1), np.roll(py, -1)
     cond = (py > y) != (qy > y)
     with np.errstate(all="ignore"):  # lanes that cond drops may divide by ~0
         xint = px + (y - py) * (qx - px) / (qy - py)
-    return np.count_nonzero(cond & (x < xint), axis=1) % 2 == 1
+    inside[box] = np.count_nonzero(cond & (x < xint), axis=1) % 2 == 1
+    return inside
 
 
 def _near_segment(pts, start, dx, dy, eps) -> np.ndarray:

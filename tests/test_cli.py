@@ -513,6 +513,58 @@ def test_analyze_without_a_prior_solve_exits_3(tmp_path, capsys):
     assert err.startswith("solver error: cannot read spectrum file ") and "spectrum.csv" in err
 
 
+def _spectrum_with(tmp_path, value):
+    # three rows, the second's prediction replaced by value
+    path = tmp_path / "s.csv"
+    path.write_text(f"index,predicted,ratio,trusted\n1,1.0,0,1\n2,{value},0,1\n3,4.0,0,1\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_gaps_on_a_non_finite_spectrum_exits_3_writing_nothing(tmp_path, capsys, value):
+    out = tmp_path / "g"
+    rc = main(["gaps", "--spectrum", _spectrum_with(tmp_path, value), "--out", str(out),
+               "--all", "--quiet"])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        f"solver error: {tmp_path / 's.csv'}: row 2 holds a non-finite value\n")
+    assert os.listdir(out) == []
+
+
+def test_analyze_all_on_a_non_finite_spectrum_exits_3_writing_nothing(tmp_path, capsys):
+    out = tmp_path / "a"
+    argv = ["analyze", "--config", _cfg("unit_disc_dirichlet.yaml"), "--out", str(out),
+            "--spectrum", _spectrum_with(tmp_path, "nan"), "--all", "--samples", "128", "--quiet"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == (
+        f"solver error: {tmp_path / 's.csv'}: row 2 holds a non-finite value\n")
+    assert os.listdir(out) == []
+
+
+def test_solve_starts_every_window_worker_before_it_meshes(tmp_path, monkeypatch):
+    eigensolve._close_pool()
+    real, seen = meshing.triangulate, []
+
+    def triangulate(*args, **kwargs):
+        pool = eigensolve._POOL
+        seen.append(pool and (pool._max_workers, len(pool._processes)))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(meshing, "triangulate", triangulate)
+    cfg = RunConfig(config_path=_cfg("right_isosceles_dirichlet.yaml"), out_dir=str(tmp_path),
+                    refinements=2, num_eigs=4, quiet=True)
+    try:
+        run_solve(cfg)
+        workers = dict(eigensolve._POOL._processes)
+        eigensolve.start_pool()  # a started pool spawns no more
+        assert eigensolve._map(os.getpid, [()]) != [os.getpid()]
+        assert eigensolve._POOL._processes == workers
+    finally:
+        eigensolve._close_pool()
+    cores = len(os.sched_getaffinity(0))
+    assert seen == [(cores, cores)]
+
+
 def test_analyze_jobs_gives_identical_outputs(tmp_path, monkeypatch):
     pools = []
 

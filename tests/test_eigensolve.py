@@ -277,7 +277,7 @@ def test_no_convergence_retries_with_doubled_ncv(disc_above_dense, in_process, m
     monkeypatch.setattr(spla, "splu", counting_splu)
     # the guide's top edge lies between the 6th and 7th values: one window of 6
     sl = eigensolve.solve_lowest(problem, 6, guide=dense[:6] * 1.001)
-    assert ncvs == [20, 40]
+    assert ncvs == [22, 44]
     assert len(window_factors) == 1  # the retry reuses the window's factor
     np.testing.assert_allclose(sl.eigenvalues, dense[:6], rtol=1e-10)
 
@@ -293,7 +293,7 @@ def test_no_convergence_on_every_attempt_attaches_partial(disc_above_dense, in_p
     monkeypatch.setattr(spla, "eigsh", stuck)
     with pytest.raises(eigensolve.SolveError, match="2/6") as info:
         eigensolve.solve_lowest(problem, 6, guide=dense[:6] * 1.001)
-    assert ncvs == [20, 40, 80]
+    assert ncvs == [22, 44, 88]
     assert info.value.partial.eigenvalues.tolist() == [5.0, 9.0]
 
 
@@ -560,6 +560,63 @@ def test_windows_with_and_without_points_match_dense(disc_above_dense, in_proces
         np.testing.assert_allclose(sl.eigenvalues, dense[:80], rtol=1e-10)
 
 
+@pytest.mark.parametrize("m, ncv", [(6, 22), (36, 52), (68, 85), (72, 90)])
+def test_window_basis_is_k_plus_max_16_or_a_quarter(in_process, monkeypatch, m, ncv):
+    # one window of m values (m < 2 * _WINDOW_EIGS): k + 16 up to k = 67, k + k // 4 above
+    diag = _ladder(eigensolve._DENSE_LIMIT + 200)
+    exact_eigsh, asked = _exact_diagonal_eigsh(diag), []
+
+    def eigsh(*args, k, **kwargs):
+        asked.append((k, kwargs["ncv"]))
+        return exact_eigsh(*args, k=k, **kwargs)
+
+    monkeypatch.setattr(spla, "eigsh", eigsh)
+    sl = eigensolve.solve_lowest(_diagonal_problem(diag), m, guide=diag[:m])
+    assert asked == [(m, ncv)]
+    assert sl.eigenvalues.tolist() == diag[:m].tolist()
+
+
+def test_single_150_value_window_matches_dense(disc_above_dense, in_process, monkeypatch):
+    # without a guide one window from Weyl's edge holds all of them, at least
+    # 150 values and a basis of k + k // 4
+    problem, dense = disc_above_dense
+    real, asked = spla.eigsh, []
+
+    def eigsh(*args, k, ncv, **kwargs):
+        asked.append((k, ncv))
+        return real(*args, k=k, ncv=ncv, **kwargs)
+
+    monkeypatch.setattr(spla, "eigsh", eigsh)
+    sl = eigensolve.solve_lowest(problem, 150)
+    [(k, ncv)] = asked
+    assert k >= 150 and ncv == k + k // 4
+    np.testing.assert_allclose(sl.eigenvalues, dense[:150], rtol=1e-10)
+
+
+def test_windows_go_largest_first_and_merge_in_window_order(disc_above_dense, monkeypatch):
+    problem, dense = disc_above_dense
+    sent = []
+
+    def recording_map(fn, tasks):
+        if fn is eigensolve._solve_window:
+            sent.extend(tasks)
+        return _in_process_map(fn, tasks)
+
+    monkeypatch.setattr(eigensolve, "_map", recording_map)
+    m = 150
+    sl = eigensolve.solve_lowest(problem, m, guide=dense[:m] * 1.001)
+    ks, seeds = [t[1] for t in sent], [t[3] for t in sent]
+    assert ks == sorted(ks, reverse=True) and seeds != sorted(seeds)
+    # in-order dispatch: each window solved on its own, in window (seed) order
+    in_order = [eigensolve._solve_window(*t) for t in sorted(sent, key=lambda t: t[3])]
+    vals = np.concatenate([v for v, _ in in_order])
+    res = np.concatenate([r for _, r in in_order])
+    assert np.all(np.diff(vals) > 0)
+    assert sl.eigenvalues.tobytes() == vals[:m].tobytes()
+    assert sl.residual_norms.tobytes() == res[:m].tobytes()
+    np.testing.assert_allclose(sl.eigenvalues, dense[:m], rtol=1e-10)
+
+
 def test_dead_window_worker_names_the_main_guard(monkeypatch):
     class BrokenPool:
         def submit(self, fn, *args):
@@ -731,12 +788,10 @@ def test_foreign_value_in_a_window_leaves_an_ascending_partial(in_process, monke
     m = 80
     diag = _ladder(eigensolve._DENSE_LIMIT + 100)
     exact = _exact_diagonal_eigsh(diag)
-    calls = []
 
     def foreign(*args, **kwargs):
         vals, vecs = exact(*args, **kwargs)
-        calls.append(kwargs["sigma"])
-        if len(calls) == 2:  # the second window swaps its lowest value for the spectrum's
+        if vals[0] > diag[0]:  # the second window swaps its lowest value for the spectrum's
             vals[0], vecs[:, 0] = diag[0], np.eye(len(diag))[:, 0]
         return vals, vecs
 
