@@ -79,10 +79,10 @@ def run_solve(cfg: RunConfig) -> dict:
     """Mesh, refine, solve and extrapolate one domain; write spectrum + table."""
     import concurrent.futures  # these on use: the analysis commands need none of them
     from . import eigensolve, fem, meshing
-    eigensolve.start_pool()  # its workers import their solver modules while this meshes
     domain_cfg = load_domain_config(cfg.config_path)
     domain = domain_cfg.domain
     _make_out_dir(cfg.out_dir)
+    eigensolve.start_pool(cfg.num_eigs)  # workers import their solver modules while this meshes
 
     target_h = cfg.target_h if cfg.target_h is not None else domain_cfg.target_h
     t0 = time.time()

@@ -16,18 +16,19 @@ the windows with partial pivoting.
 A sparse solve of m values is split into max(1, m // _WINDOW_EIGS) windows
 [lo, hi) (spectrum slicing), the first from 0, each shifted to its centre and
 solved from a fixed start vector with a Krylov basis of k + max(16, k // 4)
-vectors for its k values, largest k first. The edges sit in gaps of the guide,
-the previous level's eigenvalues; without one, a lone top edge starts at Weyl's
-estimate 4*pi*m/area. The inertia count at each edge fixes how many
+vectors for its k values. The edges sit in gaps of the guide, the previous
+level's eigenvalues; without one, a lone top edge starts at Weyl's estimate
+4*pi*m/area. The inertia count at each edge fixes how many
 eigenvalues each window must return and certifies that none is missing, and
 the top edge's count covers every value below it.
 
 Importing cli loads no scipy, fem, meshing or this module, and this one loads
 multiprocessing at its pool's start. A worker imports cli (the spawned main
 module), this module, fem, meshing, scipy.sparse and sparse.linalg as it starts,
-all at once before solve and report mesh (start_pool), or else with its first
-task and first factor; linalg at its first dense solve, never spatial or
-special, and after every task hands the heap it freed to the OS.
+when solve and report start one worker per window before they mesh
+(start_pool), or else with its first task and first factor; linalg at its
+first dense solve, never spatial or special, and after every task hands the
+heap it freed to the OS.
 
 Extrapolation fits the last three refinement values to x_n = x + c*r^n.
 """
@@ -293,10 +294,7 @@ def _solve_windows(problem: EigenProblem, m: int, tol: float, edges):
     # edges sit in gaps, so a window's eigenvalues are the ones nearest its centre
     tasks = [(problem, int(k), 0.5 * (lo + hi), _SEED + i, tol)
              for i, (k, lo, hi) in enumerate(zip(np.diff(counts), edges, edges[1:])) if k > 0]
-    # largest first, so the slowest window does not start last; each keeps its seed
-    order = sorted(range(len(tasks)), key=lambda i: -tasks[i][1])
-    done = dict(zip(order, _map(_solve_window, [tasks[i] for i in order])))
-    results = [done[i] for i in range(len(tasks))]
+    results = _map(_solve_window, tasks)
     vals = np.concatenate([r[0] for r in results])
     res = np.concatenate([r[1] for r in results])
     # ascending when each window returned its own values; the inertia check
@@ -347,7 +345,7 @@ def _window_pool():
     """The spawned window pool, one worker per usable core, created at first
     use and shut down at exit; the caller holds _LOCK. A submit starts a
     worker only when none is idle, so a pool that a solve creates starts no
-    more workers than it uses; start_pool starts them all."""
+    more workers than it uses; start_pool starts those a sparse solve uses."""
     global _POOL
     if _POOL is None:
         import multiprocessing.util  # on use, with concurrent.futures.process below
@@ -361,13 +359,15 @@ def _window_pool():
     return _POOL
 
 
-def start_pool() -> None:
-    """Create the window pool with every worker started, each importing what a
-    sparse window needs, so that no solve waits for one; solve and report call
-    this before they mesh. Once the pool exists this does nothing; threads that
-    both find none both submit, and the pool caps the workers they start."""
+def start_pool(m: int) -> None:
+    """Create the window pool with as many workers started as a sparse solve of
+    m values has windows (at most one per core), each importing what a window
+    needs, so that no such solve waits for one; solve and report call this
+    before they mesh. Once the pool exists this does nothing; threads that both
+    find none both submit, and the pool caps the workers they start."""
     if _POOL is None:  # one task a worker, all submitted before any worker is idle
-        _map(_import_solver, [()] * len(os.sched_getaffinity(0)), wait=False)
+        workers = min(len(os.sched_getaffinity(0)), max(1, m // _WINDOW_EIGS))
+        _map(_import_solver, [()] * workers, wait=False)
 
 
 def _import_solver() -> None:

@@ -541,7 +541,24 @@ def test_analyze_all_on_a_non_finite_spectrum_exits_3_writing_nothing(tmp_path, 
     assert os.listdir(out) == []
 
 
-def test_solve_starts_every_window_worker_before_it_meshes(tmp_path, monkeypatch):
+@pytest.mark.parametrize("reject", ["config", "out"])
+def test_rejected_solve_starts_no_window_pool(tmp_path, capsys, reject):
+    eigensolve._close_pool()
+    config, out = tmp_path / "bad.yaml", tmp_path / "o"
+    config.write_text("space: euclidean\nshape: disc\nradius: -1\n")
+    if reject == "out":
+        config, out = _cfg("unit_disc_dirichlet.yaml"), tmp_path / "file" / "o"
+        out.parent.write_text("")
+    assert main(["solve", "--config", str(config), "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
+    assert eigensolve._POOL is None
+
+
+@pytest.mark.parametrize("cores, num_eigs, started", [(8, 80, 2), (1, 80, 1), (8, 4, 1)])
+def test_solve_starts_a_worker_per_window_before_it_meshes(
+    tmp_path, monkeypatch, cores, num_eigs, started
+):
+    # as many workers as a sparse level of num_eigs values has windows, at most one per core
     eigensolve._close_pool()
     real, seen = meshing.triangulate, []
 
@@ -551,18 +568,18 @@ def test_solve_starts_every_window_worker_before_it_meshes(tmp_path, monkeypatch
         return real(*args, **kwargs)
 
     monkeypatch.setattr(meshing, "triangulate", triangulate)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
     cfg = RunConfig(config_path=_cfg("right_isosceles_dirichlet.yaml"), out_dir=str(tmp_path),
-                    refinements=2, num_eigs=4, quiet=True)
+                    refinements=2, num_eigs=num_eigs, quiet=True)
     try:
         run_solve(cfg)
         workers = dict(eigensolve._POOL._processes)
-        eigensolve.start_pool()  # a started pool spawns no more
+        eigensolve.start_pool(num_eigs)  # a started pool spawns no more
         assert eigensolve._map(os.getpid, [()]) != [os.getpid()]
         assert eigensolve._POOL._processes == workers
     finally:
         eigensolve._close_pool()
-    cores = len(os.sched_getaffinity(0))
-    assert seen == [(cores, cores)]
+    assert seen == [(cores, started)]
 
 
 def test_analyze_jobs_gives_identical_outputs(tmp_path, monkeypatch):

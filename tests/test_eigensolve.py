@@ -593,30 +593,6 @@ def test_single_150_value_window_matches_dense(disc_above_dense, in_process, mon
     np.testing.assert_allclose(sl.eigenvalues, dense[:150], rtol=1e-10)
 
 
-def test_windows_go_largest_first_and_merge_in_window_order(disc_above_dense, monkeypatch):
-    problem, dense = disc_above_dense
-    sent = []
-
-    def recording_map(fn, tasks):
-        if fn is eigensolve._solve_window:
-            sent.extend(tasks)
-        return _in_process_map(fn, tasks)
-
-    monkeypatch.setattr(eigensolve, "_map", recording_map)
-    m = 150
-    sl = eigensolve.solve_lowest(problem, m, guide=dense[:m] * 1.001)
-    ks, seeds = [t[1] for t in sent], [t[3] for t in sent]
-    assert ks == sorted(ks, reverse=True) and seeds != sorted(seeds)
-    # in-order dispatch: each window solved on its own, in window (seed) order
-    in_order = [eigensolve._solve_window(*t) for t in sorted(sent, key=lambda t: t[3])]
-    vals = np.concatenate([v for v, _ in in_order])
-    res = np.concatenate([r for _, r in in_order])
-    assert np.all(np.diff(vals) > 0)
-    assert sl.eigenvalues.tobytes() == vals[:m].tobytes()
-    assert sl.residual_norms.tobytes() == res[:m].tobytes()
-    np.testing.assert_allclose(sl.eigenvalues, dense[:m], rtol=1e-10)
-
-
 def test_dead_window_worker_names_the_main_guard(monkeypatch):
     class BrokenPool:
         def submit(self, fn, *args):
@@ -788,10 +764,12 @@ def test_foreign_value_in_a_window_leaves_an_ascending_partial(in_process, monke
     m = 80
     diag = _ladder(eigensolve._DENSE_LIMIT + 100)
     exact = _exact_diagonal_eigsh(diag)
+    calls = []
 
     def foreign(*args, **kwargs):
         vals, vecs = exact(*args, **kwargs)
-        if vals[0] > diag[0]:  # the second window swaps its lowest value for the spectrum's
+        calls.append(kwargs["sigma"])
+        if len(calls) == 2:  # the second window swaps its lowest value for the spectrum's
             vals[0], vecs[:, 0] = diag[0], np.eye(len(diag))[:, 0]
         return vals, vecs
 
