@@ -30,6 +30,11 @@ when solve and report start one worker per window before they mesh
 first dense solve, never spatial or special, and after every task hands the
 heap it freed to the OS.
 
+A window holds one factor-sized object at a time beside the worker and its
+input: it frees its factor before ARPACK's Ritz vectors exist (_eigsh) and
+takes its residuals a few columns at a time. A count gets K - e*M alone; its
+factor plus the L and U copies made to read diag(U) are its floor.
+
 Extrapolation fits the last three refinement values to x_n = x + c*r^n.
 """
 
@@ -53,6 +58,7 @@ if TYPE_CHECKING:  # annotations only: reading or writing a spectrum file needs 
 
 _DENSE_LIMIT = 1200
 _WINDOW_EIGS = 37  # fewest eigenvalues per window: a solve has max(1, m // _WINDOW_EIGS)
+_RESIDUAL_COLS = 4  # columns per block of _residuals
 _LEAF = 16  # nested dissection leaves parts of at most this many nodes whole
 _SEED = 7151  # window i starts ARPACK from the uniform v0 of seed _SEED + i
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
@@ -107,9 +113,18 @@ class ExtrapolatedSpectrum:
 
 
 def _residuals(problem: EigenProblem, vals, vecs) -> np.ndarray:
-    kv = problem.stiffness @ vecs
-    mv = problem.mass @ vecs
-    return np.linalg.norm(kv - mv * vals, axis=0) / np.linalg.norm(mv, axis=0)
+    """||K v - lambda M v|| / ||M v|| of each pair, _RESIDUAL_COLS columns at a
+    time. No block has one column unless vecs does: numpy sums a column on its
+    own pairwise, and two or more row by row, as it sums the whole block."""
+    k = len(vals)
+    cuts = [0, *range(_RESIDUAL_COLS, k - 1, _RESIDUAL_COLS), k]
+    res = np.empty(k)
+    for lo, hi in zip(cuts, cuts[1:]):
+        v = vecs[:, lo:hi]
+        kv, mv = problem.stiffness @ v, problem.mass @ v
+        kv -= mv * vals[lo:hi]
+        res[lo:hi] = np.linalg.norm(kv, axis=0) / np.linalg.norm(mv, axis=0)
+    return res
 
 
 def _nested_dissection(points, graph) -> np.ndarray:
@@ -169,20 +184,15 @@ def _ordered(problem: EigenProblem) -> EigenProblem:
                    points=None)
 
 
-def _factor(problem: EigenProblem, sigma: float):
-    """Sparse LU of K - sigma*M in the problem's order with diagonal pivots:
-    with perm_r == perm_c it is L D L^T, D = diag(U), so the negative entries of
-    diag(U) count the eigenvalues below sigma (Sylvester inertia)."""
+def _count_below(shifted, shift: float) -> int:
+    """Number of eigenvalues below shift, by Sylvester inertia of shifted, the
+    CSC matrix K - shift*M. Its sparse LU in the given order with diagonal
+    pivots is, with perm_r == perm_c, L D L^T with D = diag(U), so the
+    negative entries of diag(U) count the eigenvalues below shift."""
     import scipy.sparse.linalg as spla  # on use, like every scipy import here
-    a = (problem.stiffness - sigma * problem.mass).tocsc()
-    opts = {"SymmetricMode": True}
-    return spla.splu(a, permc_spec="NATURAL", diag_pivot_thresh=0.0, options=opts)
-
-
-def _count_below(problem: EigenProblem, shift: float) -> int:
-    """Number of eigenvalues below shift, by Sylvester inertia."""
     try:
-        lu = _factor(problem, shift)
+        lu = spla.splu(shifted, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
     except RuntimeError:
         raise SolveError(f"inertia factorization failed at shift {shift:.6g}") from None
     if not np.array_equal(lu.perm_r, lu.perm_c):
@@ -198,6 +208,24 @@ def _solve_dense(problem: EigenProblem, m: int):
     return vals, _residuals(problem, vals, vecs)
 
 
+def _eigsh(mass, *, k, sigma, v0, ncv, tol, opinv):
+    """spla.eigsh(K, k, M=mass, sigma=sigma, v0=v0, ncv=ncv, tol=tol, OPinv=op)
+    with the same bits, op's matvec being opinv[0], the solve of K - sigma*M.
+
+    It iterates the driver object eigsh builds (ARPACK's reverse communication
+    leaves the operator to the caller) and, once that converges, empties opinv
+    and drops the driver's hold on it, freeing the factor before the Ritz
+    vectors are extracted. No convergence leaves opinv to a retry."""
+    from scipy.sparse.linalg._eigen.arpack.arpack import _SymmetricArpackParams
+    params = _SymmetricArpackParams(mass.shape[0], k, "d", None, mode=3, M_matvec=mass.dot,
+                                    Minv_matvec=opinv[0], sigma=sigma, ncv=ncv, v0=v0, tol=tol)
+    while not params.converged:
+        params.iterate()
+    opinv.clear()
+    params.OP = params.OPa = None  # mode 3's operator and its closure over the solve
+    return params.extract(True)
+
+
 def _solve_window(problem: EigenProblem, k: int, shift: float, seed: int, tol: float):
     """The k eigenvalues nearest shift, ascending, with their residual norms.
     Runs in a pool worker or in-process: v0 comes from seed.
@@ -211,15 +239,16 @@ def _solve_window(problem: EigenProblem, k: int, shift: float, seed: int, tol: f
     v0 = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
     ncv = min(n, max(20, k + max(16, k // 4)))  # eigsh's 2k + 1: more memory, no faster
     try:
-        # inside the spectrum K - shift*M is indefinite, and _factor's unpivoted L D L^T
-        # grows its pivots (solve backward error ~1e-15 against ~1e-18) until the residuals
-        # stall near the gate: so this factor pivots partially, in the problem's order
-        lu = spla.splu((problem.stiffness - shift * problem.mass).tocsc(), permc_spec="NATURAL")
-        op = spla.LinearOperator(lu.shape, matvec=lu.solve, dtype=float)
+        # inside the spectrum K - shift*M is indefinite, and _count_below's unpivoted
+        # L D L^T grows its pivots (solve backward error ~1e-15 against ~1e-18) until the
+        # residuals stall near the gate: so this factor pivots partially, in the problem's
+        # order; _eigsh frees it before the Ritz vectors, and the residual gate runs without it
+        opinv = [spla.splu((problem.stiffness - shift * problem.mass).tocsc(),
+                           permc_spec="NATURAL").solve]
         for attempt in range(3):
             try:
-                vals, vecs = spla.eigsh(problem.stiffness, k=k, M=problem.mass, sigma=shift,
-                                        v0=v0, ncv=ncv, tol=tol, OPinv=op)
+                vals, vecs = _eigsh(problem.mass, k=k, sigma=shift, v0=v0, ncv=ncv, tol=tol,
+                                    opinv=opinv)
                 break
             except spla.ArpackNoConvergence as exc:
                 if attempt == 2:
@@ -235,10 +264,8 @@ def _solve_window(problem: EigenProblem, k: int, shift: float, seed: int, tol: f
         raise SolveError(
             f"shift-invert solve for {k} eigenvalues at shift {shift:.6g} failed: {exc}"
         ) from None
-    del lu, op  # the residual gate runs without the factor
-    order = np.argsort(vals)
-    vals, vecs = vals[order], vecs[:, order]
-    return vals, _residuals(problem, vals, vecs)
+    order = np.argsort(vals)  # the pairs' own order serves the residuals
+    return vals[order], _residuals(problem, vals, vecs)[order]
 
 
 def _window_edges(guide, m: int, tol: float) -> list[float]:
@@ -278,14 +305,18 @@ def _solve_windows(problem: EigenProblem, m: int, tol: float, edges):
     the top edge), their residuals and the (edge, inertia count) pairs that
     certify them.
     """
+    def count_below(shifts):  # a count task gets K - e*M, half the pencil
+        return _map(_count_below,
+                    [((problem.stiffness - e * problem.mass).tocsc(), e) for e in shifts])
+
     # the floor (0, 0) is never factored: 0 is a Neumann K's eigenvalue
     edges = [0.0, *edges]
-    counts = [0, *_map(_count_below, [(problem, e) for e in edges[1:]])]
+    counts = [0, *count_below(edges[1:])]
     while counts[-1] < m:  # the spectrum lies above the top edge: widen the top window
         # by the values it lacks at the density it holds, at most its width
         held = max(counts[-1] - counts[-2], 1)
         edges[-1] += (edges[-1] - edges[-2]) * min(1.0, (m - counts[-1]) / held)
-        counts[-1] = _map(_count_below, [(problem, edges[-1])])[0]
+        [counts[-1]] = count_below(edges[-1:])
     if counts[-1] >= problem.dimension - 1:
         raise SolveError(
             f"nearly full spectrum ({counts[-1]} of {problem.dimension}) below the top "

@@ -115,8 +115,8 @@ def test_arpack_error_exits_3_naming_the_level(tmp_path, monkeypatch, capsys):
     def no_shifts(*args, **kwargs):
         raise spla.ArpackError(3, {3: "No shifts could be applied"})
 
-    monkeypatch.setattr(spla, "eigsh", no_shifts)
-    # pool tasks run in this process, where eigsh is patched
+    monkeypatch.setattr(eigensolve, "_eigsh", no_shifts)
+    # pool tasks run in this process, where the ARPACK driver is patched
     monkeypatch.setattr(eigensolve, "_map", lambda fn, tasks: [fn(*t) for t in tasks])
     # level 3 has 1377 free nodes, the first above the dense limit
     argv = ["solve", "--config", _cfg("right_isosceles_dirichlet.yaml"), "--out",

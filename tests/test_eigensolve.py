@@ -9,7 +9,9 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import types
+import weakref
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
@@ -18,6 +20,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.linalg._eigen.arpack import arpack
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -247,7 +250,7 @@ def _in_process_map(fn, tasks):
 
 @pytest.fixture
 def in_process(monkeypatch):
-    # run every pool task in this process, where eigsh and _factor can be patched
+    # run every pool task in this process, where the ARPACK driver and splu can be patched
     monkeypatch.setattr(eigensolve, "_map", _in_process_map)
 
 
@@ -257,7 +260,7 @@ def _no_convergence(n):
 
 def test_no_convergence_retries_with_doubled_ncv(disc_above_dense, in_process, monkeypatch):
     problem, dense = disc_above_dense
-    real = spla.eigsh
+    real = eigensolve._eigsh
     ncvs = []
 
     def flaky(*args, **kwargs):
@@ -266,7 +269,7 @@ def test_no_convergence_retries_with_doubled_ncv(disc_above_dense, in_process, m
             raise _no_convergence(problem.dimension)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(spla, "eigsh", flaky)
+    monkeypatch.setattr(eigensolve, "_eigsh", flaky)
     real_splu, window_factors = spla.splu, []
 
     def counting_splu(a, **kwargs):
@@ -290,7 +293,7 @@ def test_no_convergence_on_every_attempt_attaches_partial(disc_above_dense, in_p
         ncvs.append(kwargs["ncv"])
         raise _no_convergence(problem.dimension)
 
-    monkeypatch.setattr(spla, "eigsh", stuck)
+    monkeypatch.setattr(eigensolve, "_eigsh", stuck)
     with pytest.raises(eigensolve.SolveError, match="2/6") as info:
         eigensolve.solve_lowest(problem, 6, guide=dense[:6] * 1.001)
     assert ncvs == [22, 44, 88]
@@ -310,7 +313,7 @@ def test_arpack_error_in_first_window_is_a_solve_error(disc_above_dense, in_proc
         shifts.append(sigma)
         raise _arpack_error()
 
-    monkeypatch.setattr(spla, "eigsh", no_shifts)
+    monkeypatch.setattr(eigensolve, "_eigsh", no_shifts)
     with pytest.raises(eigensolve.SolveError, match="ARPACK error 3") as info:
         eigensolve.solve_lowest(problem, 6)
     assert len(shifts) == 1 and shifts[0] > 0.0
@@ -327,9 +330,9 @@ def test_factor_inertia_matches_dense_count(disc_above_dense):
     # in the assembled order and in the nested-dissection order the solver uses
     for pencil in (problem, eigensolve._ordered(problem)):
         for s in shifts:
-            lu = eigensolve._factor(pencil, s)
-            assert np.array_equal(lu.perm_r, lu.perm_c)
-            assert np.count_nonzero(lu.U.diagonal() < 0) == np.count_nonzero(dense < s), s
+            shifted = (pencil.stiffness - s * pencil.mass).tocsc()
+            # _count_below refuses a factor whose perm_r and perm_c differ
+            assert eigensolve._count_below(shifted, s) == np.count_nonzero(dense < s), s
 
 
 def test_nested_dissection_is_a_deterministic_permutation(disc_above_dense):
@@ -341,6 +344,105 @@ def test_nested_dissection_is_a_deterministic_permutation(disc_above_dense):
     assert ordered.points is None  # its factors keep its order
     assert np.array_equal(ordered.stiffness.toarray(), problem.stiffness.toarray()[q][:, q])
     assert np.array_equal(ordered.mass.toarray(), problem.mass.toarray()[q][:, q])
+
+
+class _Factor:
+    # a SuperLU object takes no weak reference; this holder of one does, and
+    # its bound solve keeps it alive as the SuperLU's keeps the factor
+    def __init__(self, lu):
+        self.lu = lu
+
+    def solve(self, x):
+        return self.lu.solve(x)
+
+
+def test_window_driver_is_eigsh_and_frees_the_factor_before_the_ritz_vectors(
+    disc_above_dense, monkeypatch
+):
+    # _eigsh iterates scipy's private ARPACK driver object; this pins it to
+    # eigsh's own bits and pins the release of the factor
+    problem, dense = disc_above_dense
+    k, ncv, tol, shift = 6, 22, 1e-9, 0.5 * (dense[20] + dense[21])
+    v0 = np.random.default_rng(3).uniform(-1.0, 1.0, problem.dimension)
+    lu = spla.splu((problem.stiffness - shift * problem.mass).tocsc(), permc_spec="NATURAL")
+    op = spla.LinearOperator(lu.shape, matvec=lu.solve, dtype=float)
+    want = spla.eigsh(problem.stiffness, k, M=problem.mass, sigma=shift, v0=v0, ncv=ncv,
+                      tol=tol, OPinv=op)
+    refs, seen = [weakref.ref(op)], []  # which of refs are alive at each extraction
+    opinv = [op.matvec]
+    del lu, op
+    real_extract = arpack._SymmetricArpackParams.extract
+
+    def extract(self, return_eigenvectors):
+        seen.append([r() is not None for r in refs])
+        return real_extract(self, return_eigenvectors)
+
+    monkeypatch.setattr(arpack._SymmetricArpackParams, "extract", extract)
+    got = eigensolve._eigsh(problem.mass, k=k, sigma=shift, v0=v0, ncv=ncv, tol=tol,
+                            opinv=opinv)
+    assert seen == [[False]] and opinv == []
+    assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+    # nor does a window keep its factor: a retry after no convergence reuses
+    # it, and the extraction after the retry finds it freed
+    real_splu, real_eigsh = spla.splu, eigensolve._eigsh
+    refs.clear()
+    seen.clear()
+    ncvs = []
+
+    def held_splu(a, **kwargs):
+        factor = _Factor(real_splu(a, **kwargs))
+        refs.append(weakref.ref(factor))
+        return factor
+
+    def flaky(*args, **kwargs):
+        ncvs.append(kwargs["ncv"])
+        if len(ncvs) == 1:
+            raise _no_convergence(problem.dimension)
+        return real_eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", held_splu)
+    monkeypatch.setattr(eigensolve, "_eigsh", flaky)
+    vals, _ = eigensolve._solve_window(problem, k, shift, 3, tol)
+    assert ncvs == [ncv, 2 * ncv] and len(refs) == 1 and seen == [[False]]
+    nearest = np.sort(dense[np.argsort(np.abs(dense - shift))[:k]])
+    np.testing.assert_allclose(vals, nearest, rtol=1e-10)
+
+
+@pytest.mark.parametrize("k", [1, eigensolve._RESIDUAL_COLS, 3 * eigensolve._RESIDUAL_COLS + 1,
+                               3 * eigensolve._RESIDUAL_COLS + 2])
+def test_blocked_residuals_match_the_one_shot_formula(k):
+    rng = np.random.default_rng(k)
+    n = 400
+    a = sp.random(n, n, density=0.02, random_state=rng, format="csr")
+    b = sp.random(n, n, density=0.02, random_state=rng, format="csr")
+    problem = fem.EigenProblem(stiffness=(a + a.T).tocsr(),
+                               mass=(b @ b.T + sp.identity(n)).tocsr())
+    vals, vecs = rng.uniform(1.0, 100.0, k), rng.standard_normal((n, k))
+    kv, mv = problem.stiffness @ vecs, problem.mass @ vecs
+    one_shot = np.linalg.norm(kv - mv * vals, axis=0) / np.linalg.norm(mv, axis=0)
+    assert eigensolve._residuals(problem, vals, vecs).tobytes() == one_shot.tobytes()
+
+
+def test_window_holds_one_ritz_block_at_a_time():
+    # numpy's share of one window at a default size (k = 37, ncv = k + 16) on
+    # 6028 nodes: ARPACK's n x ncv basis, extract's n x ncv Ritz block and its
+    # k-column copy, plus one residual block (K v, M v and lambda M v, each n x
+    # _RESIDUAL_COLS), with 8 columns of n of slack (ARPACK's workd and resid,
+    # v0, solve vectors). tracemalloc does not see SuperLU's own memory. Four
+    # n x k residual temporaries beside a sorted copy of the vectors exceed it.
+    mesh = meshing.refine(meshing.triangulate(geo.euclidean_disc(1.0), 0.09))
+    problem = eigensolve._ordered(fem.assemble(mesh, fem.ConformalWeight(SpaceForm.EUCLIDEAN)))
+    n, k, shift = problem.dimension, 37, 150.0
+    ncv = k + 16
+    eigensolve._solve_window(problem, k, shift, 1, 1e-9)  # imports stay out of the trace
+    tracemalloc.start()
+    try:
+        vals, res = eigensolve._solve_window(problem, k, shift, 1, 1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(vals) == k and np.all(res < 1e-9 * vals)
+    assert peak < 8 * n * (2 * ncv + k + 3 * eigensolve._RESIDUAL_COLS + 8)
 
 
 def test_nested_dissection_factor_fills_less_than_colamd():
@@ -380,14 +482,14 @@ def test_arpack_path_matches_dense(disc_above_dense, neumann_disc_above_dense, m
 
 def test_skipped_interior_eigenvalue_fails_certificate(disc_above_dense, in_process, monkeypatch):
     problem, _ = disc_above_dense
-    real = spla.eigsh
+    real = eigensolve._eigsh
 
     def skipping(*args, k, **kwargs):
         vals, vecs = real(*args, k=k + 1, **kwargs)
         keep = np.delete(np.argsort(vals), 3)
         return vals[keep], vecs[:, keep]
 
-    monkeypatch.setattr(spla, "eigsh", skipping)
+    monkeypatch.setattr(eigensolve, "_eigsh", skipping)
     with pytest.raises(eigensolve.SolveError, match="inertia") as info:
         eigensolve.solve_lowest(problem, 10)
     assert len(info.value.partial) == 10
@@ -416,7 +518,7 @@ def _exact_diagonal_eigsh(diag, skip=None, calls=None):
 def test_certificate_below_fully_clustered_top(in_process, monkeypatch, m):
     # all requested values lie in one cluster, which the top edge's count covers
     diag = np.concatenate(([5.0, 5.0, 5.0], np.arange(7.0, 7.0 + eigensolve._DENSE_LIMIT)))
-    monkeypatch.setattr(spla, "eigsh", _exact_diagonal_eigsh(diag))
+    monkeypatch.setattr(eigensolve, "_eigsh", _exact_diagonal_eigsh(diag))
     sl = eigensolve.solve_lowest(_diagonal_problem(diag), m)
     assert sl.eigenvalues.tolist() == [5.0] * m
 
@@ -424,7 +526,7 @@ def test_certificate_below_fully_clustered_top(in_process, monkeypatch, m):
 def test_certificate_catches_member_skipped_from_cluster(in_process, monkeypatch):
     # the guide's top edge, 5 + 0.5 * 5/3, counts the cluster of three
     diag = np.concatenate(([5.0, 5.0, 5.0], np.arange(7.0, 7.0 + eigensolve._DENSE_LIMIT)))
-    monkeypatch.setattr(spla, "eigsh", _exact_diagonal_eigsh(diag, skip=1))
+    monkeypatch.setattr(eigensolve, "_eigsh", _exact_diagonal_eigsh(diag, skip=1))
     with pytest.raises(eigensolve.SolveError, match="inertia counts 3 .* found 2"):
         eigensolve.solve_lowest(_diagonal_problem(diag), 3, guide=diag[:3])
 
@@ -437,7 +539,7 @@ def test_top_cluster_value_dropped_from_one_window_fails_inertia(in_process, mon
     # count catches the swap either way
     cluster = 5.0 + 1e-8 * np.arange(4)
     diag = np.concatenate(([1.0, 2.0], cluster, np.arange(7.0, 7.0 + eigensolve._DENSE_LIMIT)))
-    monkeypatch.setattr(spla, "eigsh", _exact_diagonal_eigsh(diag, skip=-2))
+    monkeypatch.setattr(eigensolve, "_eigsh", _exact_diagonal_eigsh(diag, skip=-2))
     with pytest.raises(eigensolve.SolveError, match="inertia counts") as info:
         eigensolve.solve_lowest(_diagonal_problem(diag), m)
     assert len(info.value.partial) == m
@@ -446,15 +548,15 @@ def test_top_cluster_value_dropped_from_one_window_fails_inertia(in_process, mon
 def test_failed_inertia_factorization_is_a_solve_error(in_process, monkeypatch):
     # the counts come before any window, so there is no partial to attach
     diag = np.arange(1.0, eigensolve._DENSE_LIMIT + 101.0)
-    monkeypatch.setattr(spla, "eigsh", _exact_diagonal_eigsh(diag))
-    real = eigensolve._factor
+    monkeypatch.setattr(eigensolve, "_eigsh", _exact_diagonal_eigsh(diag))
+    real = spla.splu
 
-    def singular_above_zero(problem, sigma):
-        if sigma > 0.0:
+    def singular_inertia(a, **kwargs):  # every count's shift lies above zero
+        if "diag_pivot_thresh" in kwargs:
             raise RuntimeError("Factor is exactly singular")
-        return real(problem, sigma)
+        return real(a, **kwargs)
 
-    monkeypatch.setattr(eigensolve, "_factor", singular_above_zero)
+    monkeypatch.setattr(spla, "splu", singular_inertia)
     with pytest.raises(eigensolve.SolveError, match="inertia factorization failed at shift 5.5") as info:
         eigensolve.solve_lowest(_diagonal_problem(diag), 5, guide=diag[:5])
     assert info.value.partial is None
@@ -485,16 +587,16 @@ def test_indefinite_stiffness_is_a_negative_eigenvalue_error():
     assert info.value.partial is None
 
 def test_inertia_factor_with_unequal_permutations_is_refused(monkeypatch):
-    real = eigensolve._factor
+    real = spla.splu
 
-    def reordered(problem, sigma):
-        lu = real(problem, sigma)
+    def reordered(a, **kwargs):
+        lu = real(a, **kwargs)
         return types.SimpleNamespace(perm_r=lu.perm_r[::-1], perm_c=lu.perm_c, U=lu.U)
 
-    monkeypatch.setattr(eigensolve, "_factor", reordered)
+    monkeypatch.setattr(spla, "splu", reordered)
     problem = _diagonal_problem([1.0, 2.0, 3.0])
     with pytest.raises(eigensolve.SolveError, match="at shift 2.5 lost its symmetric ordering"):
-        eigensolve._count_below(problem, 2.5)
+        eigensolve._count_below((problem.stiffness - 2.5 * problem.mass).tocsc(), 2.5)
 
 
 @pytest.mark.parametrize("spare", [0, 1])
@@ -570,7 +672,7 @@ def test_window_basis_is_k_plus_max_16_or_a_quarter(in_process, monkeypatch, m, 
         asked.append((k, kwargs["ncv"]))
         return exact_eigsh(*args, k=k, **kwargs)
 
-    monkeypatch.setattr(spla, "eigsh", eigsh)
+    monkeypatch.setattr(eigensolve, "_eigsh", eigsh)
     sl = eigensolve.solve_lowest(_diagonal_problem(diag), m, guide=diag[:m])
     assert asked == [(m, ncv)]
     assert sl.eigenvalues.tolist() == diag[:m].tolist()
@@ -580,13 +682,13 @@ def test_single_150_value_window_matches_dense(disc_above_dense, in_process, mon
     # without a guide one window from Weyl's edge holds all of them, at least
     # 150 values and a basis of k + k // 4
     problem, dense = disc_above_dense
-    real, asked = spla.eigsh, []
+    real, asked = eigensolve._eigsh, []
 
     def eigsh(*args, k, ncv, **kwargs):
         asked.append((k, ncv))
         return real(*args, k=k, ncv=ncv, **kwargs)
 
-    monkeypatch.setattr(spla, "eigsh", eigsh)
+    monkeypatch.setattr(eigensolve, "_eigsh", eigsh)
     sl = eigensolve.solve_lowest(problem, 150)
     [(k, ncv)] = asked
     assert k >= 150 and ncv == k + k // 4
@@ -730,7 +832,7 @@ def test_double_eigenvalue_at_quantile_stays_in_one_window(in_process, monkeypat
     q = m // w - 1  # the first window's last index
     diag = _ladder(eigensolve._DENSE_LIMIT + 200, q)
     calls = []
-    monkeypatch.setattr(spla, "eigsh", _exact_diagonal_eigsh(diag, calls=calls))
+    monkeypatch.setattr(eigensolve, "_eigsh", _exact_diagonal_eigsh(diag, calls=calls))
     sl = eigensolve.solve_lowest(_diagonal_problem(diag), m, guide=diag[:m])
     assert sl.eigenvalues.tolist() == diag[:m].tolist()
     assert len(calls) == w
@@ -742,7 +844,7 @@ def test_eigenvalue_dropped_from_second_window_fails_inertia(
     disc_above_dense, in_process, monkeypatch
 ):
     problem, dense = disc_above_dense
-    real = spla.eigsh
+    real = eigensolve._eigsh
     calls = []
 
     def dropping(*args, k, sigma, **kwargs):
@@ -753,7 +855,7 @@ def test_eigenvalue_dropped_from_second_window_fails_inertia(
         keep = np.delete(np.argsort(np.abs(vals - sigma)), 0)  # lose the one nearest sigma
         return vals[keep], vecs[:, keep]
 
-    monkeypatch.setattr(spla, "eigsh", dropping)
+    monkeypatch.setattr(eigensolve, "_eigsh", dropping)
     with pytest.raises(eigensolve.SolveError, match="inertia counts") as info:
         eigensolve.solve_lowest(problem, 80, guide=dense[:80])
     assert 0.0 < calls[0] < calls[1]
@@ -773,7 +875,7 @@ def test_foreign_value_in_a_window_leaves_an_ascending_partial(in_process, monke
             vals[0], vecs[:, 0] = diag[0], np.eye(len(diag))[:, 0]
         return vals, vecs
 
-    monkeypatch.setattr(spla, "eigsh", foreign)
+    monkeypatch.setattr(eigensolve, "_eigsh", foreign)
     with pytest.raises(eigensolve.SolveError, match="inertia counts") as info:
         eigensolve.solve_lowest(_diagonal_problem(diag), m, guide=diag[:m])
     partial = info.value.partial.eigenvalues
@@ -785,7 +887,7 @@ def test_arpack_error_in_interior_window_is_a_solve_error(
     disc_above_dense, in_process, monkeypatch
 ):
     problem, dense = disc_above_dense
-    real = spla.eigsh
+    real = eigensolve._eigsh
     calls = []
 
     def failing_second(*args, k, sigma, **kwargs):
@@ -794,7 +896,7 @@ def test_arpack_error_in_interior_window_is_a_solve_error(
             raise _arpack_error()
         return real(*args, k=k, sigma=sigma, **kwargs)
 
-    monkeypatch.setattr(spla, "eigsh", failing_second)
+    monkeypatch.setattr(eigensolve, "_eigsh", failing_second)
     with pytest.raises(eigensolve.SolveError, match="ARPACK error 3") as info:
         eigensolve.solve_lowest(problem, 80, guide=dense[:80])
     assert f"at shift {calls[1]:.6g}" in str(info.value)
@@ -804,12 +906,12 @@ def test_arpack_error_in_interior_window_is_a_solve_error(
 def test_low_top_edge_is_raised_until_it_counts_m(in_process, monkeypatch):
     m = 80
     diag = _ladder(eigensolve._DENSE_LIMIT + 100)
-    monkeypatch.setattr(spla, "eigsh", _exact_diagonal_eigsh(diag))
+    monkeypatch.setattr(eigensolve, "_eigsh", _exact_diagonal_eigsh(diag))
     real = eigensolve._count_below
     counted = []
 
-    def recording(problem, shift):
-        count = real(problem, shift)
+    def recording(shifted, shift):
+        count = real(shifted, shift)
         counted.append((shift, count))
         return count
 
@@ -859,7 +961,7 @@ import curvspec.cli
 from curvspec import eigensolve
 from curvspec.configio import load_domain_config
 problem = pickle.loads(open({str(pickled)!r}, "rb").read())
-eigensolve._task(eigensolve._count_below, problem, 10.0)
+eigensolve._task(eigensolve._count_below, (problem.stiffness - 10.0 * problem.mass).tocsc(), 10.0)
 eigensolve._task(eigensolve._solve_window, problem, 4, 10.0, 1, 1e-9)
 eigensolve._task(eigensolve._solve_dense, pickle.loads(open({str(small)!r}, "rb").read()), 4)
 unused = ("scipy.integrate", "scipy.spatial", "scipy.special", "scipy.optimize")

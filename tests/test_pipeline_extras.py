@@ -4,7 +4,6 @@ import os
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 
 from curvspec import eigensolve, exact, fem
 from curvspec import geometry as geo
@@ -134,15 +133,15 @@ def test_solver_failure_exit_code(tmp_path, capsys):
 def test_skipped_eigenvalue_exit_code(tmp_path, capsys, monkeypatch):
     # level 3 of the disc is the first on the ARPACK path; dropping one
     # eigenvalue there must fail the inertia certificate, not shift the table
-    real = spla.eigsh
+    real = eigensolve._eigsh
 
     def skipping(*args, k, **kwargs):
         vals, vecs = real(*args, k=k + 1, **kwargs)
         keep = np.delete(np.argsort(vals), 4)
         return vals[keep], vecs[:, keep]
 
-    monkeypatch.setattr(spla, "eigsh", skipping)
-    # pool tasks run in this process, where eigsh is patched
+    monkeypatch.setattr(eigensolve, "_eigsh", skipping)
+    # pool tasks run in this process, where the ARPACK driver is patched
     monkeypatch.setattr(eigensolve, "_map", lambda fn, tasks: [fn(*t) for t in tasks])
     config = os.path.join(CONFIG_DIR, "unit_disc_dirichlet.yaml")
     out = str(tmp_path / "o")
