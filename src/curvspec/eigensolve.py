@@ -264,7 +264,7 @@ def _solve_window(problem: EigenProblem, k: int, shift: float, seed: int, tol: f
         raise SolveError(
             f"shift-invert solve for {k} eigenvalues at shift {shift:.6g} failed: {exc}"
         ) from None
-    order = np.argsort(vals)  # the pairs' own order serves the residuals
+    order = np.argsort(vals)  # residuals in ARPACK's order: only values and norms are sorted
     return vals[order], _residuals(problem, vals, vecs)[order]
 
 
