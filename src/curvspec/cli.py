@@ -129,14 +129,11 @@ def run_solve(cfg: RunConfig) -> dict:
             f"({time.time() - t0:.1f}s)",
         )
 
-    extr = eigensolve.extrapolate_spectrum(slices[-3:])
+    extr = eigensolve.extrapolate_spectrum(slices)
     spectrum_path = os.path.join(cfg.out_dir, "spectrum.csv")
-    eigensolve.write_spectrum_file(
-        spectrum_path, extr.predicted, extr.ratios, extr.trusted,
-        levels=[s.eigenvalues for s in slices], level_ids=[s.level for s in slices],
-    )
+    eigensolve.write_spectrum_file(spectrum_path, extr)
     table_path = os.path.join(cfg.out_dir, "table.txt")
-    _write_table(table_path, slices, extr, domain_cfg.oracle)
+    _write_table(table_path, extr, domain_cfg.oracle)
     _log(cfg, f"trust_count = {extr.trust_count} of {len(extr)}")
     return {
         "config": domain_cfg,
@@ -147,12 +144,12 @@ def run_solve(cfg: RunConfig) -> dict:
     }
 
 
-def _write_table(path, slices, extr, oracle) -> None:
-    m = len(extr)
-    headers = ["", "Initial"] + [str(s.level) for s in slices[1:]] + ["Predicted"]
+def _write_table(path, spectrum, oracle) -> None:
+    m = len(spectrum)
+    headers = ["", "Initial"] + [str(i) for i in spectrum.level_ids[1:]] + ["Predicted"]
     cols = [[str(i) for i in range(1, m + 1)]]
-    cols += [[f"{v:.7g}" for v in np.pad(s.eigenvalues, (0, m - len(s)))] for s in slices]
-    cols.append([f"{v:.8g}" for v in extr.predicted])
+    cols += [[f"{v:.7g}" for v in np.pad(lev, (0, m - len(lev)))] for lev in spectrum.levels]
+    cols.append([f"{v:.8g}" for v in spectrum.predicted])
     if oracle is not None:
         headers.append("True")
         cols.append([f"{v:.8g}" for v in exact.oracle_spectrum(oracle, m)])
@@ -232,10 +229,7 @@ def run_exact_case(case: str, count: int, out_path) -> str:
         open(out_path, "w").close()
         vals = exact.oracle_spectrum(case, count)
         eigensolve.write_spectrum_file(
-            out_path,
-            predicted=vals,
-            ratio=np.zeros(len(vals)),
-            trusted=np.ones(len(vals), dtype=bool),
+            out_path, eigensolve.Spectrum(vals, np.zeros(len(vals)), np.ones(len(vals), bool))
         )
     except OSError as exc:
         raise ConfigError(f"cannot write {out_path}: {exc.strerror or exc}") from None

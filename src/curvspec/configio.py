@@ -125,7 +125,7 @@ def load_domain_config(path) -> DomainConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from None

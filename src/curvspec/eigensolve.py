@@ -36,6 +36,9 @@ takes its residuals a few columns at a time. A count gets K - e*M alone; its
 factor plus the L and U copies made to read diag(U) are its floor.
 
 Extrapolation fits the last three refinement values to x_n = x + c*r^n.
+Its result is a Spectrum, the one record of a spectrum file: the predictions,
+their fit ratios and trust flags, and the refinement levels' values.
+write_spectrum_file writes it and read_spectrum_file reads it back.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ import math
 import os
 import re
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -100,16 +103,28 @@ class SpectrumSlice:
 
 
 @dataclass(frozen=True)
-class ExtrapolatedSpectrum:
-    """Per-index geometric-fit predictions, re-sorted ascending."""
+class Spectrum:
+    """What a spectrum file holds: the predicted eigenvalues, ascending, with
+    each one's fit ratio and trust flag, and the refinement levels' values
+    (levels[i] at level level_ids[i]) they were extrapolated from."""
 
     predicted: np.ndarray
-    ratios: np.ndarray
+    ratio: np.ndarray
     trusted: np.ndarray
-    trust_count: int
+    levels: list[np.ndarray] = field(default_factory=list)
+    level_ids: list[int] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.predicted)
+
+    @property
+    def trust_count(self) -> int:
+        """Length of the leading run of trusted predictions."""
+        return _leading_run(self.trusted)
+
+    def trusted_prefix(self) -> np.ndarray:
+        """Predicted eigenvalues up to the first untrusted entry."""
+        return self.predicted[: self.trust_count]
 
 
 def _residuals(problem: EigenProblem, vals, vecs) -> np.ndarray:
@@ -505,17 +520,18 @@ def _leading_run(flags) -> int:
     return len(flags) if flags.all() else int(np.argmin(flags))
 
 
-def extrapolate_spectrum(slices) -> ExtrapolatedSpectrum:
-    """Extrapolate each eigenvalue index over the last three refinement levels.
+def extrapolate_spectrum(slices) -> Spectrum:
+    """Extrapolate each eigenvalue index over the last three of slices, the
+    refinement levels in order; the record keeps every level's values.
 
-    Predictions are re-sorted ascending (per-index order can switch);
-    trust_count is the longest prefix with |r| <= 0.5 and a relative jump
-    from the finest value of at most 2%.
+    Predictions are re-sorted ascending (per-index order can switch); the
+    trusted prefix is the longest with |r| <= 0.5 and a relative jump from the
+    finest value of at most 2%.
     """
     slices = tuple(slices)
-    if len(slices) != 3:
-        raise SolveError(f"extrapolation needs exactly 3 slices, got {len(slices)}")
-    s4, s5, s6 = slices
+    if len(slices) < 3:
+        raise SolveError(f"extrapolation needs at least 3 slices, got {len(slices)}")
+    s4, s5, s6 = slices[-3:]
     if not (len(s4) == len(s5) == len(s6)):
         raise SolveError(
             f"mismatched eigenvalue counts: {len(s4)}, {len(s5)}, {len(s6)}"
@@ -529,57 +545,34 @@ def extrapolate_spectrum(slices) -> ExtrapolatedSpectrum:
         np.abs(preds - s6.eigenvalues) <= _TRUST_JUMP * (1.0 + np.abs(preds))
     )
     order = np.argsort(preds, kind="stable")
-    preds, ratios, trusted = preds[order], ratios[order], trusted[order]
-    return ExtrapolatedSpectrum(
-        predicted=preds, ratios=ratios, trusted=trusted, trust_count=_leading_run(trusted)
-    )
+    return Spectrum(preds[order], ratios[order], trusted[order],
+                    levels=[s.eigenvalues for s in slices], level_ids=[s.level for s in slices])
 
 
 # ---------------------------------------------------------------------------
 # Spectrum file format: one row per eigenvalue, mirroring the refinement tables
 
 
-@dataclass
-class SpectrumFile:
-    """Parsed spectrum file: per-level values plus prediction columns."""
-
-    level_ids: list[int]
-    levels: list[np.ndarray]
-    predicted: np.ndarray
-    ratio: np.ndarray
-    trusted: np.ndarray
-
-    def trusted_prefix(self) -> np.ndarray:
-        """Predicted eigenvalues up to the first untrusted entry."""
-        return self.predicted[: _leading_run(self.trusted)]
-
-
-def write_spectrum_file(
-    path,
-    predicted: np.ndarray,
-    ratio: np.ndarray,
-    trusted: np.ndarray,
-    levels=(),
-    level_ids=(),
-) -> None:
+def write_spectrum_file(path, spectrum: Spectrum) -> None:
     """Rows: index, per-level values (0 where a level had fewer modes),
     predicted, ratio, trusted flag."""
-    m = len(predicted)
-    cols = [np.asarray(lev, dtype=float)[:m] for lev in levels]
-    header = ["index"] + [f"level_{l}" for l in level_ids] + ["predicted", "ratio", "trusted"]
+    m = len(spectrum)
+    cols = [np.asarray(lev, dtype=float)[:m] for lev in spectrum.levels]
+    header = ["index", *(f"level_{l}" for l in spectrum.level_ids), "predicted", "ratio",
+              "trusted"]
     textio.write_table(
         path,
         ",".join(header),
         ",".join(["%d"] + ["%.17g"] * (len(cols) + 2) + ["%d"]),
         np.arange(1, m + 1),
         *(np.pad(c, (0, m - len(c))) for c in cols),
-        predicted,
-        ratio,
-        np.asarray(trusted, dtype=bool),
+        spectrum.predicted,
+        spectrum.ratio,
+        np.asarray(spectrum.trusted, dtype=bool),
     )
 
 
-def read_spectrum_file(path) -> SpectrumFile:
+def read_spectrum_file(path) -> Spectrum:
     def header_ok(h):
         return h[:1] == ["index"] and h[-3:] == ["predicted", "ratio", "trusted"]
 
@@ -590,10 +583,5 @@ def read_spectrum_file(path) -> SpectrumFile:
     rows = np.flatnonzero(~np.isfinite(data).all(axis=1))
     if rows.size:  # a nan or inf would reach the analysis, which writes before it fails
         raise SolveError(f"{path}: row {rows[0] + 1} holds a non-finite value")
-    return SpectrumFile(
-        level_ids=[int(c[6:]) for c in header[1:-3]],
-        levels=list(data[:, 1:-3].T),
-        predicted=data[:, -3],
-        ratio=data[:, -2],
-        trusted=data[:, -1] != 0.0,
-    )
+    return Spectrum(data[:, -3], data[:, -2], data[:, -1] != 0.0,
+                    levels=list(data[:, 1:-3].T), level_ids=[int(c[6:]) for c in header[1:-3]])

@@ -630,59 +630,6 @@ def euclidean_disc(radius: float = 1.0, bc: str = DIRICHLET) -> Domain:
     return Domain(SpaceForm.EUCLIDEAN, [arc])
 
 
-def regular_polygon(n: int, side: float = 1.0, bc: str = DIRICHLET) -> Domain:
-    """Regular n-gon with the given side length, centered at the origin."""
-    if n < 3:
-        raise GeometryError("regular polygon needs n >= 3")
-    circum = side / (2.0 * math.sin(math.pi / n))
-    verts = [
-        (circum * math.cos(2 * math.pi * k / n), circum * math.sin(2 * math.pi * k / n))
-        for k in range(n)
-    ]
-    return euclidean_polygon(verts, bc)
-
-
-def six_star(edge: float = 1.0, bc: str = DIRICHLET) -> Domain:
-    """Regular 6-pointed star (hexagram) with the given edge length.
-
-    Twelve edges; six point corners of pi/3 and six reflex corners of 4 pi/3.
-    The star tiles into twelve equilateral triangles of side `edge`.
-    """
-    r_point = edge * math.sqrt(3.0)
-    r_inner = edge
-    verts = []
-    for k in range(6):
-        a = math.pi * k / 3.0
-        verts.append((r_point * math.cos(a), r_point * math.sin(a)))
-        b = a + math.pi / 6.0
-        verts.append((r_inner * math.cos(b), r_inner * math.sin(b)))
-    return euclidean_polygon(verts, bc)
-
-
-def region_between_triangles(
-    outer_side: float = 1.0, inner_side: float = 0.5, bc: str = DIRICHLET
-) -> Domain:
-    """Equilateral triangle with a concentric, same-orientation equilateral hole."""
-
-    def tri(side):
-        r = side / math.sqrt(3.0)
-        return [
-            (r * math.cos(math.pi / 2 + 2 * math.pi * k / 3),
-             r * math.sin(math.pi / 2 + 2 * math.pi * k / 3))
-            for k in range(3)
-        ]
-
-    if not 0.0 < inner_side < outer_side:
-        raise GeometryError("inner triangle must be smaller than the outer one")
-    return euclidean_polygon(tri(outer_side), bc, holes=[tri(inner_side)], hole_bc=bc)
-
-
-def arrowhead(bc: str = DIRICHLET) -> Domain:
-    """Nonconvex quadrilateral with one reflex corner (sides sqrt5, sqrt5, sqrt13, sqrt13)."""
-    verts = [(-2.0, 0.0), (0.0, 1.0), (2.0, 0.0), (0.0, 3.0)]
-    return euclidean_polygon(verts, bc)
-
-
 def triangle_from_angles(theta1: float, theta2: float, theta3: float, base: float = 1.0):
     """Vertices of a flat triangle with the given angles; base side on the x-axis."""
     if abs(theta1 + theta2 + theta3 - math.pi) > 1e-12:

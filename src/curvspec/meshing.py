@@ -368,10 +368,23 @@ def _arc_distance(arc: Arc, p: np.ndarray) -> np.ndarray:
     return _dist_to_segments(p, np.asarray([arc.p0], float), np.asarray([arc.p1], float))
 
 
+def _check_indices(mesh: Mesh, where: str) -> None:
+    """MeshError naming the first row of a table that refers to a vertex
+    outside [0, vertices) or an arc outside [0, arcs); one min/max a table."""
+    b = mesh.boundary_edges
+    for tag, what, cols, n in (("triangles", "vertex index", mesh.triangles, mesh.num_vertices),
+                               ("boundary_edges", "vertex index", b[:, :2], mesh.num_vertices),
+                               ("boundary_edges", "arc id", b[:, 2:], len(mesh.arcs))):
+        if cols.size and not (cols.min() >= 0 and cols.max() < n):
+            r = np.flatnonzero(((cols < 0) | (cols >= n)).any(axis=1))[0]
+            raise MeshError(f"{where}: bad {tag!r} table row {r + 1}: {what} outside [0, {n})")
+
+
 def validate_mesh(mesh: Mesh) -> None:
     """Check the structural mesh invariants; raise MeshError on violation."""
     if not np.isfinite(mesh.vertices).all():
         raise MeshError("mesh has non-finite vertex coordinates")
+    _check_indices(mesh, "mesh")
     if np.any(mesh.signed_areas() <= 0.0):
         raise MeshError("mesh has nonpositively oriented triangles")
     edges, _, counts = _edges(mesh.triangles)
@@ -480,10 +493,6 @@ def load_mesh(path) -> Mesh:
                 arcs.append(CircleArc((x[0], x[1]), x[2], x[3], x[4], fields[-1]))
         except ValueError as exc:
             raise MeshError(f"{path}: bad 'arcs' table row {r + 1}: {exc}") from None
-    return Mesh(
-        vertices=vertices,
-        triangles=triangles,
-        boundary_edges=boundary,
-        arcs=tuple(arcs),
-        level=level,
-    )
+    mesh = Mesh(vertices, triangles, boundary, tuple(arcs), level)
+    _check_indices(mesh, path)
+    return mesh

@@ -5,33 +5,37 @@ import pytest
 
 from curvspec import exact
 from curvspec.analysis import RefinedCountParams
+from curvspec.configio import DomainConfig, load_domain_config
 
 CONFIG_DIR = os.path.normpath(
     os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "configs")
 )
 
 
+# area, Dirichlet and Neumann perimeters and constant C of the exact-spectrum fixtures
+ORACLE_CONSTANTS = {
+    "right-isosceles": (0.5, 2.0 + math.sqrt(2.0), 0.0, 3.0 / 8.0),
+    "equilateral": (math.sqrt(3.0) / 4.0, 3.0, 0.0, 1.0 / 3.0),
+    "disc-d": (math.pi, 2.0 * math.pi, 0.0, 1.0 / 6.0),
+    "disc-n": (math.pi, 0.0, 2.0 * math.pi, 1.0 / 6.0),
+    "spherical-right-triangle": (math.pi / 2.0, 3.0 * math.pi / 2.0, 0.0, 11.0 / 48.0),
+    "hemisphere": (2.0 * math.pi, 2.0 * math.pi, 0.0, 1.0 / 6.0),
+}
+
+
 def oracle_params(case: str) -> RefinedCountParams:
     """Refined-count coefficients of the exact-spectrum fixtures."""
-    if case == "right-isosceles":
-        area, p_d, p_n, c = 0.5, 2.0 + math.sqrt(2.0), 0.0, 3.0 / 8.0
-    elif case == "equilateral":
-        area, p_d, p_n, c = math.sqrt(3.0) / 4.0, 3.0, 0.0, 1.0 / 3.0
-    elif case == "disc-d":
-        area, p_d, p_n, c = math.pi, 2.0 * math.pi, 0.0, 1.0 / 6.0
-    elif case == "disc-n":
-        area, p_d, p_n, c = math.pi, 0.0, 2.0 * math.pi, 1.0 / 6.0
-    elif case == "spherical-right-triangle":
-        area, p_d, p_n, c = math.pi / 2.0, 3.0 * math.pi / 2.0, 0.0, 11.0 / 48.0
-    elif case == "hemisphere":
-        area, p_d, p_n, c = 2.0 * math.pi, 2.0 * math.pi, 0.0, 1.0 / 6.0
-    else:
-        raise ValueError(case)
+    area, p_d, p_n, c = ORACLE_CONSTANTS[case]
     return RefinedCountParams(
         leading=area / (4.0 * math.pi),
         half_order=(p_n - p_d) / (4.0 * math.pi),
         constant=c,
     )
+
+
+def shipped_config(name: str) -> DomainConfig:
+    """configs/<name>.yaml loaded: the one definition of each named domain."""
+    return load_domain_config(os.path.join(CONFIG_DIR, name + ".yaml"))
 
 
 @pytest.fixture(scope="session")

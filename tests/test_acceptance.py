@@ -9,6 +9,7 @@ import os
 import time
 
 import numpy as np
+import pytest
 
 from curvspec import analysis, eigensolve, exact, fem
 from curvspec import geometry as geo
@@ -16,7 +17,7 @@ from curvspec import meshing
 from curvspec.cli import RunConfig, run_solve
 from curvspec.geometry import SpaceForm
 
-from conftest import CONFIG_DIR, oracle_params
+from conftest import CONFIG_DIR, oracle_params, shipped_config
 
 
 def _report(num: int, label: str, ok: bool, detail: str = "") -> None:
@@ -26,21 +27,29 @@ def _report(num: int, label: str, ok: bool, detail: str = "") -> None:
     assert ok, f"criterion {num}: {label}{suffix}"
 
 
-def _pipeline(config_name: str, num_eigs: int, refinements: int = 5, target_h=None):
-    cfg = RunConfig(
-        config_path=os.path.join(CONFIG_DIR, config_name),
-        out_dir=f"/tmp/curvspec_accept/{config_name}.{refinements}.{num_eigs}",
-        refinements=refinements,
-        num_eigs=num_eigs,
-        target_h=target_h,
-        quiet=True,
-    )
-    return run_solve(cfg)["extrapolated"]
+@pytest.fixture(scope="session")
+def pipeline(tmp_path_factory):
+    """The extrapolated spectrum of a shipped config; each run writes its own
+    directory under one session temporary directory."""
+    root = tmp_path_factory.mktemp("accept")
+
+    def run(config_name: str, num_eigs: int, refinements: int = 5, target_h=None):
+        cfg = RunConfig(
+            config_path=os.path.join(CONFIG_DIR, config_name),
+            out_dir=str(root / f"{config_name}.{refinements}.{num_eigs}"),
+            refinements=refinements,
+            num_eigs=num_eigs,
+            target_h=target_h,
+            quiet=True,
+        )
+        return run_solve(cfg)["extrapolated"]
+
+    return run
 
 
-def test_criterion_1_table1_right_isosceles():
+def test_criterion_1_table1_right_isosceles(pipeline):
     t0 = time.time()
-    ex = _pipeline("right_isosceles_dirichlet.yaml", 10, refinements=5)
+    ex = pipeline("right_isosceles_dirichlet.yaml", 10, refinements=5)
     got = ex.predicted / math.pi**2
     want = np.array([5, 10, 13, 17, 20, 25, 26, 29, 34, 37], dtype=float)
     err = float(np.max(np.abs(got - want)))
@@ -53,9 +62,9 @@ def test_criterion_1_table1_right_isosceles():
     )
 
 
-def test_criterion_2_table2_equilateral():
+def test_criterion_2_table2_equilateral(pipeline):
     t0 = time.time()
-    ex = _pipeline("equilateral_dirichlet.yaml", 10, refinements=5)
+    ex = pipeline("equilateral_dirichlet.yaml", 10, refinements=5)
     got = ex.predicted / (4 * math.pi / 3) ** 2
     want = np.array([3, 7, 7, 12, 13, 13, 19, 19, 21, 21], dtype=float)
     err = float(np.max(np.abs(got - want)))
@@ -68,9 +77,9 @@ def test_criterion_2_table2_equilateral():
     )
 
 
-def test_criterion_3_table5_spherical_right_triangle():
+def test_criterion_3_table5_spherical_right_triangle(pipeline):
     t0 = time.time()
-    ex = _pipeline("spherical_right_triangle.yaml", 10, refinements=5)
+    ex = pipeline("spherical_right_triangle.yaml", 10, refinements=5)
     want = np.array([12, 30, 30, 56, 56, 56, 90, 90, 90, 90], dtype=float)
     err = float(np.max(np.abs(ex.predicted - want)))
     elapsed = time.time() - t0
@@ -82,8 +91,8 @@ def test_criterion_3_table5_spherical_right_triangle():
     )
 
 
-def test_criterion_4_table6_hemisphere():
-    ex = _pipeline("hemisphere_dirichlet.yaml", 10, refinements=5)
+def test_criterion_4_table6_hemisphere(pipeline):
+    ex = pipeline("hemisphere_dirichlet.yaml", 10, refinements=5)
     want = np.array([2, 6, 6, 12, 12, 12, 20, 20, 20, 20], dtype=float)
     err = float(np.max(np.abs(ex.predicted - want)))
     oracle = exact.hemisphere_spectrum(253)
@@ -107,12 +116,12 @@ def test_criterion_5_table3_extrapolation():
     )
 
 
-def test_criterion_6_disc_fem_vs_bessel():
-    ex_d = _pipeline("unit_disc_dirichlet.yaml", 50, refinements=4, target_h=0.35)
+def test_criterion_6_disc_fem_vs_bessel(pipeline):
+    ex_d = pipeline("unit_disc_dirichlet.yaml", 50, refinements=4, target_h=0.35)
     oracle_d = exact.disc_spectrum(50, "D")
     rel_d = float(np.max(np.abs(ex_d.predicted - oracle_d) / oracle_d))
 
-    ex_n = _pipeline("unit_disc_neumann.yaml", 50, refinements=4, target_h=0.35)
+    ex_n = pipeline("unit_disc_neumann.yaml", 50, refinements=4, target_h=0.35)
     oracle_n = exact.disc_spectrum(50, "N")
     zero_ok = abs(ex_n.predicted[0]) < 1e-6
     rel_n = float(np.max(np.abs(ex_n.predicted[1:] - oracle_n[1:]) / oracle_n[1:]))
@@ -132,12 +141,12 @@ def test_criterion_7_constant_c_fixtures():
         ("hyperbolic disc R=1", geo.build_hyperbolic_disc(1.0)[1].c, sixth),
         ("hyperbolic disc R=3", geo.build_hyperbolic_disc(3.0)[1].c, sixth),
         ("spherical disc", geo.build_spherical_disc(0.9)[1].c, sixth),
-        ("pentagon", geo.geometric_constants(geo.regular_polygon(5)).c, 2.0 / 9.0),
-        ("hexagon", geo.geometric_constants(geo.regular_polygon(6)).c, 5.0 / 24.0),
-        ("6-star", geo.geometric_constants(geo.six_star()).c, 25.0 / 48.0),
+        ("pentagon", shipped_config("pentagon_dirichlet").constants.c, 2.0 / 9.0),
+        ("hexagon", shipped_config("hexagon_dirichlet").constants.c, 5.0 / 24.0),
+        ("6-star", shipped_config("six_star_dirichlet").constants.c, 25.0 / 48.0),
     ]
     worst = max(abs(got - want) for _, got, want in checks)
-    rbt_c = geo.geometric_constants(geo.region_between_triangles()).c
+    rbt_c = shipped_config("region_between_triangles").constants.c
     print(
         "ACCEPTANCE  7 [INFO] region between triangles: computed C = "
         f"{rbt_c:.12f}; corner rule as written gives 1/5 = {0.2:.12f}, "
@@ -262,11 +271,11 @@ _FLAT_FIXTURES = [
         lambda: geo.euclidean_polygon([(0, 0), (1, 0), (0.5, math.sqrt(3) / 2)]),
         "D",
     ),
-    ("pentagon", lambda: geo.regular_polygon(5), "D"),
-    ("hexagon", lambda: geo.regular_polygon(6), "D"),
-    ("6-star", lambda: geo.six_star(), "D"),
-    ("arrowhead", lambda: geo.arrowhead(), "D"),
-    ("region between triangles", lambda: geo.region_between_triangles(), "D"),
+    ("pentagon", lambda: shipped_config("pentagon_dirichlet").domain, "D"),
+    ("hexagon", lambda: shipped_config("hexagon_dirichlet").domain, "D"),
+    ("6-star", lambda: shipped_config("six_star_dirichlet").domain, "D"),
+    ("arrowhead", lambda: shipped_config("arrowhead_dirichlet").domain, "D"),
+    ("region between triangles", lambda: shipped_config("region_between_triangles").domain, "D"),
     (
         "general triangle (mixed)",
         lambda: geo.euclidean_polygon(

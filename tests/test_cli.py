@@ -611,7 +611,8 @@ def test_run_analyze_reads_out_dir_spectrum_by_default(tmp_path):
     out = tmp_path / "a"
     out.mkdir()
     eigensolve.write_spectrum_file(
-        out / "spectrum.csv", np.arange(1.0, 41.0), np.zeros(40), np.ones(40, dtype=bool)
+        out / "spectrum.csv",
+        eigensolve.Spectrum(np.arange(1.0, 41.0), np.zeros(40), np.ones(40, dtype=bool)),
     )
     cfg = RunConfig(config_path=_cfg("hemisphere_dirichlet.yaml"), out_dir=str(out),
                     samples=128, emit_svg=False, quiet=True)
@@ -659,6 +660,23 @@ def test_exit_codes_from_a_fresh_interpreter(tmp_path, argv, code, error):
                          env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == code, out.stderr
     assert out.stderr.startswith(error.format(**paths)) and "Traceback" not in out.stderr
+
+
+def test_non_utf8_config_is_a_configuration_error(tmp_path):
+    # one Latin-1 byte in a comment once escaped PyYAML's reader as a traceback, exit 1
+    config = tmp_path / "disc.yaml"
+    config.write_bytes("# unit disc, caf\u00e9\nspace: euclidean\nshape: disc\nradius: 1.0\n"
+                       .encode("latin-1"))
+    out = tmp_path / "o"
+    src = os.path.normpath(os.path.join(CONFIG_DIR, "..", "src"))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-m", "curvspec.cli", "solve", "--config", str(config),
+                           "--out", str(out), "--quiet"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"configuration error: cannot read config {config}: ")
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 def test_cli_import_and_every_config_load_no_scipy():

@@ -1,3 +1,4 @@
+import dataclasses
 import glob
 import math
 import os
@@ -5,11 +6,12 @@ import re
 
 import pytest
 
+from curvspec.analysis import RefinedCountParams
 from curvspec.cli import main
 from curvspec.configio import ConfigError, build_domain, load_domain_config, parse_angle
 from curvspec.geometry import SpaceForm
 
-from conftest import CONFIG_DIR
+from conftest import CONFIG_DIR, ORACLE_CONSTANTS, oracle_params
 
 
 def test_parse_angle_forms():
@@ -24,12 +26,32 @@ def test_parse_angle_forms():
         parse_angle("sin(1)", "k")
 
 
+# the paper's closed forms of C; for the region between triangles the corner
+# rule as written gives 1/5, where the source prints 1/15
+_CLOSED_FORM_C = {"pentagon_dirichlet": 2.0 / 9.0, "hexagon_dirichlet": 5.0 / 24.0,
+                  "six_star_dirichlet": 25.0 / 48.0, "region_between_triangles": 1.0 / 5.0}
+
+
 def test_all_shipped_configs_load():
+    # and each shipped named domain or oracle config has its exact constants
     paths = sorted(glob.glob(os.path.join(CONFIG_DIR, "*.yaml")))
     assert len(paths) >= 20
+    pinned = set()
     for path in paths:
         cfg = load_domain_config(path)
-        assert cfg.constants.area > 0
+        gc, stem = cfg.constants, os.path.basename(path)[:-5]
+        assert gc.area > 0
+        if stem in _CLOSED_FORM_C:
+            assert gc.c == pytest.approx(_CLOSED_FORM_C[stem], abs=1e-12), stem
+            pinned.add(stem)
+        if cfg.oracle is not None:
+            got = (gc.area, gc.perimeter_d, gc.perimeter_n, gc.c)
+            assert got == pytest.approx(ORACLE_CONSTANTS[cfg.oracle], rel=1e-12, abs=1e-12), stem
+            params = dataclasses.astuple(RefinedCountParams.from_constants(gc))
+            assert params == pytest.approx(dataclasses.astuple(oracle_params(cfg.oracle)),
+                                           rel=1e-12, abs=1e-12), stem
+            pinned.add(cfg.oracle)
+    assert pinned == set(_CLOSED_FORM_C) | set(ORACLE_CONSTANTS)
 
 
 def test_polygon_config():

@@ -192,9 +192,11 @@ def test_solver_determinism_bytes(tmp_path):
         path = tmp_path / f"run{run}.csv"
         eigensolve.write_spectrum_file(
             path,
-            predicted=sl.eigenvalues,
-            ratio=np.zeros(len(sl)),
-            trusted=np.ones(len(sl), dtype=bool),
+            eigensolve.Spectrum(
+                predicted=sl.eigenvalues,
+                ratio=np.zeros(len(sl)),
+                trusted=np.ones(len(sl), dtype=bool),
+            ),
         )
         paths.append(path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
@@ -205,11 +207,13 @@ def test_spectrum_file_roundtrip(tmp_path):
     levels = [np.array([3.0, 4.0]), np.array([2.5, 3.5]), np.array([2.4, 3.4])]
     eigensolve.write_spectrum_file(
         path,
-        predicted=np.array([2.37, 3.37]),
-        ratio=np.array([0.25, 0.25]),
-        trusted=np.array([True, False]),
-        levels=levels,
-        level_ids=[0, 1, 2],
+        eigensolve.Spectrum(
+            predicted=np.array([2.37, 3.37]),
+            ratio=np.array([0.25, 0.25]),
+            trusted=np.array([True, False]),
+            levels=levels,
+            level_ids=[0, 1, 2],
+        ),
     )
     spec = eigensolve.read_spectrum_file(path)
     assert spec.level_ids == [0, 1, 2]

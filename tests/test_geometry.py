@@ -10,7 +10,7 @@ from scipy.integrate import dblquad, quad
 from curvspec import geometry as geo
 from curvspec.configio import load_domain_config
 
-from conftest import CONFIG_DIR
+from conftest import CONFIG_DIR, shipped_config
 
 
 def test_corner_phi_values():
@@ -94,19 +94,19 @@ def test_equilateral_triangle_constants():
 
 def test_polygon_fixture_constants():
     cases = [
-        (geo.regular_polygon(5), 2.0 / 9.0, 5.0),
-        (geo.regular_polygon(6), 5.0 / 24.0, 6.0),
-        (geo.six_star(), 25.0 / 48.0, 12.0),
+        ("pentagon_dirichlet", 2.0 / 9.0, 5.0),
+        ("hexagon_dirichlet", 5.0 / 24.0, 6.0),
+        ("six_star_dirichlet", 25.0 / 48.0, 12.0),
     ]
-    for dom, c1, perim in cases:
-        gc = geo.geometric_constants(dom)
+    for name, c1, perim in cases:
+        gc = geo.geometric_constants(shipped_config(name).domain)
         assert gc.c1 == pytest.approx(c1, abs=1e-13)
         assert gc.c == pytest.approx(c1, abs=1e-13)  # flat geodesic boundary
         assert gc.perimeter == pytest.approx(perim, rel=1e-12)
 
 
 def test_region_between_triangles_constants():
-    gc = geo.geometric_constants(geo.region_between_triangles())
+    gc = geo.geometric_constants(shipped_config("region_between_triangles").domain)
     assert gc.euler_characteristic == 0
     assert gc.area == pytest.approx(3 * math.sqrt(3) / 16, rel=1e-12)
     assert gc.perimeter == pytest.approx(4.5, rel=1e-12)

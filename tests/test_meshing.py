@@ -6,6 +6,8 @@ import pytest
 from curvspec import geometry as geo
 from curvspec import meshing
 
+from conftest import shipped_config
+
 
 @pytest.fixture(scope="module")
 def disc_domain():
@@ -33,7 +35,7 @@ def test_disc_boundary_snapping(disc_domain):
 
 
 def test_region_between_triangles_euler():
-    mesh = meshing.triangulate(geo.region_between_triangles())
+    mesh = meshing.triangulate(shipped_config("region_between_triangles").domain)
     meshing.validate_mesh(mesh)
     assert meshing.euler_characteristic(mesh) == 0
 
@@ -74,8 +76,8 @@ def test_mesh_area_converges_to_disc_area(disc_domain):
 
 def test_orientation_positive_everywhere():
     for dom in [
-        geo.six_star(),
-        geo.arrowhead(),
+        shipped_config("six_star_dirichlet").domain,
+        shipped_config("arrowhead_dirichlet").domain,
         geo.build_spherical_triangle(
             geo.SphericalTriangleSpec(angles=(math.pi / 2,) * 3)
         )[0],
@@ -88,8 +90,8 @@ def test_orientation_positive_everywhere():
 
 def test_quality_and_edge_bounds_across_domains():
     domains = [
-        geo.regular_polygon(5),
-        geo.region_between_triangles(),
+        shipped_config("pentagon_dirichlet").domain,
+        shipped_config("region_between_triangles").domain,
         geo.build_hyperbolic_triangle(
             geo.HyperbolicTriangleSpec(angles=(math.pi / 6,) * 3)
         )[0],
@@ -247,6 +249,51 @@ def test_load_mesh_non_finite_number_names_path_table_and_row(tmp_path, disc_dom
     bad.write_text("\n".join(lines) + "\n")
     with pytest.raises(meshing.MeshError, match=rf"finite\.mesh: bad '{table}' table {detail}$"):
         meshing.load_mesh(bad)
+
+
+_ONE_TRIANGLE = """mesh level 0
+vertices 3
+0 0
+1 0
+0 1
+triangles 1
+{triangle}
+boundary_edges 3
+0 1 0
+1 2 1
+2 0 {arc}
+arcs 3
+segment 0 0 1 0 D
+segment 1 0 0 1 D
+segment 0 1 0 0 D
+"""
+
+
+@pytest.mark.parametrize("triangle, arc, table, row, detail", [
+    ("0 1 7", 2, "triangles", 1, r"vertex index outside \[0, 3\)"),  # an IndexError later
+    ("0 1 -2", 2, "triangles", 1, r"vertex index outside \[0, 3\)"),  # would wrap to vertex 1
+    ("0 1 2", 4, "boundary_edges", 3, r"arc id outside \[0, 3\)"),  # refine passes, assemble fails
+], ids=["vertex-past-the-end", "negative-vertex", "arc-id-past-the-end"])
+def test_load_mesh_rejects_an_index_out_of_range(tmp_path, triangle, arc, table, row, detail):
+    bad = tmp_path / "range.mesh"
+    bad.write_text(_ONE_TRIANGLE.format(triangle=triangle, arc=arc))
+    with pytest.raises(meshing.MeshError, match=rf"range\.mesh: bad '{table}' table row {row}: {detail}$"):
+        meshing.load_mesh(bad)
+    good = tmp_path / "good.mesh"
+    good.write_text(_ONE_TRIANGLE.format(triangle="0 1 2", arc=2))
+    assert meshing.load_mesh(good).triangles.tolist() == [[0, 1, 2]]
+
+
+@pytest.mark.parametrize("triangle, arc, detail", [
+    ([0, 1, 7], 2, "'triangles' table row 1: vertex index"),
+    ([0, 1, -2], 2, "'triangles' table row 1: vertex index"),
+    ([0, 1, 2], 4, "'boundary_edges' table row 3: arc id"),
+], ids=["vertex-past-the-end", "negative-vertex", "arc-id-past-the-end"])
+def test_validate_mesh_rejects_an_index_out_of_range(triangle, arc, detail):
+    mesh = _hand_mesh([(0, 0), (1, 0), (0, 1)], [triangle], [(0, 1), (1, 2), (2, 0)])
+    mesh.boundary_edges[2, 2] = arc
+    with pytest.raises(meshing.MeshError, match=f"^mesh: bad {detail}"):
+        meshing.validate_mesh(mesh)
 
 
 def _hand_mesh(vertices, triangles, boundary):

@@ -14,6 +14,8 @@ from curvspec import fem
 from curvspec import geometry as geo
 from curvspec import meshing
 
+from conftest import shipped_config
+
 _MIN = 0.5  # smallest corner angle (rad)
 _PROPERTY_SETTINGS = settings(max_examples=20, deadline=None, derandomize=True, database=None)
 _SIDE_BCS = st.lists(st.sampled_from("DN"), min_size=3, max_size=3)
@@ -323,7 +325,7 @@ def test_sorted_rows_of_an_empty_table():
 def test_sorted_rows_of_boundary_edges_keep_lexsort_order():
     # rows (v0, v1, arc_id), the arc id the third key; in a refined boundary
     # each midpoint is v1 of two rows
-    mesh = meshing.refine(meshing.triangulate(geo.region_between_triangles()))
+    mesh = meshing.refine(meshing.triangulate(shipped_config("region_between_triangles").domain))
     b = mesh.boundary_edges
     _lexsorted_rows(b[::-1])
     _lexsorted_rows(np.random.default_rng(1).permutation(b))

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from curvspec import eigensolve, exact, fem
-from curvspec import geometry as geo
 from curvspec import meshing
 from curvspec.cli import main
 
-from conftest import CONFIG_DIR
+from conftest import CONFIG_DIR, shipped_config
 
 
 def _solve_domain(domain, m, refinements, target_h=None):
@@ -29,7 +28,7 @@ def _solve_domain(domain, m, refinements, target_h=None):
 
 @pytest.fixture(scope="module")
 def pentagon_spectrum():
-    ex = _solve_domain(geo.regular_polygon(5), 30, 4)
+    ex = _solve_domain(shipped_config("pentagon_dirichlet").domain, 30, 4)
     return ex.predicted[: ex.trust_count]
 
 
@@ -49,7 +48,7 @@ def test_pentagon_predictions_match_printed_table(pentagon_spectrum):
 
 
 def test_hexagon_contains_equilateral_subspectrum():
-    ex = _solve_domain(geo.regular_polygon(6), 12, 4)
+    ex = _solve_domain(shipped_config("hexagon_dirichlet").domain, 12, 4)
     # odd reflection puts the unit equilateral triangle's eigenvalues in the hexagon's
     sub = exact.equilateral_spectrum(1)
     best = np.min(np.abs(ex.predicted - sub[0]))
@@ -57,7 +56,7 @@ def test_hexagon_contains_equilateral_subspectrum():
 
 
 def test_hexagon_predictions_match_printed_table():
-    ex = _solve_domain(geo.regular_polygon(6), 10, 4)
+    ex = _solve_domain(shipped_config("hexagon_dirichlet").domain, 10, 4)
     scale = (4 * np.pi / 3) ** 2
     printed = np.array(
         [0.40781, 1.03338, 1.03338, 1.84953, 1.84953,
@@ -157,9 +156,11 @@ def test_analysis_failure_exit_code(tmp_path, capsys):
     spectrum = str(tmp_path / "one.csv")
     eigensolve.write_spectrum_file(
         spectrum,
-        predicted=np.array([1.0]),
-        ratio=np.array([0.0]),
-        trusted=np.array([True]),
+        eigensolve.Spectrum(
+            predicted=np.array([1.0]),
+            ratio=np.array([0.0]),
+            trusted=np.array([True]),
+        ),
     )
     rc = main(["gaps", "--spectrum", spectrum, "--out", str(tmp_path / "g"), "--quiet"])
     assert rc == 4
@@ -221,9 +222,11 @@ def test_untrusted_tail_is_cut_for_analysis(tmp_path):
     spectrum = str(tmp_path / "s.csv")
     eigensolve.write_spectrum_file(
         spectrum,
-        predicted=np.array([1.0, 2.0, 3.0, 50.0]),
-        ratio=np.array([0.1, 0.1, 0.1, 0.9]),
-        trusted=np.array([True, True, True, False]),
+        eigensolve.Spectrum(
+            predicted=np.array([1.0, 2.0, 3.0, 50.0]),
+            ratio=np.array([0.1, 0.1, 0.1, 0.9]),
+            trusted=np.array([True, True, True, False]),
+        ),
     )
     spec = eigensolve.read_spectrum_file(spectrum)
     assert np.allclose(spec.trusted_prefix(), [1.0, 2.0, 3.0])

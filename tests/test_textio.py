@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from curvspec import analysis, eigensolve, exact, fem, meshing, svgplot, textio
 from curvspec import geometry as geo
-from curvspec.cli import RunConfig, run_solve
+from curvspec.cli import RunConfig, run_exact_case, run_solve
 from curvspec.configio import load_domain_config
 
 from conftest import CONFIG_DIR
@@ -165,12 +165,13 @@ def test_spectrum_file_matches_row_loop(tmp_path):
                   level_ids=[0, 1, 2, 3, 4])
     _same_bytes(
         tmp_path,
-        lambda p: eigensolve.write_spectrum_file(p, **kwargs),
+        lambda p: eigensolve.write_spectrum_file(p, eigensolve.Spectrum(**kwargs)),
         lambda p: _old_write_spectrum_file(p, **kwargs),
     )
     _same_bytes(
         tmp_path,
-        lambda p: eigensolve.write_spectrum_file(p, predicted[:0], ratio[:0], trusted[:0]),
+        lambda p: eigensolve.write_spectrum_file(
+            p, eigensolve.Spectrum(predicted[:0], ratio[:0], trusted[:0])),
         lambda p: _old_write_spectrum_file(p, predicted[:0], ratio[:0], trusted[:0]),
     )
 
@@ -256,6 +257,18 @@ def test_table_matches_cell_loop(tmp_path, name, opts):
     assert (len(slices[0]) == 0) == (name == "region_between_triangles.yaml")
     _old_write_table(tmp_path / "old", slices, extr, oracle_vals)
     assert (tmp_path / "table.txt").read_bytes() == (tmp_path / "old").read_bytes()
+
+
+def test_spectrum_file_read_then_written_keeps_its_bytes(tmp_path):
+    # a solve's file, its level 0 (no free nodes) padded with zeros, and an exact file
+    cfg = RunConfig(config_path=os.path.join(CONFIG_DIR, "region_between_triangles.yaml"),
+                    out_dir=str(tmp_path / "solve"), refinements=3, num_eigs=6, quiet=True)
+    paths = [run_solve(cfg)["spectrum_path"], run_exact_case("disc-d", 50, tmp_path / "exact.csv")]
+    for path in paths:
+        again = tmp_path / "again.csv"
+        eigensolve.write_spectrum_file(again, eigensolve.read_spectrum_file(path))
+        with open(path, "rb") as fh:
+            assert again.read_bytes() == fh.read(), path
 
 
 def _old_save_mesh(mesh, path):
@@ -458,7 +471,8 @@ def test_spectrum_file_roundtrip_is_bit_identical(tmp_path_factory, data):
     trusted = np.array(data.draw(st.lists(st.booleans(), min_size=m, max_size=m)))
     levels = [np.array(data.draw(st.lists(_finite, max_size=m))) for _ in range(3)]
     path = tmp_path_factory.mktemp("spectrum") / "s.csv"
-    eigensolve.write_spectrum_file(path, predicted, ratio, trusted, levels, [3, 4, 5])
+    eigensolve.write_spectrum_file(
+        path, eigensolve.Spectrum(predicted, ratio, trusted, levels, [3, 4, 5]))
     spec = eigensolve.read_spectrum_file(path)
     assert spec.level_ids == [3, 4, 5]
     for lev, got in zip(levels, spec.levels):
