@@ -1,12 +1,12 @@
 """Counting-function analysis: refined three-term count, error averages,
-the six-graph (flat/hyperbolic) and five-graph (spherical) series, and
-consecutive-gap statistics.
+the graph set (six graphs flat/hyperbolic, five spherical, as a dict of Graph
+by key in their numbered order), and consecutive-gap statistics.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -85,10 +85,6 @@ def average_error(spectrum, params: RefinedCountParams, t):
     return float(vals[0]) if scalar else vals
 
 
-FLAT_GRAPH_KEYS = ("N", "D", "A", "t14A", "t14At2", "runmean")
-SPH_GRAPH_KEYS = ("N", "D", "A", "At2", "runmean")
-
-
 class Graph(NamedTuple):
     """One sampled graph: file key, SVG title and x-axis label, samples."""
 
@@ -97,31 +93,6 @@ class Graph(NamedTuple):
     xlabel: str
     x: np.ndarray
     y: np.ndarray
-
-
-@dataclass
-class AnalysisSeries:
-    """Sampled graph set: six graphs for flat/hyperbolic, five for spherical.
-
-    Graphs on the eigenvalue axis run over (0, t_max]; the squared-variable
-    graphs run over (0, sqrt(t_max)]. The running mean starts at
-    a = sqrt(t_max)/4 and is defined for x > a.
-    """
-
-    space: SpaceForm
-    t_max: float
-    a: float
-    graphs: list[Graph] = field(default_factory=list)
-
-    @property
-    def keys(self) -> tuple[str, ...]:
-        return tuple(g.key for g in self.graphs)
-
-    def get(self, key: str) -> tuple[np.ndarray, np.ndarray]:
-        for g in self.graphs:
-            if g.key == key:
-                return g.x, g.y
-        raise AnalysisError(f"no graph {key!r}; have {self.keys}")
 
 
 def _grid_with_breakpoints(lo_open: float, hi: float, samples: int, breaks) -> np.ndarray:
@@ -150,12 +121,15 @@ def graph_series(
     params: RefinedCountParams,
     space: SpaceForm,
     samples: int = 4096,
-) -> AnalysisSeries:
-    """Sample the standard graph set over the spectrum's range.
+) -> dict[str, Graph]:
+    """Sample the standard graph set over the spectrum's range, as graphs by
+    key in their numbered order.
 
-    Flat/hyperbolic: N, D, A, t^(1/4) A(t), t^(1/4) A(t^2), and the running
-    mean of sqrt(s) A(s^2) from a = sqrt(t_max)/4. Spherical: N, D, A, A(t^2)
-    and the same running mean.
+    Flat/hyperbolic: N, D, A, t14A = t^(1/4) A(t), t14At2 = t^(1/4) A(t^2),
+    and runmean, the running mean of sqrt(s) A(s^2) from a = sqrt(t_max)/4.
+    Spherical: N, D, A, At2 = A(t^2) and the same running mean. Graphs in t
+    run over (0, t_max], those in sqrt(t) over (0, sqrt(t_max)], and the
+    running mean over x > a.
     """
     eigs = np.asarray(spectrum, dtype=float)
     if len(eigs) == 0:
@@ -175,8 +149,8 @@ def graph_series(
     d_vals = n_vals - refined_count(params, grid_t)
     a_vals = average_error(eigs, params, grid_t)
 
-    series = AnalysisSeries(space=space, t_max=t_max, a=a)
-    add = series.graphs.append
+    graphs = []
+    add = graphs.append
     add(Graph("N", "graph 1: N(t)", "t", grid_t, n_vals))
     add(Graph("D", "graph 2: D(t) = N(t) - refined(t)", "t", grid_t, d_vals))
     add(Graph("A", "graph 3: A(t)", "t", grid_t, a_vals))
@@ -188,7 +162,7 @@ def graph_series(
         add(Graph("t14At2", "graph 5: t^(1/4) A(t^2)", "sqrt(t)", grid_r, grid_r**0.25 * a_sq))
     xs, mean = _running_mean(eigs, params, a, grid_r)
     add(Graph("runmean", "running mean of s^(1/2) A(s^2)", "sqrt(t)", xs, mean))
-    return series
+    return {g.key: g for g in graphs}
 
 
 @dataclass
@@ -203,20 +177,22 @@ class GapStats:
     bin_counts: np.ndarray
 
 
-def gap_stats(spectrum, bin_width: float) -> GapStats:
+def gap_stats(spectrum, bin_width: float | None = None) -> GapStats:
     """Differences of consecutive sorted eigenvalues, their CDF and histogram
-    (at most _MAX_BINS bins of bin_width)."""
+    (at most _MAX_BINS bins of bin_width, by default the largest difference / 40)."""
     eigs = np.asarray(spectrum, dtype=float)
     if len(eigs) < 2:
         raise AnalysisError("gap statistics need at least two eigenvalues")
+    d = np.diff(eigs)
+    top = float(d.max())
+    if bin_width is None:
+        bin_width = max(top / 40.0, 1e-12)
     if not bin_width > 0.0:
         raise AnalysisError(f"bin width must be positive, got {bin_width}")
-    d = np.diff(eigs)
     if np.any(d < 0.0):
         raise AnalysisError("spectrum must be ascending")
     xs, counts = np.unique(d, return_counts=True)
     cdf_y = np.cumsum(counts) / len(d)
-    top = float(d.max())
     if top / bin_width > _MAX_BINS:  # checked before the bin edges are allocated
         raise AnalysisError(
             f"bin width {bin_width:g} gives {top / bin_width:.4g} histogram bins for the "

@@ -168,7 +168,9 @@ def _read_spectrum(cfg: RunConfig, spectrum_path) -> np.ndarray:
     spec = eigensolve.read_spectrum_file(spectrum_path)
     eigs = spec.predicted if cfg.all_eigenvalues else spec.trusted_prefix()
     if len(eigs) == 0:
-        raise analysis.AnalysisError("no trusted eigenvalues to analyze (try --all)")
+        raise analysis.AnalysisError(
+            f"spectrum file {spectrum_path} holds no eigenvalues" if cfg.all_eigenvalues
+            else "no trusted eigenvalues to analyze (try --all)")
     return np.sort(eigs)
 
 
@@ -185,28 +187,27 @@ def run_analyze(cfg: RunConfig, spectrum_path=None) -> dict:
         eigs = _read_spectrum(cfg, spectrum_path or os.path.join(cfg.out_dir, "spectrum.csv"))
     params = analysis.RefinedCountParams.from_constants(domain_cfg.constants)
     series = analysis.graph_series(eigs, params, domain_cfg.domain.space, samples=cfg.samples)
+    stats = analysis.gap_stats(eigs, cfg.bin_width) if cfg.emit_gaps else None  # before any file
 
     written = []
-    for idx, g in enumerate(series.graphs, start=1):
+    for idx, g in enumerate(series.values(), start=1):
         base = os.path.join(cfg.out_dir, f"graph{idx}_{g.key}")
         analysis.write_graph_csv(base + ".csv", g.x, g.y)
         written.append(base + ".csv")
         if cfg.emit_svg:
             svgplot.render_line_plot(base + ".svg", g.title, g.x, g.y, g.xlabel)
             written.append(base + ".svg")
-    if cfg.emit_gaps:
-        written.extend(run_gaps(cfg, eigs=eigs))
+    if stats is not None:
+        written.extend(run_gaps(cfg, stats=stats))
     return {"series": series, "files": written}
 
 
-def run_gaps(cfg: RunConfig, spectrum_path=None, eigs=None) -> list[str]:
-    """Consecutive-difference CDF and histogram (CSV, optionally SVG)."""
+def run_gaps(cfg: RunConfig, spectrum_path=None, stats=None) -> list[str]:
+    """Consecutive-difference CDF and histogram (CSV, optionally SVG) of a
+    spectrum file's eigenvalues, or of stats already computed."""
     _make_out_dir(cfg.out_dir)
-    if eigs is None:
-        eigs = _read_spectrum(cfg, spectrum_path)
-    d_max = float(np.diff(eigs).max()) if len(eigs) > 1 else 1.0
-    bin_width = cfg.bin_width if cfg.bin_width is not None else max(d_max / 40.0, 1e-12)
-    stats = analysis.gap_stats(eigs, bin_width)
+    if stats is None:
+        stats = analysis.gap_stats(_read_spectrum(cfg, spectrum_path), cfg.bin_width)
     base = os.path.join(cfg.out_dir, "gaps")
     files = list(analysis.write_gap_csvs(base, stats))
     if cfg.emit_svg:

@@ -177,10 +177,11 @@ def build_domain(raw: dict, name: str = "<config>") -> DomainConfig:
 
 
 def _construct(shape, bc, raw):
-    if shape == "hyperbolic_disc":
-        return geo.build_hyperbolic_disc(_number(raw, "radius", positive=True), _single_bc(bc))
-    if shape == "spherical_disc":
-        return geo.build_spherical_disc(_number(raw, "radius", positive=True), _single_bc(bc))
+    if shape.endswith("disc"):
+        radius = _number(raw, "radius", positive=True)
+        if isinstance(bc, list) and len(bc) != 1:
+            raise ConfigError("key 'bc': a disc has a single boundary arc")
+        return geo.geodesic_disc(_SHAPES[shape][0], radius, bc[0] if isinstance(bc, list) else bc)
     if shape == "hyperbolic_triangle":
         spec = _triangle_spec(raw, geo.HyperbolicTriangleSpec, _SHAPES[shape][1])
         return geo.build_hyperbolic_triangle(spec, bc)
@@ -189,8 +190,6 @@ def _construct(shape, bc, raw):
         return geo.build_spherical_triangle(spec, bc)
     if shape == "polygon":
         domain = geo.euclidean_polygon(_vertex_list(raw.get("vertices"), "vertices"), bc)
-    elif shape == "disc":
-        domain = geo.euclidean_disc(_number(raw, "radius", positive=True), _single_bc(bc))
     else:  # polygon_with_holes
         outer = _vertex_list(raw.get("outer"), "outer")
         holes_raw = raw.get("holes")
@@ -206,14 +205,6 @@ def _construct(shape, bc, raw):
             raise ConfigError(f"key 'hole_bc': expected one entry per hole, got {hole_bc!r}")
         domain = geo.euclidean_polygon(outer, bc, holes=holes, hole_bc=hole_bc)
     return domain, geo.geometric_constants(domain)
-
-
-def _single_bc(bc):
-    if isinstance(bc, list):
-        if len(bc) != 1:
-            raise ConfigError("key 'bc': a disc has a single boundary arc")
-        return bc[0]
-    return bc
 
 
 def _triangle_spec(raw, spec_cls, keys):

@@ -35,7 +35,8 @@ input: it frees its factor before ARPACK's Ritz vectors exist (_eigsh) and
 takes its residuals a few columns at a time. A count gets K - e*M alone; its
 factor plus the L and U copies made to read diag(U) are its floor.
 
-Extrapolation fits the last three refinement values to x_n = x + c*r^n.
+Extrapolation fits the last three refinement values to x_n = x + c*r^n, by
+one elementwise fit (extrapolate) over every eigenvalue index at once.
 Its result is a Spectrum, the one record of a spectrum file: the predictions,
 their fit ratios and trust flags, and the refinement levels' values.
 write_spectrum_file writes it and read_spectrum_file reads it back.
@@ -120,7 +121,7 @@ class Spectrum:
     @property
     def trust_count(self) -> int:
         """Length of the leading run of trusted predictions."""
-        return _leading_run(self.trusted)
+        return len(self.trusted) if self.trusted.all() else int(np.argmin(self.trusted))
 
     def trusted_prefix(self) -> np.ndarray:
         """Predicted eigenvalues up to the first untrusted entry."""
@@ -494,30 +495,21 @@ def solve_lowest(problem: EigenProblem, m: int, tol: float = 1e-9, guide=None) -
     return sl
 
 
-def _geometric_fit(x4, x5, x6) -> tuple[np.ndarray, np.ndarray]:
-    # elementwise x + c r^n fit; see extrapolate for the degenerate cases
+def extrapolate(x4, x5, x6):
+    """Fit x_n = x + c r^n to three consecutive values, elementwise over
+    scalars or arrays, and return (x, r).
+
+    Degenerate fits (x5 == x4, |r| >= 1 or r ~ 1) return the finest value with
+    the raw ratio (0 when x5 == x4); the trust decision is made downstream
+    from the ratio.
+    """
     x4, x5, x6 = (np.asarray(v, dtype=float) for v in (x4, x5, x6))
     flat = x5 == x4
     with np.errstate(all="ignore"):  # masked lanes may divide by zero
         r = np.where(flat, 0.0, (x6 - x5) / np.where(flat, 1.0, x5 - x4))
         degenerate = flat | (np.abs(r) >= 1.0) | (np.abs(1.0 - r) < 1e-12)
         pred = np.where(degenerate, x6, x6 + (x6 - x5) * r / (1.0 - r))
-    return pred, r
-
-
-def extrapolate(x4: float, x5: float, x6: float) -> tuple[float, float]:
-    """Fit x_n = x + c r^n to three consecutive values and return (x, r).
-
-    Degenerate fits (|r| >= 1 or r ~ 1) return the finest value with the raw
-    ratio; the trust decision is made downstream from the ratio.
-    """
-    pred, r = _geometric_fit(x4, x5, x6)
-    return (float(pred), float(r))
-
-
-def _leading_run(flags) -> int:
-    """Length of the leading run of true flags."""
-    return len(flags) if flags.all() else int(np.argmin(flags))
+    return pred[()], r[()]  # [()]: a scalar from scalars
 
 
 def extrapolate_spectrum(slices) -> Spectrum:
@@ -540,7 +532,7 @@ def extrapolate_spectrum(slices) -> Spectrum:
         raise SolveError(
             f"slices must be at consecutive levels, got {s4.level}, {s5.level}, {s6.level}"
         )
-    preds, ratios = _geometric_fit(s4.eigenvalues, s5.eigenvalues, s6.eigenvalues)
+    preds, ratios = extrapolate(s4.eigenvalues, s5.eigenvalues, s6.eigenvalues)
     trusted = (np.abs(ratios) <= _TRUST_RATIO) & (
         np.abs(preds - s6.eigenvalues) <= _TRUST_JUMP * (1.0 + np.abs(preds))
     )

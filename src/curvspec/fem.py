@@ -17,7 +17,7 @@ import numpy as np
 
 from . import textio
 from .geometry import DIRICHLET, SpaceForm, conformal_factor
-from .meshing import Mesh, edge_vectors
+from .meshing import Mesh, _check_indices, edge_vectors
 
 if TYPE_CHECKING:  # assemble imports scipy.sparse on use
     import scipy.sparse as sp
@@ -75,6 +75,7 @@ def _midpoint_weights(p: np.ndarray, weight: ConformalWeight) -> np.ndarray:
 def assemble(mesh: Mesh, weight: ConformalWeight) -> EigenProblem:
     """Assemble the P1 stiffness/weighted-mass pencil with the boundary
     conditions that the mesh's arcs carry applied."""
+    _check_indices(mesh, "mesh")
     v = mesh.vertices
     t = mesh.triangles
     if weight.space is SpaceForm.HYPERBOLIC and np.any(v[:, 1] <= 0.0):

@@ -6,6 +6,8 @@ image of the unit sphere (curvature +1, conformal factor 4/(u^2+v^2+4)).
 Boundaries are chains of line segments and circle arcs; every constructed
 domain is audited against the Gauss-Bonnet identity
     A*K2 + int_dS K1 + sum_j (pi - theta_j) = 2*pi*chi.
+One constructor, geodesic_disc, builds the disc of each space form with its
+closed-form constants.
 """
 
 from __future__ import annotations
@@ -623,13 +625,6 @@ def euclidean_polygon(vertices, bc=DIRICHLET, holes=(), hole_bc=DIRICHLET) -> Do
     return Domain(SpaceForm.EUCLIDEAN, outer, hole_loops)
 
 
-def euclidean_disc(radius: float = 1.0, bc: str = DIRICHLET) -> Domain:
-    if not radius > 0.0:
-        raise GeometryError(f"disc radius must be positive, got {radius}")
-    arc = CircleArc((0.0, 0.0), float(radius), 0.0, 2.0 * math.pi, _check_bc(bc))
-    return Domain(SpaceForm.EUCLIDEAN, [arc])
-
-
 def triangle_from_angles(theta1: float, theta2: float, theta3: float, base: float = 1.0):
     """Vertices of a flat triangle with the given angles; base side on the x-axis."""
     if abs(theta1 + theta2 + theta3 - math.pi) > 1e-12:
@@ -717,19 +712,6 @@ def _audit_triangle(domain: Domain, requested_angles) -> GeometricConstants:
     return replace(gc, area=area, boundary_curvature_integral=0.0, c2=0.0, c3=c3)
 
 
-def _geodesic_disc(space: SpaceForm, arc: CircleArc, area, per, k1, c2, c3):
-    """The disc bounded by arc, with its closed-form constants (no corners),
-    checked against Gauss-Bonnet."""
-    domain = Domain(space, [arc])
-    gc = GeometricConstants(
-        area=area, perimeter_d=per if arc.bc == DIRICHLET else 0.0,
-        perimeter_n=per if arc.bc == NEUMANN else 0.0, euler_characteristic=1,
-        boundary_curvature_integral=k1, c1=0.0, c2=c2, c3=c3,
-    )
-    _check_gauss_bonnet(domain, area, k1)
-    return domain, gc
-
-
 # ---------------------------------------------------------------------------
 # Hyperbolic constructors
 
@@ -815,28 +797,6 @@ def build_hyperbolic_triangle(
     ]
     domain = Domain(SpaceForm.HYPERBOLIC, loop)
     return domain, _audit_triangle(domain, spec.angles)
-
-
-def build_hyperbolic_disc(radius: float, bc: str = DIRICHLET) -> tuple[Domain, GeometricConstants]:
-    """Hyperbolic disc of geodesic radius R, model circle centered on the y-axis.
-
-    Model center (0, (e^{2R}+1)/2) and Euclidean radius (e^{2R}-1)/2 put the
-    vertical geodesic diameter between y = 1 and y = e^{2R}.
-    """
-    if not radius > 0.0:
-        raise GeometryError(f"hyperbolic disc radius must be positive, got {radius}")
-    if radius > _HYPERBOLIC_DISC_MAX_RADIUS:
-        raise GeometryError(f"hyperbolic disc radius {radius} exceeds the limit "
-                            f"{_HYPERBOLIC_DISC_MAX_RADIUS} of float64 accuracy")
-    e2 = math.exp(2.0 * radius)
-    center = (0.0, 0.5 * (e2 + 1.0))
-    r_e = 0.5 * (e2 - 1.0)
-    arc = CircleArc(center, r_e, -math.pi / 2, 3.0 * math.pi / 2, _check_bc(bc))
-    return _geodesic_disc(
-        SpaceForm.HYPERBOLIC, arc, area=4.0 * math.pi * math.sinh(0.5 * radius) ** 2,
-        per=2.0 * math.pi * math.sinh(radius), k1=2.0 * math.pi * math.cosh(radius),
-        c2=math.cosh(radius) / 6.0, c3=-(math.cosh(radius) - 1.0) / 6.0,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -947,14 +907,49 @@ def build_spherical_triangle(
     return domain, _audit_triangle(domain, spec.angles)
 
 
-def build_spherical_disc(radius: float, bc: str = DIRICHLET) -> tuple[Domain, GeometricConstants]:
-    """Spherical disc of geodesic radius r in (0, pi); model circle of radius 2 tan(r/2)."""
-    if not 0.0 < radius < math.pi:
-        raise GeometryError(f"spherical disc radius must lie in (0, pi), got {radius}")
-    r_e = 2.0 * math.tan(0.5 * radius)
-    arc = CircleArc((0.0, 0.0), r_e, 0.0, 2.0 * math.pi, _check_bc(bc))
-    return _geodesic_disc(
-        SpaceForm.SPHERICAL, arc, area=2.0 * math.pi * (1.0 - math.cos(radius)),
-        per=2.0 * math.pi * math.sin(radius), k1=2.0 * math.pi * math.cos(radius),
-        c2=math.cos(radius) / 6.0, c3=(1.0 - math.cos(radius)) / 6.0,
+# ---------------------------------------------------------------------------
+# Geodesic discs
+
+
+def geodesic_disc(
+    space: SpaceForm, radius: float, bc: str = DIRICHLET
+) -> tuple[Domain, GeometricConstants]:
+    """Disc of geodesic radius r with its closed-form constants (no corners),
+    checked against Gauss-Bonnet.
+
+    Model circles: flat, radius r about the origin; hyperbolic, center
+    (0, (e^{2r}+1)/2) and radius (e^{2r}-1)/2, which put the vertical geodesic
+    diameter between y = 1 and y = e^{2r}; spherical, r in (0, pi), radius
+    2 tan(r/2) about the origin.
+    """
+    phis = (0.0, 2.0 * math.pi)
+    if space is SpaceForm.SPHERICAL:
+        if not 0.0 < radius < math.pi:
+            raise GeometryError(f"spherical disc radius must lie in (0, pi), got {radius}")
+        center, r_e, cos = (0.0, 0.0), 2.0 * math.tan(0.5 * radius), math.cos(radius)
+        area, per = 2.0 * math.pi * (1.0 - cos), 2.0 * math.pi * math.sin(radius)
+        k1, c2, c3 = 2.0 * math.pi * cos, cos / 6.0, (1.0 - cos) / 6.0
+    elif not radius > 0.0:
+        kind = "hyperbolic disc" if space is SpaceForm.HYPERBOLIC else "disc"
+        raise GeometryError(f"{kind} radius must be positive, got {radius}")
+    elif space is SpaceForm.HYPERBOLIC:
+        if radius > _HYPERBOLIC_DISC_MAX_RADIUS:
+            raise GeometryError(f"hyperbolic disc radius {radius} exceeds the limit "
+                                f"{_HYPERBOLIC_DISC_MAX_RADIUS} of float64 accuracy")
+        e2, cosh = math.exp(2.0 * radius), math.cosh(radius)
+        center, r_e = (0.0, 0.5 * (e2 + 1.0)), 0.5 * (e2 - 1.0)
+        phis = (-math.pi / 2, 3.0 * math.pi / 2)
+        area = 4.0 * math.pi * math.sinh(0.5 * radius) ** 2
+        per, k1 = 2.0 * math.pi * math.sinh(radius), 2.0 * math.pi * cosh
+        c2, c3 = cosh / 6.0, -(cosh - 1.0) / 6.0
+    else:  # the Green and length integrals of the circle, in closed form
+        center, r_e = (0.0, 0.0), float(radius)
+        area, per, k1 = radius * radius * math.pi, 2.0 * math.pi * radius, 2.0 * math.pi
+        c2, c3 = k1 / (12.0 * math.pi), 0.0
+    domain = Domain(space, [CircleArc(center, r_e, *phis, _check_bc(bc))])
+    _check_gauss_bonnet(domain, area, k1)
+    return domain, GeometricConstants(
+        area=area, perimeter_d=per if bc == DIRICHLET else 0.0,
+        perimeter_n=per if bc == NEUMANN else 0.0, euler_characteristic=1,
+        boundary_curvature_integral=k1, c1=0.0, c2=c2, c3=c3,
     )

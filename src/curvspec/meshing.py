@@ -316,6 +316,7 @@ def refine(mesh: Mesh) -> Mesh:
     arcs, exact for segments). New vertices are appended in the canonical
     order of their parent edges, so the output is schedule-independent.
     """
+    _check_indices(mesh, "mesh")
     v = mesh.vertices
     t = mesh.triangles
     n = len(v)

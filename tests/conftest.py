@@ -1,9 +1,11 @@
 import math
 import os
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from curvspec import exact
+from curvspec import exact, meshing
 from curvspec.analysis import RefinedCountParams
 from curvspec.configio import DomainConfig, load_domain_config
 
@@ -36,6 +38,17 @@ def oracle_params(case: str) -> RefinedCountParams:
 def shipped_config(name: str) -> DomainConfig:
     """configs/<name>.yaml loaded: the one definition of each named domain."""
     return load_domain_config(os.path.join(CONFIG_DIR, name + ".yaml"))
+
+
+def disc_with_bad_vertex(index):
+    """The once-refined unit disc with the last corner of its first triangle
+    off the boundary set to index(num_vertices), and that triangle's row (from 1)."""
+    domain = shipped_config("unit_disc_dirichlet").domain
+    mesh = meshing.refine(meshing.triangulate(domain, 0.5))
+    row = int(np.flatnonzero(~np.isin(mesh.triangles, mesh.boundary_edges[:, :2]).any(axis=1))[0])
+    triangles = mesh.triangles.copy()
+    triangles[row, 2] = index(mesh.num_vertices)
+    return replace(mesh, triangles=triangles), row + 1
 
 
 @pytest.fixture(scope="session")

@@ -136,11 +136,11 @@ def test_criterion_6_disc_fem_vs_bessel(pipeline):
 def test_criterion_7_constant_c_fixtures():
     sixth = 1.0 / 6.0
     checks = [
-        ("euclidean disc", geo.geometric_constants(geo.euclidean_disc(1.0)).c, sixth),
-        ("hyperbolic disc R=0.5", geo.build_hyperbolic_disc(0.5)[1].c, sixth),
-        ("hyperbolic disc R=1", geo.build_hyperbolic_disc(1.0)[1].c, sixth),
-        ("hyperbolic disc R=3", geo.build_hyperbolic_disc(3.0)[1].c, sixth),
-        ("spherical disc", geo.build_spherical_disc(0.9)[1].c, sixth),
+        ("euclidean disc", geo.geodesic_disc(SpaceForm.EUCLIDEAN, 1.0)[1].c, sixth),
+        ("hyperbolic disc R=0.5", geo.geodesic_disc(SpaceForm.HYPERBOLIC, 0.5)[1].c, sixth),
+        ("hyperbolic disc R=1", geo.geodesic_disc(SpaceForm.HYPERBOLIC, 1.0)[1].c, sixth),
+        ("hyperbolic disc R=3", geo.geodesic_disc(SpaceForm.HYPERBOLIC, 3.0)[1].c, sixth),
+        ("spherical disc", geo.geodesic_disc(SpaceForm.SPHERICAL, 0.9)[1].c, sixth),
         ("pentagon", shipped_config("pentagon_dirichlet").constants.c, 2.0 / 9.0),
         ("hexagon", shipped_config("hexagon_dirichlet").constants.c, 5.0 / 24.0),
         ("6-star", shipped_config("six_star_dirichlet").constants.c, 25.0 / 48.0),
@@ -163,15 +163,15 @@ def test_criterion_7_constant_c_fixtures():
 def _conjecture_flat_checks(eigs, case):
     params = oracle_params(case)
     series = analysis.graph_series(eigs, params, SpaceForm.EUCLIDEAN, samples=2048)
-    x4, y4 = series.get("t14A")
-    half = series.t_max / 2.0
+    x4, y4 = series["t14A"].x, series["t14A"].y
+    half = float(eigs[-1]) / 2.0
     lo = float(np.max(np.abs(y4[x4 <= half])))
     hi = float(np.max(np.abs(y4[x4 > half])))
-    _, y6 = series.get("runmean")
+    y6 = series["runmean"].y
     quarter = analysis.graph_series(
         eigs[: max(2, len(eigs) // 4)], params, SpaceForm.EUCLIDEAN, samples=2048
     )
-    _, y6q = quarter.get("runmean")
+    y6q = quarter["runmean"].y
     return hi, lo, float(y6[-1]), float(y6q[-1])
 
 
@@ -207,7 +207,7 @@ def test_criterion_9_conjecture_spherical():
         series = analysis.graph_series(
             eigs, oracle_params(case), SpaceForm.SPHERICAL, samples=2048
         )
-        x, y = series.get("At2")
+        x, y = series["At2"].x, series["At2"].y
         last_q = float(np.max(np.abs(y[x >= 0.75 * x[-1]])))
         peak = float(np.max(np.abs(y)))
         ok = ok and last_q >= 0.5 * peak
@@ -239,9 +239,9 @@ def test_criterion_10_gauss_bonnet_randomized():
                     geo.HyperbolicTriangleSpec(angles=tuple(a))
                 )
             elif kind == 2:
-                dom, gc = geo.build_hyperbolic_disc(rng.uniform(0.2, 2.5))
+                dom, gc = geo.geodesic_disc(SpaceForm.HYPERBOLIC, rng.uniform(0.2, 2.5))
             elif kind == 3:
-                dom, gc = geo.build_spherical_disc(rng.uniform(0.3, 2.8))
+                dom, gc = geo.geodesic_disc(SpaceForm.SPHERICAL, rng.uniform(0.3, 2.8))
             else:
                 a = rng.uniform(0.7, 2.6, 3)
                 if not math.pi + 0.1 < a.sum() < 3 * math.pi - 0.1:

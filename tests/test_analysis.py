@@ -86,8 +86,9 @@ def test_graph_series_flat_keys_and_jumps(right_isosceles_600):
     series = analysis.graph_series(
         right_isosceles_600[:200], params, SpaceForm.EUCLIDEAN, samples=512
     )
-    assert series.keys == analysis.FLAT_GRAPH_KEYS
-    x, y = series.get("D")
+    assert tuple(series) == ("N", "D", "A", "t14A", "t14At2", "runmean")
+    assert all(key == g.key for key, g in series.items())
+    x, y = series["D"].x, series["D"].y
     lam = right_isosceles_600[5]
     mult = int(np.sum(np.isclose(right_isosceles_600[:200], lam)))
     before = y[x < lam - 1e-9][-1]
@@ -115,7 +116,7 @@ def test_graph6_band_at_150_eigenvalues(right_isosceles_600):
     series = analysis.graph_series(
         right_isosceles_600[:150], params, SpaceForm.EUCLIDEAN, samples=1024
     )
-    _, y6 = series.get("runmean")
+    y6 = series["runmean"].y
     assert abs(y6[-1]) < 0.05
 
 
@@ -124,7 +125,8 @@ def test_graph_series_spherical_keys():
     series = analysis.graph_series(
         eigs, oracle_params("hemisphere"), SpaceForm.SPHERICAL, samples=256
     )
-    assert series.keys == analysis.SPH_GRAPH_KEYS
+    assert tuple(series) == ("N", "D", "A", "At2", "runmean")
+    assert all(key == g.key for key, g in series.items())
 
 
 def test_graph6_mean_zero_evidence(right_isosceles_600):
@@ -134,12 +136,12 @@ def test_graph6_mean_zero_evidence(right_isosceles_600):
     series = analysis.graph_series(
         right_isosceles_600[:n], params, SpaceForm.EUCLIDEAN, samples=1024
     )
-    _, y6 = series.get("runmean")
+    y6 = series["runmean"].y
     assert abs(y6[-1]) < 0.05
     series_q = analysis.graph_series(
         right_isosceles_600[: n // 4], params, SpaceForm.EUCLIDEAN, samples=1024
     )
-    _, y6q = series_q.get("runmean")
+    y6q = series_q["runmean"].y
     assert abs(y6[-1]) < abs(y6q[-1])
 
 
@@ -150,7 +152,7 @@ def test_graph6_shrinks_with_prefix(equilateral_600):
         s = analysis.graph_series(
             equilateral_600[:n], params, SpaceForm.EUCLIDEAN, samples=1024
         )
-        terminal[n] = abs(s.get("runmean")[1][-1])
+        terminal[n] = abs(s["runmean"].y[-1])
     assert terminal[600] < terminal[150]
 
 
@@ -159,7 +161,7 @@ def test_hemisphere_at2_no_decay():
     series = analysis.graph_series(
         eigs, oracle_params("hemisphere"), SpaceForm.SPHERICAL, samples=2048
     )
-    x, y = series.get("At2")
+    x, y = series["At2"].x, series["At2"].y
     q = 0.75 * x[-1]
     assert np.max(np.abs(y[x >= q])) >= 0.5 * np.max(np.abs(y))
 

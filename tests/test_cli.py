@@ -541,6 +541,48 @@ def test_analyze_all_on_a_non_finite_spectrum_exits_3_writing_nothing(tmp_path, 
     assert os.listdir(out) == []
 
 
+@pytest.mark.parametrize("rows, opts, error", [
+    ("1,1.0,0,1\n", [], "gap statistics need at least two eigenvalues"),
+    ("1,1.0,0,1\n2,101.0,0,1\n", ["--bin-width", "1e-9"],
+     "bin width 1e-09 gives 1e+11 histogram bins"),
+], ids=["one-trusted-row", "too-many-bins"])
+def test_analyze_whose_gap_statistics_fail_exits_4_writing_nothing(
+    tmp_path, capsys, rows, opts, error
+):
+    # the gap statistics are computed before any graph file is written
+    spectrum = tmp_path / "s.csv"
+    spectrum.write_text("index,predicted,ratio,trusted\n" + rows)
+    out = tmp_path / "a"
+    argv = ["analyze", "--config", _cfg("unit_disc_dirichlet.yaml"), "--out", str(out),
+            "--spectrum", str(spectrum), "--samples", "128", "--quiet", *opts]
+    assert main(argv) == 4
+    assert capsys.readouterr().err.startswith(f"analysis error: {error}")
+    assert os.listdir(out) == []
+
+
+def test_report_whose_gap_statistics_fail_writes_no_graph(tmp_path, capsys):
+    out = tmp_path / "r"
+    argv = ["report", "--config", _cfg("equilateral_dirichlet.yaml"), "--out", str(out),
+            "--refinements", "2", "--num-eigs", "1", "--samples", "128", "--quiet"]
+    assert main(argv) == 4
+    assert capsys.readouterr().err == (
+        "analysis error: gap statistics need at least two eigenvalues\n")
+    assert sorted(os.listdir(out)) == ["spectrum.csv", "table.txt"]
+
+
+@pytest.mark.parametrize("opts, error", [
+    (["--all"], "spectrum file {} holds no eigenvalues"),
+    ([], "no trusted eigenvalues to analyze (try --all)"),
+], ids=["all", "trusted"])
+def test_gaps_on_a_spectrum_file_without_rows_exits_4(tmp_path, capsys, opts, error):
+    spectrum = tmp_path / "s.csv"
+    spectrum.write_text("index,predicted,ratio,trusted\n")
+    out = tmp_path / "g"
+    assert main(["gaps", "--spectrum", str(spectrum), "--out", str(out), "--quiet", *opts]) == 4
+    assert capsys.readouterr().err == f"analysis error: {error.format(spectrum)}\n"
+    assert os.listdir(out) == []
+
+
 @pytest.mark.parametrize("reject", ["config", "out"])
 def test_rejected_solve_starts_no_window_pool(tmp_path, capsys, reject):
     eigensolve._close_pool()

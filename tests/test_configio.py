@@ -54,6 +54,45 @@ def test_all_shipped_configs_load():
     assert pinned == set(_CLOSED_FORM_C) | set(ORACLE_CONSTANTS)
 
 
+# float.hex of each disc config's area, perimeter_d, perimeter_n,
+# boundary_curvature_integral, c1, c2 and c3: table.txt and every graph file's
+# bytes depend on them, and a one-ulp move would pass a relative tolerance
+_DISC_CONSTANTS_HEX = {
+    "unit_disc_dirichlet": (
+        "0x1.921fb54442d18p+1", "0x1.921fb54442d18p+2", "0x0.0p+0",
+        "0x1.921fb54442d18p+2", "0x0.0p+0", "0x1.5555555555555p-3", "0x0.0p+0",
+    ),
+    "unit_disc_neumann": (
+        "0x1.921fb54442d18p+1", "0x0.0p+0", "0x1.921fb54442d18p+2",
+        "0x1.921fb54442d18p+2", "0x0.0p+0", "0x1.5555555555555p-3", "0x0.0p+0",
+    ),
+    "hyperbolic_disc_r1": (
+        "0x1.b4c577fa28681p+1", "0x1.d89391901e179p+2", "0x0.0p+0",
+        "0x1.364138a0ab82cp+3", "0x0.0p+0", "0x1.075a38be6a38bp-2", "-0x1.72be384efe380p-4",
+    ),
+    "hyperbolic_disc_rhalf": (
+        "0x1.9a9252226c3f9p-1", "0x1.a316f74cad329p+1", "0x0.0p+0",
+        "0x1.c571ff8890596p+2", "0x0.0p+0", "0x1.80e575d8e8bc0p-3", "-0x1.5c81041c9b355p-6",
+    ),
+    "hemisphere_dirichlet": (
+        "0x1.921fb54442d17p+2", "0x1.921fb54442d18p+2", "0x0.0p+0",
+        "0x1.bb9179a03e784p-52", "0x0.0p+0", "0x1.78832eec5d009p-57", "0x1.5555555555555p-3",
+    ),
+    "spherical_disc_quarter": (
+        "0x1.d71e0e59b28cfp+0", "0x1.1c5831add62e4p+2", "0x0.0p+0",
+        "0x1.1c5831add62e4p+2", "0x0.0p+0", "0x1.e2b7dddfefa67p-4", "0x1.8fe5999576088p-5",
+    ),
+}
+
+
+@pytest.mark.parametrize("stem", sorted(_DISC_CONSTANTS_HEX))
+def test_disc_config_constants_are_pinned_bit_for_bit(stem):
+    gc = load_domain_config(os.path.join(CONFIG_DIR, stem + ".yaml")).constants
+    names = ("area", "perimeter_d", "perimeter_n", "boundary_curvature_integral",
+             "c1", "c2", "c3")
+    assert tuple(getattr(gc, name).hex() for name in names) == _DISC_CONSTANTS_HEX[stem]
+
+
 def test_polygon_config():
     cfg = build_domain(
         {

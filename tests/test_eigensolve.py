@@ -183,7 +183,7 @@ def test_multiplicity_pair_resolved_after_resort():
 
 
 def test_solver_determinism_bytes(tmp_path):
-    dom = geo.euclidean_disc(1.0)
+    dom = geo.geodesic_disc(SpaceForm.EUCLIDEAN, 1.0)[0]
     paths = []
     for run in range(2):
         mesh = meshing.refine(meshing.triangulate(dom, 0.25))
@@ -241,7 +241,7 @@ def test_spectrum_file_parse_errors(tmp_path):
 def disc_above_dense():
     # just above the dense limit; the disc's double eigenvalues split into
     # near-double pairs on the mesh
-    mesh = meshing.triangulate(geo.euclidean_disc(1.0), 0.09)
+    mesh = meshing.triangulate(geo.geodesic_disc(SpaceForm.EUCLIDEAN, 1.0)[0], 0.09)
     problem = fem.assemble(mesh, fem.ConformalWeight(SpaceForm.EUCLIDEAN))
     assert eigensolve._DENSE_LIMIT < problem.dimension < 2 * eigensolve._DENSE_LIMIT
     dense = sla.eigh(problem.stiffness.toarray(), problem.mass.toarray(), eigvals_only=True)
@@ -434,7 +434,7 @@ def test_window_holds_one_ritz_block_at_a_time():
     # _RESIDUAL_COLS), with 8 columns of n of slack (ARPACK's workd and resid,
     # v0, solve vectors). tracemalloc does not see SuperLU's own memory. Four
     # n x k residual temporaries beside a sorted copy of the vectors exceed it.
-    mesh = meshing.refine(meshing.triangulate(geo.euclidean_disc(1.0), 0.09))
+    mesh = meshing.refine(meshing.triangulate(geo.geodesic_disc(SpaceForm.EUCLIDEAN, 1.0)[0], 0.09))
     problem = eigensolve._ordered(fem.assemble(mesh, fem.ConformalWeight(SpaceForm.EUCLIDEAN)))
     n, k, shift = problem.dimension, 37, 150.0
     ncv = k + 16
@@ -452,7 +452,7 @@ def test_window_holds_one_ritz_block_at_a_time():
 def test_nested_dissection_factor_fills_less_than_colamd():
     # an interior-window factor: partial pivoting, in the nested-dissection
     # order against SuperLU's default COLAMD column order
-    mesh = meshing.refine(meshing.triangulate(geo.euclidean_disc(1.0), 0.09))
+    mesh = meshing.refine(meshing.triangulate(geo.geodesic_disc(SpaceForm.EUCLIDEAN, 1.0)[0], 0.09))
     problem = fem.assemble(mesh, fem.ConformalWeight(SpaceForm.EUCLIDEAN))
     ordered = eigensolve._ordered(problem)
     shift = 200.0  # about the 40th eigenvalue
@@ -465,7 +465,7 @@ def test_nested_dissection_factor_fills_less_than_colamd():
 def neumann_disc_above_dense():
     # disc_above_dense's mesh with a Neumann boundary: K is singular at 0,
     # which the first window [0, e1) holds
-    mesh = meshing.triangulate(geo.euclidean_disc(1.0), 0.09)
+    mesh = meshing.triangulate(geo.geodesic_disc(SpaceForm.EUCLIDEAN, 1.0)[0], 0.09)
     mesh = replace(mesh, arcs=tuple(replace(arc, bc="N") for arc in mesh.arcs))
     problem = fem.assemble(mesh, fem.ConformalWeight(SpaceForm.EUCLIDEAN))
     assert eigensolve._DENSE_LIMIT < problem.dimension < 2 * eigensolve._DENSE_LIMIT

@@ -12,7 +12,7 @@ from curvspec import meshing
 from curvspec.configio import load_domain_config
 from curvspec.geometry import SpaceForm
 
-from conftest import CONFIG_DIR
+from conftest import CONFIG_DIR, disc_with_bad_vertex
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +69,7 @@ def test_euclidean_weight_gives_plain_mass(neumann_square):
 
 
 def test_mass_total_equals_weighted_area():
-    dom, _ = geo.build_spherical_disc(math.pi / 2, "N")
+    dom, _ = geo.geodesic_disc(SpaceForm.SPHERICAL, math.pi / 2, "N")
     mesh = meshing.triangulate(dom, 0.6)
     w = fem.ConformalWeight(SpaceForm.SPHERICAL)
     problem = fem.assemble(mesh, w)
@@ -110,7 +110,7 @@ def test_constrained_dimension_cases(square_domain):
 
 
 def test_constrained_dimension_dirichlet_disc():
-    mesh = meshing.triangulate(geo.euclidean_disc(1.0, "D"), 0.5)
+    mesh = meshing.triangulate(geo.geodesic_disc(SpaceForm.EUCLIDEAN, 1.0, "D")[0], 0.5)
     problem = fem.assemble(mesh, _euclid())
     boundary = np.unique(mesh.boundary_edges[:, :2])
     assert problem.dimension == mesh.num_vertices - len(boundary)
@@ -161,6 +161,16 @@ def test_hyperbolic_assembly_rejects_lower_half_plane(square_domain):
 def test_assembly_rejects_nonpositively_oriented_triangles(corners):
     mesh = meshing.Mesh(corners, [[0, 1, 2]], boundary_edges=np.empty((0, 3)), arcs=())
     with pytest.raises(fem.AssemblyError, match="nonpositively oriented triangles"):
+        fem.assemble(mesh, _euclid())
+
+
+@pytest.mark.parametrize("index", [lambda n: n + 5, lambda n: -2],
+                         ids=["vertex-past-the-end", "negative-vertex"])
+def test_assembly_rejects_an_index_out_of_range(index):
+    # unchecked, n + 5 raises a bare IndexError and -2 wraps to another vertex
+    mesh, row = disc_with_bad_vertex(index)
+    detail = rf"vertex index outside \[0, {mesh.num_vertices}\)"
+    with pytest.raises(meshing.MeshError, match=rf"^mesh: bad 'triangles' table row {row}: {detail}$"):
         fem.assemble(mesh, _euclid())
 
 

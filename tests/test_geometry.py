@@ -72,15 +72,61 @@ def test_corner_constant_examples():
 # geometric_constants
 
 
-def test_unit_disc_constants():
-    gc = geo.geometric_constants(geo.euclidean_disc(1.0, "D"))
-    assert gc.area == pytest.approx(math.pi, rel=1e-13)
-    assert gc.perimeter_d == pytest.approx(2 * math.pi, rel=1e-13)
+def _disc_case(space, radius):
+    # (space, radius, area, perimeter, C2, C3) in closed form
+    if space is geo.SpaceForm.EUCLIDEAN:
+        return space, radius, math.pi * radius**2, 2 * math.pi * radius, 1.0 / 6.0, 0.0
+    if space is geo.SpaceForm.HYPERBOLIC:
+        ch = math.cosh(radius)
+        area, per = 4 * math.pi * math.sinh(radius / 2) ** 2, 2 * math.pi * math.sinh(radius)
+        return space, radius, area, per, ch / 6.0, -(ch - 1.0) / 6.0
+    cs = math.cos(radius)
+    return space, radius, 2 * math.pi * (1 - cs), 2 * math.pi * math.sin(radius), cs / 6, (1 - cs) / 6
+
+
+@pytest.mark.parametrize(
+    "space, radius, area, perimeter, c2, c3",
+    [_disc_case(geo.SpaceForm.EUCLIDEAN, 1.0)]
+    + [_disc_case(geo.SpaceForm.HYPERBOLIC, r) for r in (0.5, 1.0, 2.0)]
+    + [_disc_case(geo.SpaceForm.SPHERICAL, r) for r in (math.pi / 4, 2.2)],
+    ids=["euclidean-1", "hyperbolic-0.5", "hyperbolic-1", "hyperbolic-2", "spherical-pi/4",
+         "spherical-2.2"],
+)
+def test_disc_constants_in_each_space(space, radius, area, perimeter, c2, c3):
+    dom, gc = geo.geodesic_disc(space, radius, "D")
+    assert dom.space is space and dom.corners == [] and dom.holes == []
+    # a zero is matched exactly, as C3 of the flat disc
+    assert gc.area == pytest.approx(area, rel=1e-14, abs=0.0)
+    assert gc.perimeter_d == pytest.approx(perimeter, rel=1e-14, abs=0.0)
     assert gc.perimeter_n == 0.0
     assert gc.c1 == 0.0
-    assert gc.c2 == pytest.approx(1.0 / 6.0, abs=1e-14)
-    assert gc.c3 == 0.0
+    assert gc.c2 == pytest.approx(c2, rel=1e-14, abs=0.0)
+    assert gc.c3 == pytest.approx(c3, rel=1e-14, abs=0.0)
     assert gc.c == pytest.approx(1.0 / 6.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("radius", [1.0, 1.7, 0.3, 40.0])
+def test_flat_disc_closed_forms_equal_its_boundary_integrals(radius):
+    # bit for bit: the closed forms are the flat integrals of its one arc
+    for bc, perimeters in (("D", (2 * math.pi * radius, 0.0)), ("N", (0.0, 2 * math.pi * radius))):
+        dom, gc = geo.geodesic_disc(geo.SpaceForm.EUCLIDEAN, radius, bc)
+        assert geo.geometric_constants(dom) == gc
+        assert (gc.perimeter_d, gc.perimeter_n) == perimeters
+
+
+@pytest.mark.parametrize(
+    "space, radius, message",
+    [
+        (geo.SpaceForm.EUCLIDEAN, 0.0, "disc radius must be positive, got 0.0"),
+        (geo.SpaceForm.EUCLIDEAN, math.nan, "disc radius must be positive, got nan"),
+        (geo.SpaceForm.HYPERBOLIC, -1.0, "hyperbolic disc radius must be positive, got -1.0"),
+        (geo.SpaceForm.SPHERICAL, 0.0, r"spherical disc radius must lie in \(0, pi\), got 0.0"),
+        (geo.SpaceForm.SPHERICAL, 4.0, r"spherical disc radius must lie in \(0, pi\), got 4.0"),
+    ],
+)
+def test_disc_rejects_a_radius_outside_its_range(space, radius, message):
+    with pytest.raises(geo.GeometryError, match=f"^{message}$"):
+        geo.geodesic_disc(space, radius)
 
 
 def test_equilateral_triangle_constants():
@@ -183,14 +229,14 @@ def test_hyperbolic_disc_circumference_quadrature(radius):
 
     assert geo._quad(density, "circumference") == pytest.approx(want, rel=1e-12)
     if radius <= 5.0:  # along the circle itself, while point(t) keeps ~1e-13
-        dom, _ = geo.build_hyperbolic_disc(radius)
+        dom, _ = geo.geodesic_disc(geo.SpaceForm.HYPERBOLIC, radius)
         length = geo.arc_length(geo.SpaceForm.HYPERBOLIC, dom.outer_loop[0])
         assert length == pytest.approx(want, rel=1e-13)
 
 
 @pytest.mark.parametrize("radius", [0.1, 1.0, math.pi / 2, 2.5])
 def test_spherical_cap_area_quadrature(radius):
-    dom, _ = geo.build_spherical_disc(radius)
+    dom, _ = geo.geodesic_disc(geo.SpaceForm.SPHERICAL, radius)
     area = geo.green_area(geo.SpaceForm.SPHERICAL, dom.outer_loop[0])
     assert area == pytest.approx(2.0 * math.pi * (1.0 - math.cos(radius)), rel=1e-13)
 
@@ -314,18 +360,8 @@ def test_law_of_cosines_rejects_impossible_angles(curvature, angles, geometry):
         geo.law_of_cosines(curvature, *angles)
 
 
-def test_hyperbolic_disc_constants():
-    for radius in (0.5, 1.0, 2.0):
-        dom, gc = geo.build_hyperbolic_disc(radius)
-        assert gc.area == pytest.approx(4 * math.pi * math.sinh(radius / 2) ** 2, rel=1e-14)
-        assert gc.perimeter_d == pytest.approx(2 * math.pi * math.sinh(radius), rel=1e-14)
-        assert gc.c == pytest.approx(1.0 / 6.0, abs=1e-12)
-        assert gc.c2 == pytest.approx(math.cosh(radius) / 6.0, rel=1e-14)
-        assert gc.c3 == pytest.approx(-(math.cosh(radius) - 1.0) / 6.0, rel=1e-14)
-
-
 def test_hyperbolic_disc_quadrature_oracle():
-    dom, gc = geo.build_hyperbolic_disc(1.0)
+    dom, gc = geo.geodesic_disc(geo.SpaceForm.HYPERBOLIC, 1.0)
     arc = dom.outer_loop[0]
     b, r = arc.center[1], arc.radius
     val, err = dblquad(
@@ -342,18 +378,18 @@ def test_hyperbolic_disc_quadrature_oracle():
     assert gq.area == pytest.approx(gc.area, rel=1e-11)
     assert gq.c == pytest.approx(gc.c, abs=1e-11)
     # perimeter oracle for R = 1/2: 2 pi sinh(1/2)
-    _, gc_half = geo.build_hyperbolic_disc(0.5)
+    _, gc_half = geo.geodesic_disc(geo.SpaceForm.HYPERBOLIC, 0.5)
     assert gc_half.perimeter == pytest.approx(2 * math.pi * math.sinh(0.5), rel=1e-13)
 
 
 def test_hyperbolic_disc_flat_limit():
-    _, gc = geo.build_hyperbolic_disc(1e-4)
+    _, gc = geo.geodesic_disc(geo.SpaceForm.HYPERBOLIC, 1e-4)
     assert gc.area / (math.pi * 1e-8) == pytest.approx(1.0, rel=1e-7)
 
 
 def test_hyperbolic_disc_builds_at_its_radius_limit():
     limit = geo._HYPERBOLIC_DISC_MAX_RADIUS
-    _, gc = geo.build_hyperbolic_disc(limit)
+    _, gc = geo.geodesic_disc(geo.SpaceForm.HYPERBOLIC, limit)
     assert gc.area == pytest.approx(4 * math.pi * math.sinh(limit / 2) ** 2, rel=1e-14)
 
 
@@ -363,7 +399,7 @@ def test_hyperbolic_disc_above_its_radius_limit_names_radius_and_limit(radius):
     # the upper half-plane
     assert radius > geo._HYPERBOLIC_DISC_MAX_RADIUS == 15.0
     with pytest.raises(geo.GeometryError, match=f"radius {radius} exceeds the limit 15.0"):
-        geo.build_hyperbolic_disc(radius)
+        geo.geodesic_disc(geo.SpaceForm.HYPERBOLIC, radius)
 
 
 # ---------------------------------------------------------------------------
@@ -445,22 +481,22 @@ def test_spherical_triangle_random_specs_match_oracle():
 
 
 def test_spherical_disc_constants():
-    dom, gc = geo.build_spherical_disc(math.pi / 2)
+    dom, gc = geo.geodesic_disc(geo.SpaceForm.SPHERICAL, math.pi / 2)
     assert gc.area == pytest.approx(2 * math.pi, rel=1e-13)
     assert gc.perimeter == pytest.approx(2 * math.pi, rel=1e-13)
     assert gc.c == pytest.approx(1.0 / 6.0, abs=1e-13)
     assert dom.outer_loop[0].radius == pytest.approx(2.0, rel=1e-14)
 
-    _, gc2 = geo.build_spherical_disc(math.pi / 4)
+    _, gc2 = geo.geodesic_disc(geo.SpaceForm.SPHERICAL, math.pi / 4)
     assert gc2.area == pytest.approx(2 * math.pi * (1 - math.sqrt(2) / 2), rel=1e-13)
 
-    _, gc3 = geo.build_spherical_disc(1e-4)
+    _, gc3 = geo.geodesic_disc(geo.SpaceForm.SPHERICAL, 1e-4)
     assert gc3.area / (math.pi * 1e-8) == pytest.approx(1.0, rel=1e-7)
 
     with pytest.raises(geo.GeometryError):
-        geo.build_spherical_disc(math.pi)
+        geo.geodesic_disc(geo.SpaceForm.SPHERICAL, math.pi)
     # generic quadrature path agrees on a larger-than-hemisphere disc
-    dom4, gc4 = geo.build_spherical_disc(2.0)
+    dom4, gc4 = geo.geodesic_disc(geo.SpaceForm.SPHERICAL, 2.0)
     gq = geo.geometric_constants(dom4)
     assert gq.area == pytest.approx(gc4.area, rel=1e-11)
     assert gq.c == pytest.approx(gc4.c, abs=1e-11)
@@ -480,16 +516,16 @@ def _mean_curvature_from(space, arc, t):
 def test_pointwise_geodesic_curvature_signs():
     # boundary curving toward the interior is positive: 1/r, coth R, cot r,
     # constant along a geodesic circle, so on every short piece of it
-    e_disc = geo.euclidean_disc(2.0)
+    e_disc = geo.geodesic_disc(geo.SpaceForm.EUCLIDEAN, 2.0)[0]
     assert _mean_curvature_from(
         geo.SpaceForm.EUCLIDEAN, e_disc.outer_loop[0], 0.3
     ) == pytest.approx(0.5, rel=1e-12)
-    h_disc, _ = geo.build_hyperbolic_disc(1.2)
+    h_disc, _ = geo.geodesic_disc(geo.SpaceForm.HYPERBOLIC, 1.2)
     for t in (0.0, 0.37, 0.81):
         assert _mean_curvature_from(
             geo.SpaceForm.HYPERBOLIC, h_disc.outer_loop[0], t
         ) == pytest.approx(1.0 / math.tanh(1.2), rel=1e-12)
-    s_disc, _ = geo.build_spherical_disc(2.2)  # beyond the hemisphere: negative
+    s_disc, _ = geo.geodesic_disc(geo.SpaceForm.SPHERICAL, 2.2)  # beyond the hemisphere: negative
     assert _mean_curvature_from(
         geo.SpaceForm.SPHERICAL, s_disc.outer_loop[0], 0.5
     ) == pytest.approx(1.0 / math.tan(2.2), rel=1e-12)
@@ -498,9 +534,9 @@ def test_pointwise_geodesic_curvature_signs():
 def test_corner_free_simply_connected_c2_plus_c3():
     # C2 + C3 = 1/6 for the disc in all three geometries
     cases = [
-        geo.geometric_constants(geo.euclidean_disc(1.7)),
-        geo.build_hyperbolic_disc(0.8)[1],
-        geo.build_spherical_disc(1.1)[1],
+        geo.geometric_constants(geo.geodesic_disc(geo.SpaceForm.EUCLIDEAN, 1.7)[0]),
+        geo.geodesic_disc(geo.SpaceForm.HYPERBOLIC, 0.8)[1],
+        geo.geodesic_disc(geo.SpaceForm.SPHERICAL, 1.1)[1],
     ]
     for gc in cases:
         assert gc.c2 + gc.c3 == pytest.approx(1.0 / 6.0, abs=1e-12)
@@ -535,7 +571,7 @@ def test_gauss_bonnet_randomized():
                     geo.HyperbolicTriangleSpec(angles=tuple(a))
                 )
             elif kind == 2:
-                dom, gc = geo.build_hyperbolic_disc(rng.uniform(0.2, 2.0))
+                dom, gc = geo.geodesic_disc(geo.SpaceForm.HYPERBOLIC, rng.uniform(0.2, 2.0))
             else:
                 a = rng.uniform(0.7, 2.6, 3)
                 if not math.pi + 0.1 < a.sum() < 3 * math.pi - 0.1:

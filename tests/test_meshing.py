@@ -6,12 +6,12 @@ import pytest
 from curvspec import geometry as geo
 from curvspec import meshing
 
-from conftest import shipped_config
+from conftest import disc_with_bad_vertex, shipped_config
 
 
 @pytest.fixture(scope="module")
 def disc_domain():
-    return geo.euclidean_disc(1.0, "D")
+    return geo.geodesic_disc(geo.SpaceForm.EUCLIDEAN, 1.0, "D")[0]
 
 
 def test_unit_square_coarse():
@@ -95,7 +95,7 @@ def test_quality_and_edge_bounds_across_domains():
         geo.build_hyperbolic_triangle(
             geo.HyperbolicTriangleSpec(angles=(math.pi / 6,) * 3)
         )[0],
-        geo.build_spherical_disc(math.pi / 2)[0],
+        geo.geodesic_disc(geo.SpaceForm.SPHERICAL, math.pi / 2)[0],
     ]
     for dom in domains:
         h = 0.25 * dom.model_diameter()
@@ -294,6 +294,16 @@ def test_validate_mesh_rejects_an_index_out_of_range(triangle, arc, detail):
     mesh.boundary_edges[2, 2] = arc
     with pytest.raises(meshing.MeshError, match=f"^mesh: bad {detail}"):
         meshing.validate_mesh(mesh)
+
+
+@pytest.mark.parametrize("index", [lambda n: n + 5, lambda n: -2],
+                         ids=["vertex-past-the-end", "negative-vertex"])
+def test_refine_rejects_an_index_out_of_range(index):
+    # unchecked, n + 5 raises a bare IndexError and -2 wraps to another vertex
+    mesh, row = disc_with_bad_vertex(index)
+    detail = rf"vertex index outside \[0, {mesh.num_vertices}\)"
+    with pytest.raises(meshing.MeshError, match=rf"^mesh: bad 'triangles' table row {row}: {detail}$"):
+        meshing.refine(mesh)
 
 
 def _hand_mesh(vertices, triangles, boundary):
